@@ -70,8 +70,7 @@ def _record(op, serial_seconds, parallel_seconds):
 def _validation_items(rel):
     """All pair-LHS candidates with their singleton-product partitions."""
     singles = [
-        StrippedPartition.for_attribute(rel, a, backend="numpy")
-        for a in range(N_COLS)
+        StrippedPartition.for_attribute(rel, a) for a in range(N_COLS)
     ]
     items = []
     for i in range(N_COLS):
@@ -89,12 +88,12 @@ def test_level_validation_speedup():
 
     def serial():
         return merge_validation_outcomes(
-            validate_fd(rel, lhs, rhs, part, backend="numpy")
+            validate_fd(rel, lhs, rhs, part)
             for lhs, rhs, part in items
         )
 
     def pooled():
-        with ParallelExecutor(rel, jobs=JOBS, backend="numpy") as executor:
+        with ParallelExecutor(rel, jobs=JOBS) as executor:
             return merge_validation_outcomes(validate_level(executor, items))
 
     serial_s, serial_r = _time(serial)
@@ -134,11 +133,9 @@ def test_redundancy_ranking_speedup():
 def test_discovery_end_to_end_identical():
     """Full DHyFD with jobs=4: identical cover and stats, timed."""
     rel = _relation()
-    serial_s, serial_r = _time(lambda: DHyFD(backend="numpy", jobs=1).discover(rel))
+    serial_s, serial_r = _time(lambda: DHyFD(jobs=1).discover(rel))
     pool_s, pool_r = _time(
-        lambda: DHyFD(
-            backend="numpy", jobs=JOBS, parallel_min_rows=0
-        ).discover(rel)
+        lambda: DHyFD(jobs=JOBS, parallel_min_rows=0).discover(rel)
     )
     assert set(serial_r.fds) == set(pool_r.fds)
     assert serial_r.stats.validations == pool_r.stats.validations

@@ -46,10 +46,10 @@ from repro.service import ServiceClient, ServiceError
 
 BENCHMARK = "iris"
 CONFIG = {"algorithm": "dhyfd"}
-#: Deliberately slow configuration for the kill-mid-job scenario: the
-#: serial python kernels give the run a multi-second lattice walk, so
-#: there is a wide window to SIGKILL the replica between checkpoints.
-SLOW_CONFIG = {"algorithm": "dhyfd", "backend": "python", "jobs": 1}
+#: Serial configuration for the kill-mid-job scenario; with its 16-column
+#: input the run is a multi-second lattice walk, so there is a wide
+#: window to SIGKILL the replica between checkpoints.
+SLOW_CONFIG = {"algorithm": "dhyfd", "jobs": 1}
 REPLICAS = 2
 
 
@@ -147,7 +147,7 @@ def kill_mid_job_scenario(url: str, data_dir: str, client: ServiceClient) -> Non
     and the final cover is byte-identical to a direct run.
     """
     relation = random_relation(
-        2000, 14, domain_sizes=[3] * 14, null_rate=0.0, seed=5
+        2000, 16, domain_sizes=[3] * 16, null_rate=0.0, seed=5
     )
     expected = cover_to_json(
         make_algorithm("dhyfd").discover(relation).fds, relation.schema

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import inspect
+from typing import Callable, Dict, FrozenSet, List, Optional
 
 from ..core.base import DiscoveryAlgorithm
 from ..core.dhyfd import DHyFD
@@ -29,6 +30,17 @@ _REGISTRY: Dict[str, Callable[..., DiscoveryAlgorithm]] = {
 def algorithm_names() -> List[str]:
     """All registered algorithm names, sorted."""
     return sorted(_REGISTRY)
+
+
+def algorithm_keywords(name: str) -> Optional[FrozenSet[str]]:
+    """Keyword arguments a registered algorithm's constructor accepts.
+
+    None when the constructor takes ``**kwargs`` (any key is accepted).
+    """
+    params = inspect.signature(_REGISTRY[name.lower()]).parameters.values()
+    if any(p.kind is p.VAR_KEYWORD for p in params):
+        return None
+    return frozenset(p.name for p in params)
 
 
 def make_algorithm(

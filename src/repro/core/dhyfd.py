@@ -148,7 +148,6 @@ class DHyFD(DiscoveryAlgorithm):
         time_limit: Optional[float] = None,
         enable_ddm_updates: bool = True,
         enable_initial_sampling: bool = True,
-        backend: Optional[str] = None,
         jobs: Optional[int] = None,
         parallel_min_rows: Optional[int] = None,
         parallel_min_candidates: Optional[int] = None,
@@ -165,9 +164,6 @@ class DHyFD(DiscoveryAlgorithm):
                 one-shot sorted-neighborhood sample, so the first
                 FD-tree approximation comes from root validation alone
                 and every refinement burden falls on validation.
-            backend: partition-kernel backend (``"python"`` or
-                ``"numpy"``); ``None`` uses the process default (see
-                :mod:`repro.partitions.kernels`).
             jobs: worker-process count for level validation and the
                 initial sample; ``0``/``"auto"`` means one per core,
                 ``None`` uses the process default (``REPRO_FD_JOBS`` /
@@ -188,7 +184,6 @@ class DHyFD(DiscoveryAlgorithm):
         self.ratio_threshold = ratio_threshold
         self.enable_ddm_updates = enable_ddm_updates
         self.enable_initial_sampling = enable_initial_sampling
-        self.backend = backend
         self.jobs = jobs
         self.parallel_min_rows = parallel_min_rows
         self.parallel_min_candidates = parallel_min_candidates
@@ -203,7 +198,7 @@ class DHyFD(DiscoveryAlgorithm):
         )
         if jobs <= 1 or relation.n_rows < min_rows:
             return None
-        return ParallelExecutor(relation, jobs=jobs, backend=self.backend)
+        return ParallelExecutor(relation, jobs=jobs)
 
     def _find_fds(
         self, relation: Relation, deadline: Deadline
@@ -245,7 +240,7 @@ class DHyFD(DiscoveryAlgorithm):
         n_cols = relation.n_cols
         all_attrs = attrset.full_set(n_cols)
 
-        ddm = DynamicDataManager(relation, backend=self.backend)
+        ddm = DynamicDataManager(relation)
         stats.partition_memory_peak_bytes = ddm.memory_bytes()
         tree = ExtendedFDTree(n_cols)
         tree.add_fd(attrset.EMPTY, all_attrs)
@@ -268,11 +263,7 @@ class DHyFD(DiscoveryAlgorithm):
         # descendant FD has a superset LHS, hence a no-larger
         # redundancy) can reach the threshold.
         measure_cache = (
-            PartitionCache(
-                relation,
-                backend=self.backend,
-                shared=tier_for(relation, self.backend),
-            )
+            PartitionCache(relation, shared=tier_for(relation))
             if tracker is not None
             else None
         )
@@ -371,15 +362,13 @@ class DHyFD(DiscoveryAlgorithm):
             if self.enable_initial_sampling:
                 with tracer.span("sampling") as span:
                     violations |= initial_sample(
-                        relation, ddm.singletons, backend=self.backend,
-                        executor=executor,
+                        relation, ddm.singletons, executor=executor
                     )
                     span.annotate(non_fds=len(violations))
             stats.sampled_non_fds = len(violations)
             with tracer.span("validation", level=0) as span:
                 root_check = validate_fd(
-                    relation, attrset.EMPTY, all_attrs, ddm.universal,
-                    backend=self.backend,
+                    relation, attrset.EMPTY, all_attrs, ddm.universal
                 )
                 span.annotate(comparisons=root_check.comparisons)
             stats.comparisons += root_check.comparisons
@@ -622,7 +611,7 @@ class DHyFD(DiscoveryAlgorithm):
         outcomes_serial: List[ValidationResult] = []
         for lhs, rhs, partition in items:
             outcomes_serial.append(
-                validate_fd(relation, lhs, rhs, partition, backend=self.backend)
+                validate_fd(relation, lhs, rhs, partition)
             )
             deadline.check()
         return merge_validation_outcomes(outcomes_serial)

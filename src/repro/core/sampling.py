@@ -16,9 +16,9 @@ HyFD keeps the sampler around and grows the window whenever validation
 invalidates too many FDs.
 
 Agree-set computation goes through
-:mod:`repro.partitions.kernels` — the numpy backend compares a whole
-round's row pairs in one shot and packs the agreement bitmasks with
-``np.packbits``; the python backend is the per-pair reference.
+:mod:`repro.partitions.kernels`, which compares a whole round's row
+pairs in one shot and packs the agreement bitmasks with
+``np.packbits``.
 """
 
 from __future__ import annotations
@@ -93,10 +93,8 @@ class AgreeSetSampler:
         self,
         relation: Relation,
         partitions: Sequence[StrippedPartition],
-        backend: Optional[str] = None,
     ):
         self.relation = relation
-        self.backend = backend
         self.matrix = relation.matrix()
         self._full = attrset.full_set(relation.n_cols)
         #: Per-attribute clusters with rows pre-sorted by full row content.
@@ -124,9 +122,7 @@ class AgreeSetSampler:
             if pairs is not None:
                 pairs_a, pairs_b = pairs
                 stats.comparisons += len(pairs_a)
-                for agree in kernels.agree_masks(
-                    self.matrix, pairs_a, pairs_b, backend=self.backend
-                ):
+                for agree in kernels.agree_masks(self.matrix, pairs_a, pairs_b):
                     if agree != self._full and agree not in self.seen:
                         # duplicate rows agree everywhere — a trivial
                         # "non-FD" that cannot invalidate anything
@@ -150,14 +146,12 @@ class AgreeSetSampler:
             self.matrix,
             np.asarray([row_a], dtype=np.int64),
             np.asarray([row_b], dtype=np.int64),
-            backend=self.backend,
         )[0]
 
 
 def initial_sample(
     relation: Relation,
     partitions: Sequence[StrippedPartition],
-    backend: Optional[str] = None,
     executor=None,
 ) -> Set[AttrSet]:
     """DHyFD's one-shot wide sample: a single window-1 round.
@@ -176,14 +170,12 @@ def initial_sample(
             return agree_sets
         except PoolBrokenError:
             pass
-    sampler = AgreeSetSampler(relation, partitions, backend=backend)
+    sampler = AgreeSetSampler(relation, partitions)
     agree_sets, _ = sampler.sample_round()
     return agree_sets
 
 
-def all_agree_sets(
-    relation: Relation, backend: Optional[str] = None
-) -> Set[AttrSet]:
+def all_agree_sets(relation: Relation) -> Set[AttrSet]:
     """The exact agree-set cover from *all* distinct row pairs.
 
     This is FDEP's quadratic negative-cover computation; only viable on
@@ -191,6 +183,6 @@ def all_agree_sets(
     from duplicate rows are dropped (they imply no non-FD).
     """
     full = attrset.full_set(relation.n_cols)
-    agree_sets = kernels.pairwise_agree_sets(relation.matrix(), backend=backend)
+    agree_sets = kernels.pairwise_agree_sets(relation.matrix())
     agree_sets.discard(full)
     return agree_sets

@@ -12,7 +12,7 @@ single invalid FD, which is exactly what synergized induction wants.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Set
 
 import numpy as np
 
@@ -42,13 +42,11 @@ def validate_fd(
     lhs: AttrSet,
     rhs: AttrSet,
     partition: StrippedPartition,
-    backend: Optional[str] = None,
 ) -> ValidationResult:
     """Validate ``lhs -> rhs`` using ``partition`` = π_X' with X' ⊆ lhs.
 
     Returns the surviving RHS attributes and the agree-set non-FDs of
-    every violating pair encountered before the early exit.  ``backend``
-    selects the kernel backend for the per-cluster refinement step.
+    every violating pair encountered before the early exit.
     """
     if not attrset.is_subset(partition.attrs, lhs):
         raise ValueError(
@@ -70,7 +68,7 @@ def validate_fd(
     for source_cluster in partition.clusters:
         if missing_codes:
             clusters: List[Cluster] = kernels.refine_clusters(
-                missing_codes, [source_cluster], backend=backend
+                missing_codes, [source_cluster]
             )
         else:
             clusters = [source_cluster]
@@ -95,16 +93,14 @@ def validate_fd(
     return ValidationResult(valid_rhs, non_fds, comparisons)
 
 
-def check_fd(
-    relation: Relation, lhs: AttrSet, rhs: AttrSet, backend: Optional[str] = None
-) -> bool:
+def check_fd(relation: Relation, lhs: AttrSet, rhs: AttrSet) -> bool:
     """Ground-truth check that ``lhs -> rhs`` holds, from scratch.
 
     Builds ``π_lhs`` directly; used by tests and the brute-force oracle
     rather than the discovery loop.
     """
-    partition = StrippedPartition.for_attrs(relation, lhs, backend=backend)
+    partition = StrippedPartition.for_attrs(relation, lhs)
     for attr in attrset.iter_attrs(rhs):
-        if not partition.refines_attribute(relation, attr, backend=backend):
+        if not partition.refines_attribute(relation, attr):
             return False
     return True

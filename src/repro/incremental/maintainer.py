@@ -48,7 +48,7 @@ class IncrementalFDMaintainer:
             cover: a known-correct cover of ``relation`` (skips the
                 initial discovery when provided).
             **algorithm_kwargs: constructor kwargs (``jobs``,
-                ``backend``, ...) forwarded to *every* (re)discovery
+                ``ratio_threshold``, ...) forwarded to *every* (re)discovery
                 this maintainer performs — the initial one and the
                 :meth:`remove_rows` fallback alike.
         """

@@ -7,17 +7,15 @@ the dominant service pattern is *different* jobs against the *same*
 registered dataset, so those derivations are pure waste.
 
 This module keeps one process-wide
-:class:`SharedPartitionTier` per ``(fingerprint, null semantics,
-resolved backend)`` triple.  A tier stores partitions over at most
+:class:`SharedPartitionTier` per ``(fingerprint, null semantics)``
+pair.  A tier stores partitions over at most
 :data:`MAX_SHARED_ATTRS` attributes — the wide base of the lattice
 that every pass touches — and hands them to any ``PartitionCache``
 constructed with ``shared=``.  Safe to share because
 :class:`~repro.partitions.stripped.StrippedPartition` is immutable
 (nothing in the stack mutates ``clusters`` in place) and the key pins
-down everything that affects cluster bytes: the data (fingerprint),
-the equality semantics, and the kernel backend (canonical cluster
-order is backend-identical by PR 2's guarantee, but keying by backend
-keeps the tiers independently evictable and the provenance obvious).
+down everything that affects cluster bytes: the data (fingerprint)
+and the equality semantics.
 
 The registry is LRU-bounded (:data:`MAX_TIERS` datasets) and obeys the
 same ``REPRO_FD_MEMPLANE`` kill switch as the arena.
@@ -29,7 +27,6 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from ..partitions.kernels import resolve_backend
 from ..partitions.stripped import StrippedPartition
 from ..relational import attrset
 from ..relational.attrset import AttrSet
@@ -49,7 +46,7 @@ class SharedPartitionTier:
 
     __slots__ = ("key", "_store", "_lock", "hits", "misses")
 
-    def __init__(self, key: Tuple[str, str, str]):
+    def __init__(self, key: Tuple[str, str]):
         self.key = key
         self._store: Dict[AttrSet, StrippedPartition] = {}
         self._lock = threading.Lock()
@@ -86,11 +83,11 @@ class SharedPartitionTier:
             return sum(p.memory_bytes() for p in self._store.values())
 
 
-_tiers: "OrderedDict[Tuple[str, str, str], SharedPartitionTier]" = OrderedDict()
+_tiers: "OrderedDict[Tuple[str, str], SharedPartitionTier]" = OrderedDict()
 _tiers_lock = threading.Lock()
 
 
-def tier_for(relation, backend: Optional[str] = None) -> Optional[SharedPartitionTier]:
+def tier_for(relation) -> Optional[SharedPartitionTier]:
     """The shared tier for ``relation`` (None when unusable).
 
     Unusable means: the memplane is disabled, or the relation carries
@@ -103,7 +100,7 @@ def tier_for(relation, backend: Optional[str] = None) -> Optional[SharedPartitio
     semantics = getattr(relation, "semantics", None)
     if fingerprint_of is None or semantics is None:
         return None
-    key = (fingerprint_of(), semantics.value, resolve_backend(backend))
+    key = (fingerprint_of(), semantics.value)
     with _tiers_lock:
         tier = _tiers.get(key)
         if tier is None:

@@ -24,11 +24,11 @@ join row came from.  This module computes exactly that:
   ``multitable.materialize`` telemetry event — the virtual path never
   emits one.
 
-Like :mod:`repro.partitions.kernels`, provenance construction is
-backend-switchable: ``backend="python"`` is the per-row reference
-implementation, ``backend="numpy"`` vectorizes the gather/expand steps
-over flat index arrays.  Both emit identical arrays (join rows ordered
-with current rows outer, matching child rows ascending inner).
+Provenance construction and the column lift run vectorized over flat
+index arrays; ``_build_python`` and ``_lift_column_python`` are the
+per-row references the tests compare them against.  Both emit
+identical arrays (join rows ordered with current rows outer, matching
+child rows ascending inner).
 
 Dangling foreign keys (a child value missing from the parent) follow
 the ``on_dangling`` policy, mirroring ``read_csv``'s ``on_bad_row=``:
@@ -170,7 +170,6 @@ def build_provenance(
     graph: SchemaGraph,
     path: Sequence[str],
     on_dangling: str = "raise",
-    backend: Optional[str] = None,
 ) -> JoinProvenance:
     """Compute the per-table provenance index arrays of a join path.
 
@@ -178,10 +177,9 @@ def build_provenance(
     per path table plus counters.  Join-row order is deterministic —
     rows of the first table in row order, then per step current join
     rows outer and matching child rows ascending inner — and identical
-    across backends and to :func:`materialize_join`.
+    with the per-row reference and with :func:`materialize_join`.
     """
     policy = resolve_policy(on_dangling)
-    backend = kernels.resolve_backend(backend)
     steps = graph.resolve_path(path)
     names = [str(p) for p in path]
     tracer = current_tracer()
@@ -189,12 +187,10 @@ def build_provenance(
         "multitable.provenance",
         path="/".join(names),
         policy=policy,
-        backend=backend,
     ):
-        impl = _build_numpy if backend == "numpy" else _build_python
-        index, dropped, padded = impl(graph, names, steps, policy)
+        index, dropped, padded = _build_numpy(graph, names, steps, policy)
         n_rows = int(len(index[names[0]]))
-        tracer.counter(f"multitable.provenance.{backend}.calls").inc()
+        tracer.counter("multitable.provenance.calls").inc()
         tracer.event(
             "multitable.provenance.built",
             n_rows=n_rows,
@@ -389,7 +385,6 @@ def lift_column(
     column: EncodedColumn,
     idx: np.ndarray,
     semantics: NullSemantics,
-    backend: Optional[str] = None,
 ) -> EncodedColumn:
     """Re-strip: densely re-encode a relabelled column in join-row order.
 
@@ -398,15 +393,6 @@ def lift_column(
     codes are assigned in first-occurrence order, nulls follow the
     semantics, and decoder entries are the base decoder's values.
     """
-    backend = kernels.resolve_backend(backend)
-    if backend == "numpy":
-        return _lift_column_numpy(column, idx, semantics)
-    return _lift_column_python(column, idx, semantics)
-
-
-def _lift_column_numpy(
-    column: EncodedColumn, idx: np.ndarray, semantics: NullSemantics
-) -> EncodedColumn:
     n = len(idx)
     keys = _lift_keys(column, idx, semantics)
     null_mask = keys < 0
@@ -484,7 +470,6 @@ def lift_partition(
     attrs: AttrSet,
     idx: np.ndarray,
     semantics: NullSemantics,
-    backend: Optional[str] = None,
 ) -> StrippedPartition:
     """Lift ``π_X`` of a base table onto the virtual join's rows.
 
@@ -503,16 +488,13 @@ def lift_partition(
     keys = [
         _lift_keys(relation.column(a), idx, semantics) for a in members
     ]
-    clusters = kernels.refine_clusters(
-        keys, [list(range(n))], backend=backend
-    )
+    clusters = kernels.refine_clusters(keys, [list(range(n))])
     return StrippedPartition(attrs, clusters, n)
 
 
 def lift_relation(
     graph: SchemaGraph,
     provenance: JoinProvenance,
-    backend: Optional[str] = None,
 ) -> Relation:
     """The virtual join as an encoded relation, built purely from lifts.
 
@@ -535,11 +517,7 @@ def lift_relation(
             idx = provenance.index[table]
             for attr, name in enumerate(relation.schema.names):
                 names.append(f"{table}.{name}")
-                columns.append(
-                    lift_column(
-                        relation.column(attr), idx, semantics, backend=backend
-                    )
-                )
+                columns.append(lift_column(relation.column(attr), idx, semantics))
         tracer.counter("multitable.lift.columns").inc(len(columns))
     return Relation(RelationSchema(names), columns, semantics, provenance.n_rows)
 

@@ -112,13 +112,12 @@ def _validate_batch(view: SharedRelationView, payload: dict) -> list:
     from ..core.validation import validate_fd
     from ..partitions.stripped import StrippedPartition
 
-    backend = payload["backend"]
     out = []
     for index, lhs, rhs, part_attrs, rows, lengths in payload["items"]:
         partition = StrippedPartition.from_flat(
             part_attrs, rows, lengths, view.n_rows
         )
-        outcome = validate_fd(view, lhs, rhs, partition, backend=backend)
+        outcome = validate_fd(view, lhs, rhs, partition)
         out.append(
             (index, outcome.valid_rhs, sorted(outcome.non_fd_lhs), outcome.comparisons)
         )
@@ -129,11 +128,10 @@ def _redundancy_batch(view: SharedRelationView, payload: dict) -> list:
     from ..partitions.stripped import StrippedPartition
     from ..ranking.redundancy import NullPolicy, redundant_rows_for_lhs
 
-    backend = payload["backend"]
     policy = NullPolicy(payload["policy"])
     out = []
     for index, lhs in payload["items"]:
-        partition = StrippedPartition.for_attrs(view, lhs, backend=backend)
+        partition = StrippedPartition.for_attrs(view, lhs)
         rows_mask = redundant_rows_for_lhs(view, partition, policy)
         out.append((index, pack_row_mask(rows_mask)))
     return out
@@ -142,7 +140,6 @@ def _redundancy_batch(view: SharedRelationView, payload: dict) -> list:
 def _sample_batch(view: SharedRelationView, payload: dict) -> list:
     from ..core.sampling import row_sort_keys, sort_clusters_by_content, window_pairs
 
-    backend = payload["backend"]
     matrix = view.matrix()
     row_keys = row_sort_keys(matrix)
     full = attrset.full_set(view.n_cols)
@@ -156,7 +153,7 @@ def _sample_batch(view: SharedRelationView, payload: dict) -> list:
             continue
         rows_a, rows_b = pairs
         comparisons += len(rows_a)
-        for agree in kernels.agree_masks(matrix, rows_a, rows_b, backend=backend):
+        for agree in kernels.agree_masks(matrix, rows_a, rows_b):
             if agree != full:
                 masks.add(agree)
     return [(sorted(masks), comparisons)]
@@ -233,16 +230,12 @@ class ParallelExecutor:
         self,
         relation,
         jobs: Optional[int] = None,
-        backend: Optional[str] = None,
         min_batch: Optional[int] = None,
         retries: Optional[int] = None,
         retry_backoff: Optional[float] = None,
     ):
         self.relation = relation
         self.jobs = resolve_jobs(jobs)
-        #: Backend resolved eagerly so workers use the parent's default
-        #: even under spawn (which re-imports and would re-read the env).
-        self.backend = kernels.resolve_backend(backend)
         self.min_batch = DEFAULT_MIN_BATCH if min_batch is None else max(1, min_batch)
         self.retries = DEFAULT_POOL_RETRIES if retries is None else max(0, retries)
         self.retry_backoff = (
@@ -362,7 +355,6 @@ class ParallelExecutor:
                 _run_batch,
                 {
                     "kind": kind,
-                    "backend": self.backend,
                     "collect": collect,
                     "items": list(batch),
                     **(extra or {}),

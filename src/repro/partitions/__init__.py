@@ -2,24 +2,11 @@
 
 from . import kernels
 from .cache import PartitionCache
-from .kernels import (
-    BACKENDS,
-    get_default_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
-from .stripped import Cluster, StrippedPartition, refine_cluster
+from .stripped import Cluster, StrippedPartition
 
 __all__ = [
-    "BACKENDS",
     "Cluster",
     "PartitionCache",
     "StrippedPartition",
-    "get_default_backend",
     "kernels",
-    "refine_cluster",
-    "resolve_backend",
-    "set_default_backend",
-    "use_backend",
 ]

@@ -40,11 +40,9 @@ class PartitionCache:
     def __init__(
         self,
         relation: Relation,
-        backend: Optional[str] = None,
         shared=None,
     ):
         self.relation = relation
-        self.backend = backend
         self.shared = shared
         self._store: Dict[AttrSet, StrippedPartition] = {}
         self.hits = 0
@@ -73,9 +71,7 @@ class PartitionCache:
                     self.shared_hits += 1
                     self._shared_hit_counter.inc()
             if partition is None:
-                partition = StrippedPartition.for_attribute(
-                    self.relation, attr, backend=self.backend
-                )
+                partition = StrippedPartition.for_attribute(self.relation, attr)
                 if self.shared is not None:
                     self.shared.put(partition)
             self._store[mask] = partition
@@ -134,7 +130,6 @@ class PartitionCache:
         partition = base.refine_many(
             self.relation,
             attrset.iter_attrs(attrset.difference(attrs, base.attrs)),
-            backend=self.backend,
         )
         self._store[attrs] = partition
         if self.shared is not None:

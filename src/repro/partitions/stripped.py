@@ -15,15 +15,13 @@ Refinement is the primitive that makes the dynamic data manager
 possible: it derives a finer partition from a coarser one without ever
 re-touching rows outside existing clusters.
 
-All of these bottom out in :mod:`repro.partitions.kernels`, which
-provides a per-row ``python`` reference backend and a vectorized
-``numpy`` backend; every operation takes an optional ``backend``
-argument (``None`` uses the process default).
+All of these bottom out in :mod:`repro.partitions.kernels`, which runs
+per-row or vectorized code depending on the size of each call.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -91,18 +89,14 @@ class StrippedPartition:
         return cls._from_kernel(attrset.EMPTY, clusters, relation.n_rows)
 
     @classmethod
-    def for_attribute(
-        cls, relation: Relation, attr: int, backend: Optional[str] = None
-    ) -> "StrippedPartition":
+    def for_attribute(cls, relation: Relation, attr: int) -> "StrippedPartition":
         """Build ``π_A`` by grouping rows on the column's DIIS codes."""
         faults.fire("partition.build.memory", MemoryError)
-        clusters = kernels.group_rows(relation.codes(attr), backend=backend)
+        clusters = kernels.group_rows(relation.codes(attr))
         return cls._from_kernel(attrset.singleton(attr), clusters, relation.n_rows)
 
     @classmethod
-    def for_attrs(
-        cls, relation: Relation, attrs: AttrSet, backend: Optional[str] = None
-    ) -> "StrippedPartition":
+    def for_attrs(cls, relation: Relation, attrs: AttrSet) -> "StrippedPartition":
         """Build ``π_X`` for arbitrary ``X`` in one multi-key grouping pass."""
         members = attrset.to_list(attrs)
         if not members:
@@ -110,9 +104,7 @@ class StrippedPartition:
         faults.fire("partition.build.memory", MemoryError)
         base = cls.universal(relation)
         clusters = kernels.refine_clusters(
-            [relation.codes(attr) for attr in members],
-            base.clusters,
-            backend=backend,
+            [relation.codes(attr) for attr in members], base.clusters
         )
         return cls._from_kernel(attrs, clusters, relation.n_rows)
 
@@ -159,23 +151,16 @@ class StrippedPartition:
     # Refinement (Algorithm 5) and product
     # ------------------------------------------------------------------
 
-    def refine(
-        self, relation: Relation, attr: int, backend: Optional[str] = None
-    ) -> "StrippedPartition":
+    def refine(self, relation: Relation, attr: int) -> "StrippedPartition":
         """``π_XA`` from ``π_X``: split every cluster on attribute codes."""
         faults.fire("partition.refine.memory", MemoryError)
-        clusters = kernels.refine_clusters(
-            [relation.codes(attr)], self.clusters, backend=backend
-        )
+        clusters = kernels.refine_clusters([relation.codes(attr)], self.clusters)
         return StrippedPartition._from_kernel(
             attrset.add(self.attrs, attr), clusters, self.n_rows
         )
 
     def refine_many(
-        self,
-        relation: Relation,
-        attrs: Iterable[int],
-        backend: Optional[str] = None,
+        self, relation: Relation, attrs: Iterable[int]
     ) -> "StrippedPartition":
         """Refine by several attributes in one kernel pass."""
         attr_list = list(attrs)
@@ -183,17 +168,13 @@ class StrippedPartition:
             return self
         faults.fire("partition.refine.memory", MemoryError)
         clusters = kernels.refine_clusters(
-            [relation.codes(attr) for attr in attr_list],
-            self.clusters,
-            backend=backend,
+            [relation.codes(attr) for attr in attr_list], self.clusters
         )
         return StrippedPartition._from_kernel(
             self.attrs | attrset.from_attrs(attr_list), clusters, self.n_rows
         )
 
-    def intersect(
-        self, other: "StrippedPartition", backend: Optional[str] = None
-    ) -> "StrippedPartition":
+    def intersect(self, other: "StrippedPartition") -> "StrippedPartition":
         """TANE's partition product: ``π_X ∩ π_Y = π_{X∪Y}``.
 
         Implements the classic probe-table algorithm: rows are tagged
@@ -201,7 +182,7 @@ class StrippedPartition:
         cluster are then grouped by that tag.
         """
         clusters = kernels.intersect_clusters(
-            self.n_rows, self.clusters, other.clusters, backend=backend
+            self.n_rows, self.clusters, other.clusters
         )
         return StrippedPartition._from_kernel(
             self.attrs | other.attrs, clusters, self.n_rows
@@ -211,34 +192,11 @@ class StrippedPartition:
     # FD checks
     # ------------------------------------------------------------------
 
-    def refines_attribute(
-        self, relation: Relation, attr: int, backend: Optional[str] = None
-    ) -> bool:
+    def refines_attribute(self, relation: Relation, attr: int) -> bool:
         """True iff the FD ``X -> attr`` holds on ``relation``.
 
         Holds exactly when every cluster of ``π_X`` is constant on the
         attribute's codes.
         """
-        return kernels.clusters_constant_on(
-            relation.codes(attr), self.clusters, backend=backend
-        )
+        return kernels.clusters_constant_on(relation.codes(attr), self.clusters)
 
-
-def refine_cluster(codes: np.ndarray, cluster: Cluster) -> List[Cluster]:
-    """Split one cluster by an attribute's DIIS codes (Algorithm 5 core).
-
-    The paper indexes a pre-allocated ``sets_array`` by code; a dict
-    keyed by code plays the same role here without the O(|r|) clearing
-    pass.  This is the per-row reference primitive behind the kernels'
-    ``python`` backend; hot paths call
-    :func:`repro.partitions.kernels.refine_clusters` instead.
-    """
-    buckets: dict = {}
-    for row in cluster:
-        code = int(codes[row])
-        bucket = buckets.get(code)
-        if bucket is None:
-            buckets[code] = [row]
-        else:
-            bucket.append(row)
-    return [bucket for bucket in buckets.values() if len(bucket) >= 2]

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from ..algorithms.registry import algorithm_names
+from ..algorithms.registry import algorithm_keywords, algorithm_names
 from ..resilience import RunBudget, parse_bytes
 
 _ON_LIMIT_POLICIES = ("raise", "partial")
@@ -35,7 +35,9 @@ class JobConfig:
 
     ``extra`` carries algorithm-specific constructor kwargs (e.g.
     DHyFD's ``ratio_threshold``) as a sorted tuple of pairs so the
-    dataclass stays hashable and the cache key deterministic.
+    dataclass stays hashable and the cache key deterministic.  A key the
+    algorithm's constructor does not accept is rejected here, at
+    submit, rather than failing the job when it runs.
 
     ``top_k`` asks for only the k FDs of highest redundancy (see
     :meth:`~repro.core.base.DiscoveryAlgorithm.discover_top_k`).  It is
@@ -54,7 +56,6 @@ class JobConfig:
 
     algorithm: str = "dhyfd"
     jobs: Optional[int] = None
-    backend: Optional[str] = None
     time_limit: Optional[float] = None
     memory_budget: Optional[int] = None
     on_limit: str = "raise"
@@ -69,6 +70,13 @@ class JobConfig:
                 f"unknown algorithm {self.algorithm!r}; "
                 f"choose from {algorithm_names()}"
             )
+        accepted = algorithm_keywords(self.algorithm)
+        if accepted is not None:
+            unknown = sorted(name for name, _ in self.extra if name not in accepted)
+            if unknown:
+                raise ConfigError(
+                    f"unknown config keys {unknown} for algorithm {self.algorithm!r}"
+                )
         if self.on_limit not in _ON_LIMIT_POLICIES:
             raise ConfigError(
                 f"on_limit must be one of {_ON_LIMIT_POLICIES}, got {self.on_limit!r}"
@@ -90,12 +98,12 @@ class JobConfig:
         """Build a config from a request dict (HTTP body / CLI flags).
 
         ``memory_budget`` accepts plain bytes or ``"64m"``-style
-        strings; unknown keys become algorithm ``extra`` kwargs.
+        strings; other keys become algorithm ``extra`` kwargs and must
+        name constructor parameters of the algorithm.
         """
         data = dict(data or {})
         algorithm = str(data.pop("algorithm", "dhyfd")).lower()
         jobs = data.pop("jobs", None)
-        backend = data.pop("backend", None)
         time_limit = data.pop("time_limit", None)
         memory_budget = data.pop("memory_budget", None)
         on_limit = str(data.pop("on_limit", "raise"))
@@ -115,7 +123,6 @@ class JobConfig:
         return cls(
             algorithm=algorithm,
             jobs=int(jobs) if jobs is not None else None,
-            backend=str(backend) if backend is not None else None,
             time_limit=float(time_limit) if time_limit is not None else None,
             memory_budget=parse_bytes(memory_budget) if memory_budget is not None else None,
             on_limit=on_limit,
@@ -128,7 +135,7 @@ class JobConfig:
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly dict; ``from_dict`` of it rebuilds this config."""
         payload: Dict[str, object] = {"algorithm": self.algorithm, "on_limit": self.on_limit}
-        for name in ("jobs", "backend", "time_limit", "memory_budget", "top_k"):
+        for name in ("jobs", "time_limit", "memory_budget", "top_k"):
             value = getattr(self, name)
             if value is not None:
                 payload[name] = value
@@ -160,8 +167,6 @@ class JobConfig:
         kwargs: Dict[str, object] = dict(self.extra)
         if self.jobs is not None:
             kwargs["jobs"] = self.jobs
-        if self.backend is not None:
-            kwargs["backend"] = self.backend
         if self.time_limit is not None:
             kwargs["time_limit"] = self.time_limit
         if self.memory_budget is not None:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 
 from repro import memplane
 from repro.datasets.synthetic import random_relation
+from repro.partitions import kernels
 from repro.relational.null import NULL, NullSemantics
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
@@ -19,7 +22,7 @@ def make_random_relation(seed: int, semantics=NullSemantics.EQ) -> Relation:
     Shape, per-column cardinality, and null rate are all drawn from the
     seed, so a range of seeds covers wide/narrow, dense/sparse, and
     null-heavy relations.  Used by the kernel differential tests to
-    cross-check the python and numpy backends.
+    cross-check the per-row and vectorized kernels.
     """
     rng = random.Random(seed)
     n_rows = rng.choice([2, 3, 10, 40, 120])
@@ -34,6 +37,32 @@ def make_random_relation(seed: int, semantics=NullSemantics.EQ) -> Relation:
         seed=seed,
         semantics=semantics,
     )
+
+
+#: ``kernels.VECTOR_MIN_WORK`` values that force one implementation of
+#: every size-dispatched kernel, named after the counters they feed
+#: (``kernels.<op>.python`` is per-row, ``kernels.<op>.numpy`` vectorized).
+KERNEL_MODES = {"python": sys.maxsize, "numpy": 0}
+
+
+@contextmanager
+def kernel_mode(mode: str):
+    """Force the per-row (``"python"``) or vectorized (``"numpy"``) kernels."""
+    previous = kernels.VECTOR_MIN_WORK
+    kernels.VECTOR_MIN_WORK = KERNEL_MODES[mode]
+    try:
+        yield
+    finally:
+        kernels.VECTOR_MIN_WORK = previous
+
+
+def in_both_kernel_modes(fn):
+    """``fn()`` with per-row kernels forced, then with vectorized ones."""
+    with kernel_mode("python"):
+        per_row = fn()
+    with kernel_mode("numpy"):
+        vectorized = fn()
+    return per_row, vectorized
 
 
 @pytest.fixture(autouse=True)

@@ -430,6 +430,32 @@ class TestServiceDurability:
             payload = lost.status_payload()
             assert payload["status"] == "lost" and payload["recovered"] is True
 
+    def test_recovered_config_with_unknown_key_is_lost(self, tmp_path):
+        """A journaled config the service no longer accepts (here the
+        retired ``backend`` key) marks its job lost; boot still succeeds."""
+        store_dir = tmp_path / "store"
+        dataset_dir = tmp_path / "datasets"
+        with FDService(
+            store_dir=store_dir, dataset_dir=dataset_dir, journal=True
+        ) as service:
+            fingerprint = service.register_relation(
+                make_random_relation(11)
+            ).fingerprint
+        journal = JobJournal(store_dir / WAL_FILENAME)
+        journal.record_submit(
+            "job-3", fingerprint, "discover", {"backend": "numpy"}, submitted_at=1.0
+        )
+        journal.close(compact=False)
+
+        with FDService(
+            store_dir=store_dir, dataset_dir=dataset_dir,
+            journal=True, recover=True,
+        ) as service:
+            assert service.recovery == {
+                "completed": 0, "requeued": 0, "resumed": 0, "lost": 1,
+            }
+            assert service.scheduler.get("job-3").status == LOST
+
     def test_resume_from_checkpoint_end_to_end(self, tmp_path):
         store_dir = tmp_path / "store"
         dataset_dir = tmp_path / "datasets"

@@ -1,19 +1,23 @@
-"""Differential tests: python vs numpy partition kernels.
+"""Differential tests: per-row vs vectorized partition kernels.
 
 Every kernel operation is cross-checked on seeded random relations
 (regimes drawn in ``conftest.make_random_relation``) under both null
 semantics, plus hand-built edge cases: the empty relation, a single
 row, all-duplicate rows, and relations whose partitions are exclusively
-single-row (stripped) clusters.  Both backends must return *identical*
-structures — same cluster lists in the same canonical order, same agree
-sets, same validation outcomes, and byte-identical FD covers from a
-full DHyFD run.
+single-row (stripped) clusters.  Each comparison runs once with
+``kernels.VECTOR_MIN_WORK`` forcing the per-row code and once forcing
+the vectorized code; both must return *identical* structures — same
+cluster lists in the same canonical order, same agree sets, same
+validation outcomes, and byte-identical FD covers from a full DHyFD
+run.  The always-vectorized agree-set kernels are compared with their
+per-row ``_*_python`` references directly.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.dhyfd import DHyFD
@@ -25,8 +29,9 @@ from repro.relational import attrset
 from repro.relational.null import NullSemantics
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
+from repro.telemetry import Tracer, use_tracer
 
-from tests.conftest import make_random_relation
+from tests.conftest import in_both_kernel_modes, make_random_relation
 
 SEEDS = list(range(12))
 SEMANTICS = [NullSemantics.EQ, NullSemantics.NEQ]
@@ -46,11 +51,6 @@ def edge_case_relations(semantics):
     ]
 
 
-def both_backends(fn):
-    """Run ``fn(backend)`` for both backends and return the results."""
-    return fn("python"), fn("numpy")
-
-
 @pytest.mark.parametrize("semantics", SEMANTICS)
 @pytest.mark.parametrize("seed", SEEDS)
 class TestPartitionKernels:
@@ -61,8 +61,8 @@ class TestPartitionKernels:
             mask = attrset.from_attrs(
                 rng.sample(range(rel.n_cols), rng.randint(1, rel.n_cols))
             )
-            py, np_ = both_backends(
-                lambda b: StrippedPartition.for_attrs(rel, mask, backend=b)
+            py, np_ = in_both_kernel_modes(
+                lambda: StrippedPartition.for_attrs(rel, mask)
             )
             assert py.clusters == np_.clusters
             assert py.attrs == np_.attrs
@@ -72,22 +72,21 @@ class TestPartitionKernels:
         rng = random.Random(seed + 2)
         attr = rng.randrange(rel.n_cols)
         other = rng.randrange(rel.n_cols)
-        base_py = StrippedPartition.for_attribute(rel, attr, backend="python")
-        base_np = StrippedPartition.for_attribute(rel, attr, backend="numpy")
-        assert base_py.clusters == base_np.clusters
-        refined = both_backends(
-            lambda b: (base_py if b == "python" else base_np).refine(
-                rel, other, backend=b
-            )
+        py_base, np_base = in_both_kernel_modes(
+            lambda: StrippedPartition.for_attribute(rel, attr)
         )
-        assert refined[0].clusters == refined[1].clusters
+        assert py_base.clusters == np_base.clusters
+        py, np_ = in_both_kernel_modes(
+            lambda: StrippedPartition.for_attribute(rel, attr).refine(rel, other)
+        )
+        assert py.clusters == np_.clusters
 
     def test_refine_many_identical(self, seed, semantics):
         rel = make_random_relation(seed, semantics)
         universal = StrippedPartition.universal(rel)
         attrs = list(range(rel.n_cols))
-        py, np_ = both_backends(
-            lambda b: universal.refine_many(rel, attrs, backend=b)
+        py, np_ = in_both_kernel_modes(
+            lambda: universal.refine_many(rel, attrs)
         )
         assert py.clusters == np_.clusters
 
@@ -98,12 +97,12 @@ class TestPartitionKernels:
         left_mask = attrset.singleton(0)
         right_mask = attrset.singleton(1)
 
-        def product(backend):
-            left = StrippedPartition.for_attrs(rel, left_mask, backend=backend)
-            right = StrippedPartition.for_attrs(rel, right_mask, backend=backend)
-            return left.intersect(right, backend=backend)
+        def product():
+            left = StrippedPartition.for_attrs(rel, left_mask)
+            right = StrippedPartition.for_attrs(rel, right_mask)
+            return left.intersect(right)
 
-        py, np_ = both_backends(product)
+        py, np_ = in_both_kernel_modes(product)
         assert py.clusters == np_.clusters
         # and both match direct construction of the union partition
         direct = StrippedPartition.for_attrs(rel, left_mask | right_mask)
@@ -114,14 +113,10 @@ class TestPartitionKernels:
     def test_refines_attribute_identical(self, seed, semantics):
         rel = make_random_relation(seed, semantics)
         for lhs_attr in range(rel.n_cols):
-            partition_py = StrippedPartition.for_attribute(
-                rel, lhs_attr, backend="python"
-            )
+            partition = StrippedPartition.for_attribute(rel, lhs_attr)
             for rhs_attr in range(rel.n_cols):
-                py, np_ = both_backends(
-                    lambda b: partition_py.refines_attribute(
-                        rel, rhs_attr, backend=b
-                    )
+                py, np_ = in_both_kernel_modes(
+                    lambda: partition.refines_attribute(rel, rhs_attr)
                 )
                 assert py == np_
 
@@ -136,19 +131,21 @@ class TestAgreeSetKernels:
             for attr in range(rel.n_cols)
         ]
 
-        def run(backend):
-            sampler = AgreeSetSampler(rel, singletons, backend=backend)
-            sets_a, stats_a = sampler.sample_round()
-            sets_b, stats_b = sampler.sample_round()
+        def run(agree_masks):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(kernels, "agree_masks", agree_masks)
+                sampler = AgreeSetSampler(rel, singletons)
+                sets_a, stats_a = sampler.sample_round()
+                sets_b, stats_b = sampler.sample_round()
             return sets_a, sets_b, stats_a.comparisons, stats_b.comparisons
 
-        py, np_ = both_backends(run)
-        assert py == np_
+        assert run(kernels._agree_masks_python) == run(kernels.agree_masks)
 
     def test_all_agree_sets_identical(self, seed, semantics):
         rel = make_random_relation(seed, semantics)
-        py, np_ = both_backends(lambda b: all_agree_sets(rel, backend=b))
-        assert py == np_
+        py = kernels._pairwise_agree_sets_python(rel.matrix())
+        py.discard(attrset.full_set(rel.n_cols))
+        assert py == all_agree_sets(rel)
 
     def test_validate_fd_identical(self, seed, semantics):
         rel = make_random_relation(seed, semantics)
@@ -160,22 +157,21 @@ class TestAgreeSetKernels:
         rhs = attrset.complement(lhs, rel.n_cols)
         start = attrset.singleton(lhs_attrs[0])
 
-        def run(backend):
-            partition = StrippedPartition.for_attrs(rel, start, backend=backend)
-            outcome = validate_fd(rel, lhs, rhs, partition, backend=backend)
+        def run():
+            partition = StrippedPartition.for_attrs(rel, start)
+            outcome = validate_fd(rel, lhs, rhs, partition)
             return outcome.valid_rhs, outcome.non_fd_lhs, outcome.comparisons
 
-        py, np_ = both_backends(run)
+        py, np_ = in_both_kernel_modes(run)
         assert py == np_
 
 
 @pytest.mark.parametrize("semantics", SEMANTICS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_dhyfd_covers_identical(seed, semantics):
-    """Full discovery produces byte-identical covers on both backends."""
+    """Full discovery produces byte-identical covers in both kernel modes."""
     rel = make_random_relation(seed, semantics)
-    py = DHyFD(backend="python").discover(rel)
-    np_ = DHyFD(backend="numpy").discover(rel)
+    py, np_ = in_both_kernel_modes(lambda: DHyFD().discover(rel))
     assert py.fds == np_.fds
     assert py.format_fds() == np_.format_fds()
 
@@ -185,14 +181,14 @@ def test_edge_cases(semantics):
     """Empty, single-row, duplicate-only, and key-only relations."""
     for rel in edge_case_relations(semantics):
         mask = attrset.full_set(rel.n_cols)
-        py, np_ = both_backends(
-            lambda b: StrippedPartition.for_attrs(rel, mask, backend=b)
+        py, np_ = in_both_kernel_modes(
+            lambda: StrippedPartition.for_attrs(rel, mask)
         )
         assert py.clusters == np_.clusters
-        agree_py, agree_np = both_backends(lambda b: all_agree_sets(rel, b))
-        assert agree_py == agree_np
-        cover_py = DHyFD(backend="python").discover(rel).fds
-        cover_np = DHyFD(backend="numpy").discover(rel).fds
+        assert kernels._pairwise_agree_sets_python(
+            rel.matrix()
+        ) == kernels.pairwise_agree_sets(rel.matrix())
+        cover_py, cover_np = in_both_kernel_modes(lambda: DHyFD().discover(rel).fds)
         assert cover_py == cover_np
 
 
@@ -206,14 +202,30 @@ def test_single_row_clusters_strip_identically(semantics):
     )
     base = StrippedPartition.for_attribute(rel, 0)
     assert base.num_clusters == 2
-    py, np_ = both_backends(lambda b: base.refine(rel, 1, backend=b))
+    py, np_ = in_both_kernel_modes(lambda: base.refine(rel, 1))
     assert py.clusters == np_.clusters == []
 
 
-def test_default_backend_round_trip():
-    previous = kernels.get_default_backend()
-    with kernels.use_backend("python"):
-        assert kernels.get_default_backend() == "python"
-    assert kernels.get_default_backend() == previous
-    with pytest.raises(ValueError):
-        kernels.resolve_backend("fortran")
+@pytest.mark.parametrize("n_keys", [1, 2, 4])
+@pytest.mark.parametrize("at_threshold", [False, True])
+def test_refine_dispatch_at_threshold(n_keys, at_threshold):
+    """Refines whose rows × keys sit just below / exactly at the constant.
+
+    The dispatcher must pick per-row code below ``VECTOR_MIN_WORK`` and
+    vectorized code at it, and agree with both implementations.
+    """
+    work = kernels.VECTOR_MIN_WORK if at_threshold else kernels.VECTOR_MIN_WORK - 1
+    n_rows = work // n_keys
+    assert (n_rows * n_keys >= kernels.VECTOR_MIN_WORK) is at_threshold
+    rng = np.random.default_rng(n_keys)
+    codes_list = [rng.integers(0, 3, size=n_rows) for _ in range(n_keys)]
+    half = n_rows // 2
+    clusters = [list(range(half)), list(range(half, n_rows))]
+    tracer = Tracer()
+    with use_tracer(tracer):
+        dispatched = kernels.refine_clusters(codes_list, clusters)
+    chosen = "numpy" if at_threshold else "python"
+    assert tracer.metrics.counters[f"kernels.refine.{chosen}.calls"].value == 1
+    per_row = kernels._refine_clusters_python(codes_list, clusters)
+    vectorized = kernels._refine_clusters_numpy(codes_list, clusters)
+    assert dispatched == per_row == vectorized

@@ -4,7 +4,7 @@ The acceptance bar (ISSUE 10): ``discover_join_fds`` over the virtual
 join is byte-identical — cover, relation fingerprint, ranked order and
 any ``top_k`` cut — to running the same algorithm on the materialized
 join, across small random schemas x EQ/NEQ null semantics x
-python/numpy backends x jobs=1/2, while the virtual path never builds
+per-row/vectorized code x jobs=1/2, while the virtual path never builds
 a joined row (asserted via the ``multitable.materialize`` telemetry
 counter).  Inclusion testing treats nulls identically under both
 semantics, dangling rows follow the pad/drop/raise policies, and the
@@ -14,6 +14,7 @@ service, router and CLI layers surface all of it.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ from repro.multitable import (
     materialize_join,
     resolve_policy,
 )
+from repro.multitable import provenance
 from repro.partitions.stripped import StrippedPartition
 from repro.ranking.ranker import rank_cover
 from repro.relational import attrset
@@ -61,6 +63,7 @@ from repro.service import (
 from repro.telemetry import Tracer, use_tracer
 from repro.ucc import discover_uccs
 
+from .conftest import kernel_mode
 from .test_ucc import brute_force_uccs
 
 
@@ -152,6 +155,21 @@ def random_star(seed, semantics=NullSemantics.EQ, dirty=True):
         "child", ["pid_ref"], "parent", ["pid"], require_inclusion=False
     )
     return graph
+
+
+@contextmanager
+def code_mode(mode):
+    """Force per-row (``"python"``) or vectorized (``"numpy"``) code.
+
+    Besides the partition kernels, ``"python"`` swaps the always
+    vectorized provenance build and column lift for their per-row
+    references.
+    """
+    with kernel_mode(mode), pytest.MonkeyPatch.context() as patch:
+        if mode == "python":
+            patch.setattr(provenance, "_build_numpy", provenance._build_python)
+            patch.setattr(provenance, "lift_column", provenance._lift_column_python)
+        yield
 
 
 def ranked_snapshot(ranking):
@@ -367,7 +385,7 @@ class TestInclusionCoverage:
 
 
 # ----------------------------------------------------------------------
-# Provenance: policies, padding, backends
+# Provenance: policies, padding, per-row vs vectorized
 # ----------------------------------------------------------------------
 
 DIRTY_CHILD = [
@@ -384,41 +402,42 @@ class TestProvenance:
         with pytest.raises(MultitableError, match="on_dangling"):
             resolve_policy("explode")
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_raise_on_dangling(self, backend):
+    @pytest.mark.parametrize("mode", ["python", "numpy"])
+    def test_raise_on_dangling(self, mode):
         graph = two_table_graph(
             child_rows=DIRTY_CHILD, require_inclusion=False
         )
-        with pytest.raises(DanglingRowError):
-            build_provenance(graph, ["child", "parent"], backend=backend)
+        with code_mode(mode), pytest.raises(DanglingRowError):
+            build_provenance(graph, ["child", "parent"])
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_null_fk_is_not_a_violation_under_raise(self, backend):
+    @pytest.mark.parametrize("mode", ["python", "numpy"])
+    def test_null_fk_is_not_a_violation_under_raise(self, mode):
         rows = [("c0", "p0", "t1"), ("c1", None, "t2")]
         graph = two_table_graph(child_rows=rows)
-        prov = build_provenance(
-            graph, ["child", "parent"], on_dangling="raise", backend=backend
-        )
+        with code_mode(mode):
+            prov = build_provenance(
+                graph, ["child", "parent"], on_dangling="raise"
+            )
         # the null row matches nothing and is dropped, not an error
         assert prov.n_rows == 1
         assert prov.dropped_rows == 1
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_drop_vs_pad_counters(self, backend):
+    @pytest.mark.parametrize("mode", ["python", "numpy"])
+    def test_drop_vs_pad_counters(self, mode):
         graph = two_table_graph(
             child_rows=DIRTY_CHILD, require_inclusion=False
         )
-        dropped = build_provenance(
-            graph, ["child", "parent"], on_dangling="drop", backend=backend
-        )
+        with code_mode(mode):
+            dropped = build_provenance(
+                graph, ["child", "parent"], on_dangling="drop"
+            )
+            padded = build_provenance(
+                graph, ["child", "parent"], on_dangling="pad"
+            )
         assert dropped.n_rows == 2
         assert dropped.dropped_rows == 2
         assert dropped.padded_cells == 0
         assert not np.any(dropped.index["parent"] == PAD)
-
-        padded = build_provenance(
-            graph, ["child", "parent"], on_dangling="pad", backend=backend
-        )
         assert padded.n_rows == 4
         assert padded.dropped_rows == 0
         assert padded.padded_cells == 2
@@ -429,12 +448,9 @@ class TestProvenance:
         for seed in range(4):
             graph = random_star(seed)
             for path in (["child", "parent"], ["parent", "child"]):
-                py = build_provenance(
-                    graph, path, on_dangling=policy, backend="python"
-                )
-                nmp = build_provenance(
-                    graph, path, on_dangling=policy, backend="numpy"
-                )
+                with code_mode("python"):
+                    py = build_provenance(graph, path, on_dangling=policy)
+                nmp = build_provenance(graph, path, on_dangling=policy)
                 assert py.n_rows == nmp.n_rows
                 assert py.dropped_rows == nmp.dropped_rows
                 assert py.padded_cells == nmp.padded_cells
@@ -466,22 +482,21 @@ class TestLift:
         "semantics", [NullSemantics.EQ, NullSemantics.NEQ]
     )
     @pytest.mark.parametrize("policy", ["drop", "pad"])
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("mode", ["python", "numpy"])
     def test_lifted_relation_fingerprints_like_materialized(
-        self, semantics, policy, backend
+        self, semantics, policy, mode
     ):
         for seed in range(4):
             graph = random_star(seed, semantics=semantics)
             for path in (["child", "parent"], ["parent", "child"]):
-                prov = build_provenance(
-                    graph, path, on_dangling=policy, backend=backend
-                )
-                lifted = lift_relation(graph, prov, backend=backend)
+                with code_mode(mode):
+                    prov = build_provenance(graph, path, on_dangling=policy)
+                    lifted = lift_relation(graph, prov)
                 mat = materialize_join(graph, path, on_dangling=policy)
                 assert lifted.schema.names == mat.schema.names
                 assert lifted.n_rows == mat.n_rows
                 assert lifted.fingerprint() == mat.fingerprint(), (
-                    seed, path, policy, semantics, backend,
+                    seed, path, policy, semantics, mode,
                 )
                 for attr in range(lifted.n_cols):
                     a, b = lifted.column(attr), mat.column(attr)
@@ -492,22 +507,20 @@ class TestLift:
     @pytest.mark.parametrize(
         "semantics", [NullSemantics.EQ, NullSemantics.NEQ]
     )
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_lift_partition_matches_lifted_relation(self, semantics, backend):
+    @pytest.mark.parametrize("mode", ["python", "numpy"])
+    def test_lift_partition_matches_lifted_relation(self, semantics, mode):
         graph = random_star(1, semantics=semantics)
-        prov = build_provenance(
-            graph, ["parent", "child"], on_dangling="pad", backend=backend
-        )
-        lifted = lift_relation(graph, prov, backend=backend)
+        with code_mode(mode):
+            prov = build_provenance(graph, ["parent", "child"], on_dangling="pad")
+            lifted = lift_relation(graph, prov)
         offset = 0
         for table in prov.tables:
             relation = graph.table(table)
             idx = prov.index[table]
             for n_attrs in (1, 2):
                 attrs = attrset.from_attrs(range(n_attrs))
-                direct = lift_partition(
-                    relation, attrs, idx, semantics, backend=backend
-                )
+                with code_mode(mode):
+                    direct = lift_partition(relation, attrs, idx, semantics)
                 via_relation = StrippedPartition.for_attrs(
                     lifted,
                     attrset.from_attrs(offset + a for a in range(n_attrs)),
@@ -541,7 +554,7 @@ class TestDiscoveryDifferential:
         """Covers, ranked order and top_k: virtual vs materialized.
 
         One materialized reference per (seed, semantics, policy, path);
-        every (backend, jobs) virtual run must match it byte for byte.
+        every (code mode, jobs) virtual run must match it byte for byte.
         """
         graph = random_star(seed, semantics=semantics)
         for policy in ("drop", "pad"):
@@ -552,16 +565,13 @@ class TestDiscoveryDifferential:
                 ref_rank = ranked_snapshot(
                     rank_cover(mat, reference.fds)
                 )
-                for backend in ("python", "numpy"):
+                for mode in ("python", "numpy"):
                     for jobs in (1, 2):
-                        result = discover_join_fds(
-                            graph,
-                            path,
-                            on_dangling=policy,
-                            backend=backend,
-                            jobs=jobs,
-                        )
-                        tag = (seed, policy, path, backend, jobs)
+                        with code_mode(mode):
+                            result = discover_join_fds(
+                                graph, path, on_dangling=policy, jobs=jobs
+                            )
+                        tag = (seed, policy, path, mode, jobs)
                         assert (
                             result.relation.fingerprint()
                             == mat.fingerprint()

@@ -2,8 +2,8 @@
 
 The load-bearing property is determinism: for every worker count the
 discovered covers, the DiscoveryStats counters and the redundancy
-numbers must be byte-identical to the serial path, on both kernel
-backends and both null semantics.  Plus the failure model: a crashing
+numbers must be byte-identical to the serial path, with per-row and
+with vectorized kernels, and under both null semantics.  Plus the failure model: a crashing
 worker degrades to the serial path with a telemetry event, never to a
 wrong answer.
 """
@@ -30,7 +30,7 @@ from repro.ranking.redundancy import (
 from repro.relational import attrset
 from repro.relational.null import NullSemantics
 from repro.telemetry import Tracer, use_tracer
-from tests.conftest import make_random_relation
+from tests.conftest import kernel_mode, make_random_relation
 
 #: Force the parallel path regardless of relation size.
 FORCE_PARALLEL = dict(parallel_min_rows=0, parallel_min_candidates=1)
@@ -158,19 +158,18 @@ class TestChunking:
 
 class TestDiscoveryDeterminism:
     @pytest.mark.parametrize("semantics", [NullSemantics.EQ, NullSemantics.NEQ])
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("mode", ["python", "numpy"])
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_covers_and_stats_identical_across_jobs(self, seed, backend, semantics):
+    def test_covers_and_stats_identical_across_jobs(self, seed, mode, semantics):
         relation = make_random_relation(seed, semantics=semantics)
-        baseline = DHyFD(backend=backend, jobs=1).discover(relation)
-        for jobs in (2, 4):
-            result = DHyFD(
-                backend=backend, jobs=jobs, **FORCE_PARALLEL
-            ).discover(relation)
-            assert set(result.fds) == set(baseline.fds)
-            assert _stats_signature(result.stats) == _stats_signature(
-                baseline.stats
-            )
+        with kernel_mode(mode):
+            baseline = DHyFD(jobs=1).discover(relation)
+            for jobs in (2, 4):
+                result = DHyFD(jobs=jobs, **FORCE_PARALLEL).discover(relation)
+                assert set(result.fds) == set(baseline.fds)
+                assert _stats_signature(result.stats) == _stats_signature(
+                    baseline.stats
+                )
 
     def test_jobs_flow_from_env(self, monkeypatch):
         relation = make_random_relation(5)

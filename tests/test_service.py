@@ -622,6 +622,17 @@ class TestHTTPService:
             client.submit(info["fingerprint"], config={"algorithm": "bogus"})
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("config", [{"backend": "numpy"}, {"jbos": 2}])
+    def test_unknown_config_key_400(self, http_service, config):
+        """Keys the algorithm's constructor does not take are refused at
+        submit instead of failing the job when it runs."""
+        _, client = http_service
+        info = client.upload_csv(CITY_CSV)
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(info["fingerprint"], config=config)
+        assert excinfo.value.status == 400
+        assert client.jobs() == []
+
     def test_unknown_endpoint_404(self, http_service):
         _, client = http_service
         with pytest.raises(ServiceError) as excinfo:

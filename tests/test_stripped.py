@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.synthetic import random_relation
-from repro.partitions.stripped import StrippedPartition, refine_cluster
+from repro.partitions import kernels
+from repro.partitions.stripped import StrippedPartition
 from repro.relational import attrset
 from repro.relational.relation import Relation
 
@@ -83,7 +84,7 @@ class TestRefinement:
 
     def test_refine_cluster_helper(self, city_relation):
         codes = city_relation.codes(1)
-        split = refine_cluster(codes, [0, 1, 2])
+        split = kernels.refine_clusters([codes], [[0, 1, 2]])
         assert {frozenset(c) for c in split} == {frozenset({0, 1})}
 
     def test_refine_many(self, city_relation):

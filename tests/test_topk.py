@@ -24,6 +24,7 @@ from repro.relational.fd import FD, FDSet
 from repro.relational.null import NullSemantics
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
+from tests.conftest import kernel_mode
 
 
 def fd(lhs_bits, rhs_bit):
@@ -198,15 +199,16 @@ class TestDifferentialTopK:
         # otherwise "early termination" is dead code.
         assert pruned_total > 0
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("mode", ["python", "numpy"])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_backends_and_jobs_agree(self, backend, jobs, random_relation_factory):
+    def test_backends_and_jobs_agree(self, mode, jobs, random_relation_factory):
         for seed in (1, 3, 11):
             relation = random_relation_factory(seed)
-            algo = DHyFD(backend=backend, jobs=jobs, parallel_min_rows=1)
+            algo = DHyFD(jobs=jobs, parallel_min_rows=1)
             full = DHyFD().discover(relation)
             for k in (1, 4):
-                result = algo.discover_top_k(relation, k)
+                with kernel_mode(mode):
+                    result = algo.discover_top_k(relation, k)
                 assert result.fds == first_k(relation, full.fds, k)
 
     def test_generic_fallback_algorithm(self, random_relation_factory):
