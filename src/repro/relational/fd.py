@@ -20,6 +20,10 @@ from .schema import RelationSchema
 class FD:
     """A functional dependency ``lhs -> rhs`` over bitmask attribute sets."""
 
+    # Covers hold thousands of FDs and the service keeps every cover
+    # version, so FDs carry no per-instance ``__dict__``.
+    __slots__ = ("lhs", "rhs")
+
     lhs: AttrSet
     rhs: AttrSet
 
@@ -28,6 +32,11 @@ class FD:
             raise ValueError("an FD must have a non-empty RHS")
         if self.lhs & self.rhs:
             raise ValueError("FD is not in standard form: LHS and RHS overlap")
+
+    def __reduce__(self):
+        # pickle's default slot-state restore assigns attributes, which
+        # a frozen class forbids; rebuild through the constructor.
+        return (FD, (self.lhs, self.rhs))
 
     @classmethod
     def of(

@@ -339,9 +339,11 @@ class FDService:
                     result = self._discover_with_cache(job, entry)
                 job.result = result
                 if job.kind == "rank":
+                    with tracer.span("covers", fds=result.fd_count):
+                        canonical = canonical_cover(result.fds)
                     ranking = rank_cover(
                         entry.relation,
-                        canonical_cover(result.fds),
+                        canonical,
                         top_k=job.config.top_k,
                     )
                     job.ranking = [
@@ -384,9 +386,11 @@ class FDService:
                 relation = provider.relation
                 provenance = provider.provenance
                 owners = attribute_tables(entry.graph, provenance.tables)
+                with tracer.span("covers", fds=result.fd_count):
+                    canonical = canonical_cover(result.fds)
                 ranking = rank_cover(
                     relation,
-                    canonical_cover(result.fds),
+                    canonical,
                     top_k=config.top_k,
                     jobs=config.jobs,
                 )

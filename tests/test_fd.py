@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.relational import attrset
@@ -66,6 +70,26 @@ class TestFD:
     def test_hash_equality(self):
         assert FD.of([0], 1) == FD.of([0], 1)
         assert hash(FD.of([0], 1)) == hash(FD.of([0], 1))
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda fd: pickle.loads(pickle.dumps(fd)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_slotted_round_trip(self, clone):
+        fd = FD.of([0, 70], [3, 5])
+        twin = clone(fd)
+        assert twin == fd and hash(twin) == hash(fd)
+        assert not twin < fd and not fd < twin
+        assert FD.of([0], 1) < twin
+        assert not hasattr(twin, "__dict__")
+
+    def test_frozen(self):
+        fd = FD.of([0], 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fd.lhs = attrset.singleton(2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fd.note = "x"
 
 
 class TestFDSet:

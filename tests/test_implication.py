@@ -5,6 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.covers.canonical import non_redundant_cover
 from repro.covers.implication import (
     ImplicationEngine,
     closure,
@@ -93,6 +94,21 @@ class TestImpliesAndEquivalent:
         assert equivalent([], [])
 
 
+def naive_closure(start, fds, skip=()):
+    """Reference fixpoint: fire any FD whose LHS is in, until stable."""
+    closed = start
+    changed = True
+    while changed:
+        changed = False
+        for index, fd in enumerate(fds):
+            if index in skip:
+                continue
+            if attrset.is_subset(fd.lhs, closed) and fd.rhs & ~closed:
+                closed |= fd.rhs
+                changed = True
+    return closed
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     fds=st.lists(
@@ -111,13 +127,78 @@ def test_closure_properties(fds, start):
     closed = engine.closure(start)
     assert attrset.is_subset(start, closed)
     assert engine.closure(closed) == closed
-    # naive fixpoint agrees
-    naive = start
-    changed = True
-    while changed:
-        changed = False
-        for fd in fds:
-            if attrset.is_subset(fd.lhs, naive) and fd.rhs & ~naive:
-                naive |= fd.rhs
-                changed = True
-    assert closed == naive
+    assert closed == naive_closure(start, fds)
+
+
+@st.composite
+def wide_cover(draw, max_fds=60):
+    """FDs over a few attributes scattered across columns 0..69.
+
+    The columns straddle one 64-bit word; drawing them from a small
+    pool keeps closures long.  LHSs may be empty and RHSs hold up to
+    three attributes.
+    """
+    pool = draw(
+        st.lists(st.integers(0, 69), min_size=1, max_size=12, unique=True)
+    )
+    attrs = st.sampled_from(pool)
+    fds = []
+    for _ in range(draw(st.integers(0, max_fds))):
+        rhs = attrset.from_attrs(draw(st.lists(attrs, min_size=1, max_size=3)))
+        lhs = attrset.from_attrs(draw(st.lists(attrs, max_size=4))) & ~rhs
+        fds.append(FD(lhs, rhs))
+    return pool, fds
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_closure_matches_naive_fixpoint_wide(data):
+    """Interleaved remove/restore, exclude and until against the fixpoint."""
+    pool, fds = data.draw(wide_cover())
+    some_attrs = st.lists(st.sampled_from(pool), max_size=6).map(attrset.from_attrs)
+    engine = ImplicationEngine(fds)
+    removed = set()
+    for _ in range(data.draw(st.integers(1, 12))):
+        if fds and data.draw(st.booleans()):
+            index = data.draw(st.integers(0, len(fds) - 1))
+            if index in removed:
+                engine.restore(index)
+                removed.discard(index)
+            else:
+                engine.remove(index)
+                removed.add(index)
+        start = data.draw(some_attrs)
+        exclude = data.draw(st.none() | st.integers(0, len(fds) - 1)) if fds else None
+        until = data.draw(st.none() | some_attrs)
+        full = naive_closure(start, fds, removed | {exclude})
+        got = engine.closure(start, exclude, until)
+        if until is None or not attrset.is_subset(until, full):
+            assert got == full
+        else:
+            # early exit: a partial closure that already covers ``until``
+            assert attrset.is_subset(start | until, got)
+            assert attrset.is_subset(got, full)
+        assert engine.active_indices() == [
+            i for i in range(len(fds)) if i not in removed
+        ]
+
+
+def brute_force_non_redundant(fds):
+    """Greedy pass of non_redundant_cover with the naive closure."""
+    order = sorted(
+        {part for fd in fds for part in fd.split()},
+        key=lambda fd: (-fd.lhs_size, fd.lhs, fd.rhs),
+    )
+    kept = list(order)
+    for fd in order:
+        others = [other for other in kept if other != fd]
+        if attrset.is_subset(fd.rhs, naive_closure(fd.lhs, others)):
+            kept = others
+    return sorted(kept)
+
+
+@settings(deadline=None, max_examples=100)
+@given(cover=wide_cover(max_fds=30))
+def test_non_redundant_cover_matches_brute_force_greedy(cover):
+    _, fds = cover
+    assert list(non_redundant_cover(fds)) == brute_force_non_redundant(fds)

@@ -911,6 +911,7 @@ class TestServiceMultitableJobs:
             (r["fd"], r["scope"], r["tables"]) for r in payload["ranking"]
         ]
         assert got_ranking == expected
+        assert job.trace["spans"]["covers"]["count"] == 1
 
     def test_repeat_job_is_a_cache_hit(self, service):
         register_star(service)

@@ -486,6 +486,8 @@ class TestFDService:
         assert {"fd", "redundancy", "redundancy_excluding_null"} <= set(
             job.ranking[0]
         )
+        # the canonical cover a rank job ranks shows up in its trace
+        assert job.trace["spans"]["covers"]["count"] == 1
 
     def test_job_trace_summary_attached(self, service, city_relation):
         service.register_relation(city_relation, name="city")
