@@ -13,6 +13,7 @@ Each module prints its paper-style table and also writes it under
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -46,3 +47,23 @@ def fmt(value: Optional[float], digits: int = 3) -> str:
     if value is None:
         return "-"
     return f"{value:.{digits}f}"
+
+
+@contextlib.contextmanager
+def tier_bypassed():
+    """Run with the shared partition tier switched out of the path.
+
+    Every ``SharedPartitionTier`` lookup misses and every publish is
+    dropped, so each job re-derives its partitions exactly as it would
+    with no tier at all.  This is the "off" baseline of the memory-plane
+    and multi-table benchmarks.
+    """
+    from repro.memplane.tier import SharedPartitionTier
+
+    get, put = SharedPartitionTier.get, SharedPartitionTier.put
+    SharedPartitionTier.get = lambda self, attrs: None
+    SharedPartitionTier.put = lambda self, partition: None
+    try:
+        yield
+    finally:
+        SharedPartitionTier.get, SharedPartitionTier.put = get, put

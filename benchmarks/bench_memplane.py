@@ -16,14 +16,18 @@ singleton partitions are expensive to derive and cheap to reuse.
 Assertions:
 
 * covers, rankings, redundancy counts and column reports are
-  byte-identical between the memplane-off and memplane-on (cold and
-  warm) paths — at every scale;
-* per-job relation buffers attach to the registered arena copy when
-  the plane is on and fall back to a private copy when it is off —
+  byte-identical between the tier-bypassed baseline and the cold and
+  warm paths — at every scale;
+* a repeat arena lease attaches to the registered copy (no new
+  ingest), while the first lease after ``reset_arena()`` copies in —
   at every scale;
 * the >= 2x throughput gate on repeated warm jobs fires only above
   smoke scale, where relations are big enough for wall-clock to mean
   anything (measured cut at the ``full`` scale is >2.5x).
+
+The "off" baseline bypasses the shared partition tier (every lookup
+misses, every publish is dropped; see ``_utils.tier_bypassed``), so
+each baseline job re-derives everything as it would with no tier.
 
 Writes ``benchmarks/out/BENCH_memplane.json`` (uploaded by CI) plus a
 human-readable table.
@@ -39,11 +43,10 @@ import time
 from repro import memplane
 from repro.bench.tables import format_table
 from repro.datasets.synthetic import random_relation
-from repro.parallel.shm import SharedRelationBuffers
 from repro.profiling.profiler import profile
 from repro.ranking.report import column_determinants
 
-from _utils import OUT_DIR, SCALE, pick
+from _utils import OUT_DIR, SCALE, pick, tier_bypassed
 
 #: (n_rows, n_cols, domain size) per scale.  Near-key regime: domain
 #: ~ sqrt(rows) makes the singleton partitions large and expensive —
@@ -53,7 +56,7 @@ SHAPE = pick(smoke=(2_000, 7, 45), quick=(12_000, 7, 110), full=(14_000, 7, 118)
 JOBS = pick(smoke=2, quick=3, full=4)
 #: Best-of batches per mode (same role as bench_topk's REPEATS).
 REPEATS = pick(smoke=1, quick=2, full=2)
-#: Buffer attach/copy setups per timed batch.
+#: Arena leases (ingest copy-in or attach) per timed batch.
 SETUPS = pick(smoke=5, quick=20, full=40)
 
 #: Timing gates need relations big enough to out-shout noise.
@@ -105,22 +108,18 @@ def run_jobs(rel, n):
 def test_repeated_jobs_speedup():
     rel = near_key_relation()
 
-    # Baseline: memory plane off — every job re-derives everything.
+    # Baseline: shared tier bypassed — every job re-derives everything.
     # Best-of-REPEATS batches, like the other timed benches.
-    memplane.set_enabled(False)
     off_s, off_snaps = float("inf"), []
-    try:
+    with tier_bypassed():
         for _ in range(REPEATS):
-            memplane.reset_tiers()
             batch_s, snaps = run_jobs(rel, JOBS)
             off_s = min(off_s, batch_s)
             off_snaps += snaps
-    finally:
-        memplane.set_enabled(None)
 
-    # Memory plane on: register the dataset, pay the one cold job that
-    # fills the shared partition tier, then time the warm steady state.
-    memplane.set_enabled(True)
+    # Memory plane in the path: register the dataset, pay the one cold
+    # job that fills the shared partition tier, then time the warm
+    # steady state.
     warm_s, warm_snaps = float("inf"), []
     try:
         memplane.reset_tiers()
@@ -135,7 +134,6 @@ def test_repeated_jobs_speedup():
             warm_snaps += snaps
         gauges = memplane.gauges()
     finally:
-        memplane.set_enabled(None)
         memplane.reset_arena()
         memplane.reset_tiers()
 
@@ -163,43 +161,40 @@ def test_repeated_jobs_speedup():
     }
     if ASSERT_SPEEDUP:
         assert speedup >= MIN_SPEEDUP, (
-            f"warm jobs only {speedup:.2f}x over memplane-off "
+            f"warm jobs only {speedup:.2f}x over the bypassed tier "
             f"({off_s:.3f}s vs {warm_s:.3f}s for {JOBS} jobs)"
         )
 
 
 def test_per_job_buffer_setup():
-    """Per-job shm setup: arena attach vs private full copy."""
+    """Per-job shm setup: ingest copy-in vs attach to the arena copy."""
     rel = near_key_relation()
 
-    def setup_batch(expect_arena):
-        times = []
+    def lease_batch(fresh):
+        total = 0.0
         for _ in range(SETUPS):
+            if fresh:
+                memplane.reset_arena()
+            arena = memplane.get_arena()
+            misses = arena.attach_misses
             start = time.perf_counter()
-            buffers = SharedRelationBuffers(rel)
-            times.append(time.perf_counter() - start)
-            assert buffers.arena_backed is expect_arena
-            buffers.close()
-        return sum(times)
+            lease = arena.lease(rel)
+            total += time.perf_counter() - start
+            assert (arena.attach_misses == misses + 1) is fresh
+            lease.release()
+        return total
 
-    memplane.set_enabled(False)
     try:
-        copy_s = setup_batch(expect_arena=False)
-    finally:
-        memplane.set_enabled(None)
-
-    memplane.set_enabled(True)
-    try:
+        copy_s = lease_batch(fresh=True)
         memplane.reset_arena()
         assert memplane.get_arena().ingest(rel)
-        attach_s = setup_batch(expect_arena=True)
+        attach_s = lease_batch(fresh=False)
     finally:
-        memplane.set_enabled(None)
         memplane.reset_arena()
 
     _results["buffer_setup"] = {
         "setups_per_batch": SETUPS,
-        "private_copy_seconds": round(copy_s, 4),
+        "ingest_copy_seconds": round(copy_s, 4),
         "arena_attach_seconds": round(attach_s, 4),
         "setup_ratio": round(copy_s / attach_s, 2) if attach_s > 0 else None,
     }
@@ -237,8 +232,8 @@ def teardown_module(module):
         ratio = r["setup_ratio"]
         rows.append(
             [
-                f"{r['setups_per_batch']} buffer setups",
-                f"{r['private_copy_seconds']:.4f}",
+                f"{r['setups_per_batch']} arena leases",
+                f"{r['ingest_copy_seconds']:.4f}",
                 f"{r['arena_attach_seconds']:.4f}",
                 f"{ratio:.2f}x" if ratio is not None else "-",
             ]
@@ -246,7 +241,7 @@ def teardown_module(module):
     print(
         "\n"
         + format_table(
-            ["workload", "memplane off s", "memplane on s", "speedup"],
+            ["workload", "baseline s", "memplane s", "speedup"],
             rows,
             title=f"Memory plane, rows={n_rows}, cols={n_cols}, "
             f"dom={domain}, scale={SCALE}",

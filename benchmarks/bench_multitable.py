@@ -36,7 +36,6 @@ import platform
 import time
 import tracemalloc
 
-from repro import memplane
 from repro.algorithms.registry import make_algorithm
 from repro.bench.tables import format_table
 from repro.datasets.star import STAR_PATH, reddit_star_graph
@@ -50,7 +49,7 @@ from repro.ranking.ranker import rank_cover
 from repro.relational.fd_io import cover_to_json
 from repro.telemetry import Tracer, use_tracer
 
-from _utils import OUT_DIR, SCALE, pick
+from _utils import OUT_DIR, SCALE, pick, tier_bypassed
 
 #: Fact-table rows per scale (authors = posts/4, subreddits = posts/50).
 N_POSTS = pick(smoke=300, quick=1_500, full=4_000)
@@ -114,37 +113,29 @@ def ranked_snapshot(ranking):
 def timed(fn, *args):
     """Best-of-REPEATS *cold* wall clock plus the last return value.
 
-    Both pipelines produce fingerprint-identical relations, so with
-    the memory plane on the second path would inherit the first's
-    warm shared partition tier — the comparison must run cold.
+    Both pipelines produce fingerprint-identical relations, so through
+    the shared partition tier the second path would inherit the first's
+    warm partitions — the comparison runs with the tier bypassed.
     """
     best, value = float("inf"), None
-    memplane.set_enabled(False)
-    try:
+    with tier_bypassed():
         for _ in range(REPEATS):
-            memplane.reset_tiers()
             start = time.perf_counter()
             value = fn(*args)
             best = min(best, time.perf_counter() - start)
-    finally:
-        memplane.set_enabled(None)
-        memplane.reset_tiers()
     return best, value
 
 
 def peak_memory(fn, *args):
     """tracemalloc peak (bytes) of one cold run."""
-    memplane.set_enabled(False)
-    tracemalloc.start()
-    try:
-        memplane.reset_tiers()
-        tracemalloc.reset_peak()
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        memplane.set_enabled(None)
-        memplane.reset_tiers()
+    with tier_bypassed():
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
 
 def test_identity_and_never_materializes():

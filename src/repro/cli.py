@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 from typing import List, Optional
 
@@ -57,7 +56,6 @@ def _load_input(args: argparse.Namespace) -> Relation:
     jobs = getattr(args, "jobs", None)
     if jobs is not None:
         parallel.set_default_jobs(jobs)
-    _apply_memplane_flag(args)
     semantics = NullSemantics.parse(args.null_semantics)
     if args.csv:
         return read_csv(
@@ -111,27 +109,6 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
         help="ragged/undecodable CSV rows: raise (default), skip "
         "(quarantine), or pad with nulls",
     )
-    _add_memplane_arg(parser)
-
-
-def _add_memplane_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-memplane",
-        action="store_true",
-        help="disable the shared dataset arena / partition tier "
-        "(private per-run copies, as before; also $REPRO_FD_MEMPLANE=0)",
-    )
-
-
-def _apply_memplane_flag(args: argparse.Namespace) -> None:
-    """Honor --no-memplane: this process and every child it spawns.
-
-    The environment export is what reaches worker pools started with
-    the spawn method and the replicas a cluster manager forks.
-    """
-    if getattr(args, "no_memplane", False):
-        memplane.set_enabled(False)
-        os.environ[memplane.ENV_MEMPLANE] = "0"
 
 
 def _parse_bytes_arg(value: str) -> int:
@@ -411,7 +388,6 @@ def _cmd_multitable(args: argparse.Namespace) -> int:
 
     if args.jobs is not None:
         parallel.set_default_jobs(args.jobs)
-    _apply_memplane_flag(args)
     try:
         if args.star or not args.table:
             # Demo mode: the reddit_star workload (docs/multitable.md).
@@ -501,7 +477,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import FDService
     from .service.server import make_server
 
-    _apply_memplane_flag(args)
     service = FDService(
         max_workers=args.max_workers,
         store_dir=args.store_dir,
@@ -565,7 +540,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     from .cluster import Cluster
 
-    _apply_memplane_flag(args)
     cluster = Cluster(
         replicas=args.replicas,
         data_dir=args.data_dir,
@@ -852,7 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     multitable.add_argument(
         "--json", action="store_true", help="print the full JSON payload"
     )
-    _add_memplane_arg(multitable)
     multitable.set_defaults(handler=_cmd_multitable)
 
     datasets = sub.add_parser("datasets", help="list benchmark replicas")
@@ -902,7 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ran, resume checkpointed ones (see docs/durability.md)",
     )
     serve.add_argument("--verbose", action="store_true", help="log every request")
-    _add_memplane_arg(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     cluster = sub.add_parser(
@@ -943,7 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="graceful-drain window per replica on stop/restart",
     )
     cluster.add_argument("--verbose", action="store_true", help="log every request")
-    _add_memplane_arg(cluster)
     cluster.set_defaults(handler=_cmd_cluster)
 
     submit = sub.add_parser(

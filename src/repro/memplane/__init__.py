@@ -11,9 +11,9 @@ Two pieces (see ``docs/memplane.md``):
   per-dataset store of low-level stripped partitions reused by every
   ``PartitionCache`` constructed with ``shared=``.
 
-Both obey the ``REPRO_FD_MEMPLANE`` kill switch (CLI
-``--no-memplane``); covers are byte-identical with the plane on or
-off.
+Both are always on.  The arena is the only shared-memory transport
+for worker pools; the tier is a cache, so covers and rankings are
+byte-identical whether a job finds it cold or warm.
 """
 
 from typing import Dict
@@ -22,14 +22,11 @@ from .arena import (
     ArenaLease,
     DatasetArena,
     ENV_ARENA_OWNER,
-    ENV_MEMPLANE,
     SEGMENT_PREFIX,
     current_arena,
     default_owner,
-    enabled,
     get_arena,
     reset_arena,
-    set_enabled,
     sweep_orphans,
 )
 from .tier import (
@@ -44,18 +41,15 @@ __all__ = [
     "ArenaLease",
     "DatasetArena",
     "ENV_ARENA_OWNER",
-    "ENV_MEMPLANE",
     "MAX_SHARED_ATTRS",
     "SEGMENT_PREFIX",
     "SharedPartitionTier",
     "current_arena",
     "default_owner",
-    "enabled",
     "gauges",
     "get_arena",
     "reset_arena",
     "reset_tiers",
-    "set_enabled",
     "sweep_orphans",
     "tier_for",
     "tier_gauges",
@@ -83,5 +77,4 @@ def gauges() -> Dict[str, float]:
         }
     )
     out.update(tier_gauges())
-    out["memplane.enabled"] = 1.0 if enabled() else 0.0
     return out

@@ -1,9 +1,9 @@
 """The dataset arena: one shared-memory copy of each relation per host.
 
 Every consumer of a relation's encoded data — worker pools, service
-jobs, ranking passes — used to materialize its *own* copy (per-run shm
-buffers, per-replica registries).  The arena replaces those with a
-host-wide, fingerprint-keyed store of pinned columnar segments:
+jobs, ranking passes — attaches to one host-wide, fingerprint-keyed
+store of pinned columnar segments instead of materializing its own
+copy:
 
 * a dataset is **ingested** at most once — the row-major int64 DIIS
   code matrix and the boolean null-mask matrix are copied into two
@@ -29,9 +29,9 @@ cluster manager sets one per replica).  The owner prefix is what makes
 :func:`sweep_orphans` safe: after a replica is SIGKILLed, the manager
 unlinks exactly that replica's leftovers before respawning it.
 
-Disable the whole plane with ``REPRO_FD_MEMPLANE=0`` (or the CLI
-``--no-memplane``): every consumer falls back to the pre-arena private
-copies and results stay byte-identical either way.
+The arena is always on and is the only shared-memory transport: a
+worker pool whose lease fails retries, then runs its work serially
+(see :mod:`repro.parallel.pool`).
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ from ..parallel.shm import ShmSpec, relation_arrays
 from ..resilience import faults
 from ..resilience.budget import arena_budget_from_env
 
-#: Kill switch: set to ``0``/``false``/``off`` to disable the memplane.
-ENV_MEMPLANE = "REPRO_FD_MEMPLANE"
-
 #: Segment-name owner token (defaults to ``p<pid>``); one per replica.
 ENV_ARENA_OWNER = "REPRO_FD_ARENA_OWNER"
 
@@ -59,23 +56,6 @@ ENV_ARENA_OWNER = "REPRO_FD_ARENA_OWNER"
 SEGMENT_PREFIX = "reprofd"
 
 _OWNER_SANITIZER = re.compile(r"[^A-Za-z0-9_.-]+")
-
-_enabled_override: Optional[bool] = None
-
-
-def enabled() -> bool:
-    """Is the memplane on?  Env default is on; :func:`set_enabled` wins."""
-    if _enabled_override is not None:
-        return _enabled_override
-    raw = os.environ.get(ENV_MEMPLANE, "").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-def set_enabled(value: Optional[bool]) -> None:
-    """Process-wide override (None restores the environment default)."""
-    global _enabled_override
-    _enabled_override = value
-
 
 def default_owner() -> str:
     """The segment-owner token: ``REPRO_FD_ARENA_OWNER`` or ``p<pid>``."""
@@ -163,8 +143,10 @@ class _Entry:
 class ArenaLease:
     """A refcounted pin on one arena entry (context manager).
 
-    ``spec`` is the picklable handle pool workers attach to; the pinned
-    entry cannot be evicted until :meth:`release` (idempotent).
+    ``spec`` is the picklable handle pool workers attach to — a lease
+    is the only way a worker pool gets its relation into shared
+    memory.  The pinned entry cannot be evicted until :meth:`release`
+    (idempotent).
     """
 
     __slots__ = ("_arena", "_entry", "spec", "nbytes", "fingerprint")
@@ -221,9 +203,10 @@ class DatasetArena:
         Ingests on first sight (the one copy-in this host will pay for
         this dataset); later calls attach to the existing segments.
         Returns None for relations without a content fingerprint (e.g.
-        worker-side shared views).  Raises whatever the armed
-        ``arena.attach`` fault injects — callers treat any failure as
-        "use a private copy".
+        worker-side shared views) and once the arena is closed.  Raises
+        whatever the armed ``arena.attach`` fault injects; a worker
+        pool treats either outcome as a pool failure and ends up
+        running its work serially.
         """
         fingerprint_of = getattr(relation, "fingerprint", None)
         if fingerprint_of is None:
@@ -258,10 +241,9 @@ class DatasetArena:
         set — an append — the parent entry is remapped onto the child's
         segment when its rows are a verified bit-identical prefix, so
         both versions share one physical copy.  Returns the ingested
-        fingerprint, or None when the memplane is off / unusable.
+        fingerprint, or None when the relation has no fingerprint or
+        the arena is closed.
         """
-        if not enabled():
-            return None
         fingerprint_of = getattr(relation, "fingerprint", None)
         if fingerprint_of is None:
             return None

@@ -17,8 +17,7 @@ constructed with ``shared=``.  Safe to share because
 down everything that affects cluster bytes: the data (fingerprint)
 and the equality semantics.
 
-The registry is LRU-bounded (:data:`MAX_TIERS` datasets) and obeys the
-same ``REPRO_FD_MEMPLANE`` kill switch as the arena.
+The registry is LRU-bounded (:data:`MAX_TIERS` datasets).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import Dict, Optional, Tuple
 from ..partitions.stripped import StrippedPartition
 from ..relational import attrset
 from ..relational.attrset import AttrSet
-from . import arena as _arena
 
 #: Widest attribute set a tier will retain — the lattice base levels
 #: every ranking/redundancy pass rebuilds; deeper partitions are too
@@ -90,12 +88,10 @@ _tiers_lock = threading.Lock()
 def tier_for(relation) -> Optional[SharedPartitionTier]:
     """The shared tier for ``relation`` (None when unusable).
 
-    Unusable means: the memplane is disabled, or the relation carries
-    no content fingerprint (worker-side shared views don't — workers
-    keep their private caches).
+    Unusable means the relation carries no content fingerprint
+    (worker-side shared views don't — workers keep their private
+    caches).
     """
-    if not _arena.enabled():
-        return None
     fingerprint_of = getattr(relation, "fingerprint", None)
     semantics = getattr(relation, "semantics", None)
     if fingerprint_of is None or semantics is None:

@@ -24,7 +24,7 @@ from .pool import (
     sample_initial,
     validate_level,
 )
-from .shm import SharedRelationBuffers, SharedRelationView, ShmSpec
+from .shm import SharedRelationView, ShmSpec
 
 __all__ = [
     "DEFAULT_MIN_BATCH",
@@ -34,7 +34,6 @@ __all__ = [
     "ENV_JOBS",
     "ParallelExecutor",
     "PoolBrokenError",
-    "SharedRelationBuffers",
     "SharedRelationView",
     "ShmSpec",
     "chunk_items",

@@ -3,8 +3,9 @@
 Execution model
 ---------------
 
-The parent copies the relation's code and null matrices into shared
-memory once (:mod:`repro.parallel.shm`), spins up a
+The parent leases the relation's code and null matrices from the
+host-wide dataset arena (:mod:`repro.memplane.arena`; the layout is in
+:mod:`repro.parallel.shm`), spins up a
 :class:`concurrent.futures.ProcessPoolExecutor` whose initializer
 attaches every worker to those segments, and then ships *work items* —
 candidate ``(LHS, RHS, partition)`` triples, FD LHSs, or per-attribute
@@ -22,10 +23,10 @@ Failure model
 -------------
 
 Any pool-level failure — a worker killed mid-task, a failed fork, an
-unpicklable payload — first gets a bounded retry: the pool is torn
-down (the shared-memory buffers are kept), the parent backs off
-briefly, emits a ``pool_retry`` telemetry event, and replays the whole
-batch set on a fresh pool.  Only when every attempt fails is the
+unpicklable payload, a failed arena lease — first gets a bounded
+retry: the pool is torn down (a held lease is kept), the parent backs
+off briefly, emits a ``pool_retry`` telemetry event, and replays the
+whole batch set on a fresh pool.  Only when every attempt fails is the
 executor marked *broken*, a ``parallel_fallback`` event emitted and
 :class:`PoolBrokenError` raised.  Call sites catch it and rerun the
 same work serially: a dying worker degrades throughput, never the
@@ -67,7 +68,7 @@ from .config import (
     resolve_jobs,
 )
 from .merge import pack_row_mask, unpack_row_mask
-from .shm import SharedRelationBuffers, SharedRelationView
+from .shm import SharedRelationView
 
 #: Legacy spelling of the ``worker.crash`` fault point: setting this to
 #: ``"crash"`` makes every worker batch hard-exit before doing any work.
@@ -220,10 +221,10 @@ def _replay_summary(tracer, summary: Optional[dict]) -> None:
 class ParallelExecutor:
     """A per-run process pool sharing one relation with its workers.
 
-    Created lazily: the shared-memory copy and the pool itself only
+    Created lazily: the arena lease and the pool itself only
     materialize on the first :meth:`run` call, so constructing an
     executor that never dispatches costs nothing.  Close it (or use it
-    as a context manager) to release the shared segments.
+    as a context manager) to release the lease.
     """
 
     def __init__(
@@ -245,7 +246,8 @@ class ParallelExecutor:
         self.disabled = False
         self.batches_dispatched = 0
         self.items_dispatched = 0
-        self._buffers: Optional[SharedRelationBuffers] = None
+        #: The arena lease the workers attach to (taken on first dispatch).
+        self._lease = None
         self._pool: Optional[ProcessPoolExecutor] = None
 
     @property
@@ -269,8 +271,14 @@ class ParallelExecutor:
     def _ensure_pool(self) -> None:
         if self._pool is not None:
             return
-        if self._buffers is None:
-            self._buffers = SharedRelationBuffers(self.relation)
+        if self._lease is None:
+            # Lazy: memplane.arena imports parallel.shm.
+            from ..memplane.arena import get_arena
+
+            lease = get_arena().lease(self.relation)
+            if lease is None:
+                raise RuntimeError("the dataset arena refused a lease")
+            self._lease = lease
         method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         self._pool = ProcessPoolExecutor(
             max_workers=self.jobs,
@@ -279,7 +287,7 @@ class ParallelExecutor:
             # Spawn-started workers get their own resource tracker and
             # must unregister the attachment; fork-started workers share
             # the parent's (see shm._attach).
-            initargs=(self._buffers.spec, method != "fork"),
+            initargs=(self._lease.spec, method != "fork"),
         )
 
     def run(
@@ -345,8 +353,8 @@ class ParallelExecutor:
         """One full dispatch attempt; telemetry replays only on success."""
         # Leak-regression hook: an armed ``pool.broken`` fault fails the
         # attempt exactly like a pool-level crash, driving the retry →
-        # mark-broken → shutdown path that must release the shared
-        # buffers (lease or private segments) without orphans.
+        # mark-broken → shutdown path that must release the arena
+        # lease without orphans.
         faults.fire("pool.broken")
         self._ensure_pool()
         batches = chunk_items(items, self.jobs, batch_size, batches_per_worker)
@@ -387,10 +395,10 @@ class ParallelExecutor:
         self._shutdown()
 
     def _teardown_pool(self) -> None:
-        """Kill the worker pool but keep the shared-memory buffers.
+        """Kill the worker pool but keep the arena lease.
 
-        Used between retry attempts: rebuilding the pool is cheap, the
-        relation copy in shared memory is not.
+        Used between retry attempts: rebuilding the pool is cheap, and
+        the leased segments stay valid.
         """
         if self._pool is not None:
             try:
@@ -401,12 +409,12 @@ class ParallelExecutor:
 
     def _shutdown(self) -> None:
         self._teardown_pool()
-        if self._buffers is not None:
-            self._buffers.close()
-            self._buffers = None
+        if self._lease is not None:
+            lease, self._lease = self._lease, None
+            lease.release()
 
     def close(self) -> None:
-        """Shut the pool down and unlink the shared segments (idempotent)."""
+        """Shut the pool down and release the arena lease (idempotent)."""
         self._shutdown()
 
     def __enter__(self) -> "ParallelExecutor":

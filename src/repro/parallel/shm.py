@@ -2,9 +2,9 @@
 
 Workers never unpickle the :class:`~repro.relational.relation.Relation`
 itself — its decoders and per-column objects are irrelevant to the hot
-paths and would be copied per task.  Instead the parent copies the two
-arrays every parallel kernel consumes into POSIX shared memory **once**
-per discovery run:
+paths and would be copied per task.  Instead the two arrays every
+parallel kernel consumes live in POSIX shared memory, leased from the
+dataset arena:
 
 * the row-major ``(n_rows, n_cols)`` int64 DIIS code matrix, and
 * the ``(n_rows, n_cols)`` boolean null-marker matrix.
@@ -19,25 +19,22 @@ compute paths use — ``matrix()``, ``codes(attr)``, ``null_mask(attr)``,
 functions (``validate_fd``, ``redundant_rows_for_lhs``, the sampling
 helpers) the serial path runs, keeping results byte-identical.
 
-Lifecycle: with the memplane enabled (the default) the buffers are a
-refcounted *lease* on the host-wide
-:class:`~repro.memplane.arena.DatasetArena` — the copy-in happens at
-most once per dataset per host, repeated jobs attach to the pinned
-segments, and :meth:`SharedRelationBuffers.close` releases the lease
-(the arena unlinks under its own budget/LRU policy).  With the
-memplane disabled (``--no-memplane`` / ``REPRO_FD_MEMPLANE=0``) the
-parent owns both segments privately and unlinks them in ``close``
-(worker mappings stay valid until the worker exits, per POSIX
-semantics).  Workers ``close()`` their attachment at interpreter exit;
-they also unregister the segments from their ``resource_tracker`` so a
-worker's exit does not unlink memory the parent still owns.
+Lifecycle: the segments belong to the host-wide
+:class:`~repro.memplane.arena.DatasetArena`.  A worker pool takes a
+refcounted :class:`~repro.memplane.arena.ArenaLease` on them (the
+copy-in happens at most once per dataset per host; repeated jobs
+attach to the pinned segments) and releases it when the pool shuts
+down; the arena unlinks under its own budget/LRU policy.  Workers
+``close()`` their attachment at interpreter exit; spawn-started
+workers also unregister the segments from their ``resource_tracker``
+so a worker's exit does not unlink memory the arena still owns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -58,10 +55,9 @@ def relation_arrays(relation) -> Tuple[np.ndarray, np.ndarray]:
     """The two contiguous arrays every shared consumer needs.
 
     Returns the row-major int64 DIIS code matrix and the matching
-    ``(n_rows, n_cols)`` boolean null-marker matrix.  Shared between
-    the per-run buffers below and the host-wide
-    :class:`~repro.memplane.arena.DatasetArena` so both layouts are
-    bit-identical and a view over either is interchangeable.
+    ``(n_rows, n_cols)`` boolean null-marker matrix — the layout the
+    :class:`~repro.memplane.arena.DatasetArena` copies into its
+    segments and :class:`SharedRelationView` maps back out.
     """
     n_rows, n_cols = relation.n_rows, relation.n_cols
     matrix = np.ascontiguousarray(relation.matrix(), dtype=np.int64)
@@ -72,99 +68,6 @@ def relation_arrays(relation) -> Tuple[np.ndarray, np.ndarray]:
     else:
         nulls = np.zeros((n_rows, n_cols), dtype=bool)
     return matrix, np.ascontiguousarray(nulls)
-
-
-def _copy_into_shm(array: np.ndarray) -> shared_memory.SharedMemory:
-    """Allocate a shared segment and copy ``array`` into it."""
-    shm = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
-    if array.nbytes:
-        target = np.ndarray(array.shape, dtype=array.dtype, buffer=shm.buf)
-        target[...] = array
-    return shm
-
-
-def _arena_lease(relation):
-    """Best-effort lease from the host-wide dataset arena.
-
-    Returns None — and the caller falls back to a private per-run copy
-    — when the memplane is disabled, the relation has no fingerprint
-    (worker-side views), or the arena attach fails for any reason
-    (including an armed ``arena.attach`` fault).
-    """
-    try:
-        from ..memplane import arena
-    except Exception:
-        return None
-    if not arena.enabled():
-        return None
-    try:
-        return arena.get_arena().lease(relation)
-    except Exception:
-        return None
-
-
-class SharedRelationBuffers:
-    """Parent-side owner of the shared code and null-mask matrices.
-
-    When the memplane is enabled the "buffers" are a leased view over
-    the host-wide :class:`~repro.memplane.arena.DatasetArena` — no
-    per-run copy-in, and :meth:`close` releases the lease instead of
-    unlinking (the arena owns the segments).  Otherwise the original
-    behavior: copy once, unlink on close.
-    """
-
-    def __init__(self, relation):
-        self._lease = None
-        self._matrix_shm = None
-        self._nulls_shm = None
-        lease = _arena_lease(relation)
-        if lease is not None:
-            self._lease = lease
-            self.nbytes = lease.nbytes
-            self.spec = lease.spec
-            return
-        matrix, nulls = relation_arrays(relation)
-        self._matrix_shm = _copy_into_shm(matrix)
-        self._nulls_shm = _copy_into_shm(nulls)
-        self.nbytes = matrix.nbytes + nulls.nbytes
-        self.spec = ShmSpec(
-            matrix_name=self._matrix_shm.name,
-            nulls_name=self._nulls_shm.name,
-            n_rows=relation.n_rows,
-            n_cols=relation.n_cols,
-        )
-
-    @property
-    def arena_backed(self) -> bool:
-        """True while these buffers are a lease on the dataset arena."""
-        return self._lease is not None
-
-    def close(self) -> None:
-        """Release the lease / unlink the private segments (idempotent)."""
-        if self._lease is not None:
-            lease, self._lease = self._lease, None
-            lease.release()
-        for shm in (self._matrix_shm, self._nulls_shm):
-            if shm is None:
-                continue
-            try:
-                shm.close()
-            except Exception:
-                pass
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-            except Exception:
-                pass
-        self._matrix_shm = None
-        self._nulls_shm = None
-
-    def __enter__(self) -> "SharedRelationBuffers":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def _attach(name: str, unregister: bool) -> shared_memory.SharedMemory:

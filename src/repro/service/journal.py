@@ -57,16 +57,6 @@ _HEADER = struct.Struct("<II")
 #: Default WAL filename under a service's ``--store-dir``.
 WAL_FILENAME = "jobs.wal"
 
-#: Environment kill switch: ``REPRO_FD_JOURNAL=0`` disables the journal
-#: (the service behaves exactly as before the durable job plane).
-ENV_JOURNAL = "REPRO_FD_JOURNAL"
-
-
-def journal_enabled_by_env() -> bool:
-    """False only when ``REPRO_FD_JOURNAL`` explicitly disables it."""
-    return os.environ.get(ENV_JOURNAL, "1").lower() not in ("0", "false", "off")
-
-
 # ----------------------------------------------------------------------
 # Crash-consistent file replacement (shared by every persistence path)
 # ----------------------------------------------------------------------

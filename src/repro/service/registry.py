@@ -172,13 +172,11 @@ class DatasetRegistry:
         the one arena copy instead of paying per-job copy-in.  Appends
         pass their parent so both versions can share one segment.  Any
         arena failure is swallowed: the registry must work with the
-        memplane off or broken.
+        arena broken.
         """
         try:
             from ..memplane import arena
 
-            if not arena.enabled():
-                return
             if arena.get_arena().ingest(relation, parent_fingerprint=parent):
                 self._count("service.registry.arena_ingests")
         except Exception:

@@ -30,6 +30,17 @@ class TestParser:
                 ["discover", "--csv", csv_path, "--benchmark", "iris"]
             )
 
+    def test_memplane_has_no_off_switch(self):
+        parser = build_parser()
+        subparsers = next(
+            action for action in parser._actions if action.choices
+        ).choices
+        for name, sub in subparsers.items():
+            options = [
+                option for action in sub._actions for option in action.option_strings
+            ]
+            assert not [o for o in options if "memplane" in o], name
+
 
 class TestVersion:
     def test_version_flag(self, capsys):

@@ -4,7 +4,7 @@ Covers the :mod:`repro.service.journal` WAL (framing, replay,
 torn-tail truncation, compaction, fault injection), scheduler crash
 recovery (requeued / resumed / lost / completed), checkpoint/resume
 determinism (resumed DHyFD runs produce byte-identical covers), and
-the service-level wiring: journal kill switch, idempotent submits,
+the service-level wiring: journal placement, idempotent submits,
 and end-to-end recovery through :class:`FDService`.
 """
 
@@ -26,7 +26,6 @@ from repro.service.journal import (
     WAL_FILENAME,
     JobJournal,
     atomic_write_text,
-    journal_enabled_by_env,
 )
 from repro.service.scheduler import DONE, LOST, QUEUED
 
@@ -362,34 +361,22 @@ class TestCheckpointResume:
 
 
 # ----------------------------------------------------------------------
-# FDService wiring: kill switch, idempotency, end-to-end recovery
+# FDService wiring: journal placement, idempotency, end-to-end recovery
 # ----------------------------------------------------------------------
 
 
 class TestServiceDurability:
     def test_journal_created_under_store_dir(self, tmp_path):
-        with FDService(store_dir=tmp_path, journal=True) as service:
+        with FDService(store_dir=tmp_path) as service:
             assert service.journal is not None
             assert (tmp_path / WAL_FILENAME).exists()
-
-    def test_env_kill_switch_disables_journal(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FD_JOURNAL", "0")
-        assert not journal_enabled_by_env()
-        with FDService(store_dir=tmp_path) as service:
-            assert service.journal is None
-            entry = service.register_rows(
-                ["a", "b"], [(1, 1), (2, 1), (3, 2)]
-            )
-            job = service.discover(entry.fingerprint, timeout=30.0)
-            assert job.status == DONE
-        assert not (tmp_path / WAL_FILENAME).exists()
 
     def test_no_store_dir_means_no_journal(self):
         with FDService() as service:
             assert service.journal is None
 
     def test_submit_is_journaled_before_return(self, tmp_path):
-        with FDService(store_dir=tmp_path, journal=True) as service:
+        with FDService(store_dir=tmp_path) as service:
             entry = service.register_rows(["a", "b"], [(1, 1), (2, 2)])
             job = service.submit(entry.fingerprint, "discover")
             assert job.job_id in service.journal.jobs
@@ -399,9 +386,7 @@ class TestServiceDurability:
         store_dir = tmp_path / "store"
         dataset_dir = tmp_path / "datasets"
         relation = make_random_relation(11)
-        with FDService(
-            store_dir=store_dir, dataset_dir=dataset_dir, journal=True
-        ) as service:
+        with FDService(store_dir=store_dir, dataset_dir=dataset_dir) as service:
             fingerprint = service.register_relation(relation).fingerprint
         direct = cover_to_json(
             make_algorithm("dhyfd").discover(relation).fds, relation.schema
@@ -415,8 +400,7 @@ class TestServiceDurability:
         journal.close(compact=False)
 
         with FDService(
-            store_dir=store_dir, dataset_dir=dataset_dir,
-            journal=True, recover=True,
+            store_dir=store_dir, dataset_dir=dataset_dir, recover=True,
         ) as service:
             assert service.recovery == {
                 "completed": 0, "requeued": 1, "resumed": 0, "lost": 1,
@@ -435,9 +419,7 @@ class TestServiceDurability:
         retired ``backend`` key) marks its job lost; boot still succeeds."""
         store_dir = tmp_path / "store"
         dataset_dir = tmp_path / "datasets"
-        with FDService(
-            store_dir=store_dir, dataset_dir=dataset_dir, journal=True
-        ) as service:
+        with FDService(store_dir=store_dir, dataset_dir=dataset_dir) as service:
             fingerprint = service.register_relation(
                 make_random_relation(11)
             ).fingerprint
@@ -448,8 +430,7 @@ class TestServiceDurability:
         journal.close(compact=False)
 
         with FDService(
-            store_dir=store_dir, dataset_dir=dataset_dir,
-            journal=True, recover=True,
+            store_dir=store_dir, dataset_dir=dataset_dir, recover=True,
         ) as service:
             assert service.recovery == {
                 "completed": 0, "requeued": 0, "resumed": 0, "lost": 1,
@@ -460,9 +441,7 @@ class TestServiceDurability:
         store_dir = tmp_path / "store"
         dataset_dir = tmp_path / "datasets"
         relation = make_random_relation(27)
-        with FDService(
-            store_dir=store_dir, dataset_dir=dataset_dir, journal=True
-        ) as service:
+        with FDService(store_dir=store_dir, dataset_dir=dataset_dir) as service:
             fingerprint = service.register_relation(relation).fingerprint
         direct = cover_to_json(
             make_algorithm("dhyfd").discover(relation).fds, relation.schema
@@ -483,8 +462,7 @@ class TestServiceDurability:
         journal.close(compact=False)
 
         with FDService(
-            store_dir=store_dir, dataset_dir=dataset_dir,
-            journal=True, recover=True,
+            store_dir=store_dir, dataset_dir=dataset_dir, recover=True,
         ) as service:
             assert service.recovery["resumed"] == 1
             job = service.scheduler.wait("job-3", timeout=60.0)
@@ -499,7 +477,7 @@ class TestServiceDurability:
             assert metrics["journal"]["jobs"] == 1
 
     def test_http_idempotency_key_dedups(self, tmp_path):
-        service = FDService(store_dir=tmp_path, journal=True)
+        service = FDService(store_dir=tmp_path)
         server, _ = start_in_thread(service)
         client = ServiceClient(f"http://127.0.0.1:{server.server_port}")
         try:
@@ -517,9 +495,7 @@ class TestServiceDurability:
             service.close()
 
     def test_clean_shutdown_compacts_wal(self, tmp_path):
-        service = FDService(
-            store_dir=tmp_path, journal=True, checkpoint_interval=0.0
-        )
+        service = FDService(store_dir=tmp_path, checkpoint_interval=0.0)
         entry = service.register_relation(make_random_relation(27))
         job = service.discover(entry.fingerprint, timeout=60.0)
         assert job.status == DONE

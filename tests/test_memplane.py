@@ -14,19 +14,23 @@ import numpy as np
 import pytest
 
 from repro import memplane
+from repro.algorithms.naive import NaiveFDDiscovery
 from repro.core.dhyfd import DHyFD, _shed_arena
 from repro.datasets.synthetic import random_relation
 from repro.memplane.arena import SEGMENT_PREFIX, DatasetArena, sweep_orphans
 from repro.memplane.tier import MAX_SHARED_ATTRS, SharedPartitionTier
+from repro.parallel import config as parallel_config
 from repro.parallel.pool import ParallelExecutor, PoolBrokenError
-from repro.parallel.shm import SharedRelationBuffers, SharedRelationView
+from repro.parallel.shm import SharedRelationView
 from repro.partitions.cache import PartitionCache
 from repro.partitions.stripped import StrippedPartition
 from repro.ranking.ranker import rank_cover
+from repro.ranking.redundancy import redundancy_positions
 from repro.relational import attrset
 from repro.relational.relation import Relation
 from repro.resilience import faults
 from repro.service import FDService
+from repro.telemetry import Tracer, use_tracer
 from tests.conftest import make_random_relation
 
 
@@ -57,19 +61,6 @@ def _same_shape_relations(n: int) -> list:
 def _clean_faults():
     yield
     faults.reset()
-
-
-@pytest.fixture(autouse=True)
-def _memplane_on():
-    """Pin the plane on regardless of the CI leg's REPRO_FD_MEMPLANE.
-
-    This suite tests the plane itself, so the env kill switch must not
-    blank it out; tests covering the disabled path call
-    ``set_enabled(False)`` explicitly (the override wins either way).
-    """
-    memplane.set_enabled(True)
-    yield
-    memplane.set_enabled(None)
 
 
 @pytest.fixture
@@ -270,47 +261,24 @@ class TestCrossProcess:
 
 
 # ----------------------------------------------------------------------
-# SharedRelationBuffers over the arena
+# Worker pools over the arena
 # ----------------------------------------------------------------------
 
 
 class TestBuffersOverArena:
     def test_buffers_lease_and_release(self, fresh_arena):
         relation = make_random_relation(14)
-        first = SharedRelationBuffers(relation)
-        second = SharedRelationBuffers(relation)
-        assert first.arena_backed and second.arena_backed
-        assert first.spec == second.spec  # one copy, two leases
+        first = ParallelExecutor(relation, jobs=2)
+        second = ParallelExecutor(relation, jobs=2)
+        first._ensure_pool()
+        second._ensure_pool()
+        assert first._lease.spec == second._lease.spec  # one copy, two leases
         assert fresh_arena.pins(relation.fingerprint()) == 2
         first.close()
         second.close()
         second.close()  # idempotent
         assert fresh_arena.pins(relation.fingerprint()) == 0
         assert relation.fingerprint() in fresh_arena  # warm for the next job
-
-    def test_disabled_memplane_uses_private_copy(self, fresh_arena):
-        relation = make_random_relation(14)
-        memplane.set_enabled(False)
-        try:
-            buffers = SharedRelationBuffers(relation)
-            assert not buffers.arena_backed
-            assert len(fresh_arena) == 0
-            name = buffers.spec.matrix_name.lstrip("/")
-            assert name in _shm_names()
-            buffers.close()
-            assert name not in _shm_names()
-        finally:
-            memplane.set_enabled(True)
-
-    def test_arena_attach_fault_falls_back_to_private_copy(self, fresh_arena):
-        relation = make_random_relation(14)
-        faults.activate("arena.attach", times=1)
-        buffers = SharedRelationBuffers(relation)
-        assert not buffers.arena_backed
-        name = buffers.spec.matrix_name.lstrip("/")
-        assert name in _shm_names()
-        buffers.close()
-        assert name not in _shm_names()
 
 
 class TestPoolLeakHygiene:
@@ -321,7 +289,7 @@ class TestPoolLeakHygiene:
         relation = make_random_relation(15)
         executor = ParallelExecutor(relation, jobs=2, retries=0)
         executor.run("redundancy", self._one_item(), extra={"policy": "include"})
-        assert executor._buffers is not None and executor._buffers.arena_backed
+        assert executor._lease is not None
         assert fresh_arena.pins(relation.fingerprint()) == 1
         faults.activate("pool.broken")
         with pytest.raises(PoolBrokenError):
@@ -329,30 +297,35 @@ class TestPoolLeakHygiene:
                 "redundancy", self._one_item(), extra={"policy": "include"}
             )
         assert executor.broken
-        assert executor._buffers is None
+        assert executor._lease is None
         assert fresh_arena.pins(relation.fingerprint()) == 0
         executor.close()
 
-    def test_pool_broken_with_memplane_off_unlinks_segments(self):
-        relation = make_random_relation(15)
-        memplane.set_enabled(False)
-        try:
-            executor = ParallelExecutor(relation, jobs=2, retries=0)
-            executor.run(
-                "redundancy", self._one_item(), extra={"policy": "include"}
-            )
-            assert not executor._buffers.arena_backed
-            name = executor._buffers.spec.matrix_name.lstrip("/")
-            assert name in _shm_names()
-            faults.activate("pool.broken")
-            with pytest.raises(PoolBrokenError):
-                executor.run(
-                    "redundancy", self._one_item(), extra={"policy": "include"}
-                )
-            assert name not in _shm_names()
-            executor.close()
-        finally:
-            memplane.set_enabled(True)
+    def test_arena_attach_fault_falls_back_to_serial(self, fresh_arena, monkeypatch):
+        """A failed lease takes the pool's retry -> serial path."""
+        monkeypatch.setattr(parallel_config, "DEFAULT_MIN_PARALLEL_ROWS", 0)
+        monkeypatch.setattr(parallel_config, "DEFAULT_MIN_PARALLEL_ITEMS", 1)
+        relation = make_random_relation(20)
+        cover = DHyFD(jobs=1).discover(relation).fds
+        serial_positions = redundancy_positions(relation, cover, jobs=1)
+        before = _shm_names()
+        faults.activate("arena.attach")
+
+        discover_tracer = Tracer()
+        with use_tracer(discover_tracer):
+            result = DHyFD(jobs=2, parallel_min_rows=1).discover(relation)
+        assert _fd_tuples(result.fds) == _fd_tuples(cover)
+        assert len(discover_tracer.find_events("parallel_fallback")) == 1
+
+        rank_tracer = Tracer()
+        with use_tracer(rank_tracer):
+            positions = redundancy_positions(relation, cover, jobs=2)
+        assert np.array_equal(positions, serial_positions)
+        assert len(rank_tracer.find_events("parallel_fallback")) == 1
+
+        assert fresh_arena.pins(relation.fingerprint()) == 0
+        leaked = _shm_names() - before
+        assert not [n for n in leaked if n.startswith((SEGMENT_PREFIX, "psm_"))]
 
 
 # ----------------------------------------------------------------------
@@ -405,36 +378,56 @@ class TestSharedTier:
         relation = make_random_relation(18)
         assert memplane.tier_for(relation) is memplane.tier_for(relation)
         assert memplane.tier_for(object()) is None  # no fingerprint
-        memplane.set_enabled(False)
-        try:
-            assert memplane.tier_for(relation) is None
-        finally:
-            memplane.set_enabled(True)
 
-    def test_ranking_identical_cold_warm_and_disabled(self):
+    def test_ranking_identical_cold_warm_and_disabled(self, monkeypatch):
+        """Cold, warm and bypassed tiers all give the row-pair counts.
+
+        A position ``(t, A)`` of ``X -> Y`` (``A`` in ``Y``) is redundant
+        iff another row shares ``t``'s X-codes; ``#red`` also needs
+        ``t[A]`` non-null.
+        """
         relation = make_random_relation(19)
         cover = DHyFD().discover(relation).fds
-        memplane.reset_tiers()
-        cold = rank_cover(relation, cover)
-        warm = rank_cover(relation, cover)
-        memplane.set_enabled(False)
-        try:
-            off = rank_cover(relation, cover)
-        finally:
-            memplane.set_enabled(True)
-        reference = [(r.fd, r.redundancy, r.redundancy_excluding_null)
-                     for r in cold.ranked]
-        for result in (warm, off):
-            assert [
-                (r.fd, r.redundancy, r.redundancy_excluding_null)
+        matrix = relation.matrix()
+        expected = {}
+        for fd in cover:
+            lhs = attrset.to_list(fd.lhs)
+            shared = [
+                any(
+                    j != i and all(matrix[j][a] == matrix[i][a] for a in lhs)
+                    for j in range(relation.n_rows)
+                )
+                for i in range(relation.n_rows)
+            ]
+            rhs = attrset.to_list(fd.rhs)
+            expected[fd] = (
+                sum(shared) * len(rhs),
+                sum(
+                    1
+                    for a in rhs
+                    for i in range(relation.n_rows)
+                    if shared[i] and not relation.null_mask(a)[i]
+                ),
+            )
+
+        def counts(result):
+            return {
+                r.fd: (r.redundancy, r.redundancy_excluding_null)
                 for r in result.ranked
-            ] == reference
+            }
+
+        memplane.reset_tiers()
+        assert counts(rank_cover(relation, cover)) == expected  # cold
+        assert counts(rank_cover(relation, cover)) == expected  # warm
         tier = memplane.tier_for(relation)
         assert tier is not None and tier.hits > 0
+        monkeypatch.setattr(SharedPartitionTier, "get", lambda self, attrs: None)
+        monkeypatch.setattr(SharedPartitionTier, "put", lambda self, p: None)
+        assert counts(rank_cover(relation, cover)) == expected  # bypassed
 
 
 # ----------------------------------------------------------------------
-# Covers are byte-identical: jobs x memplane differential
+# Covers match the brute-force oracle: jobs x tier differential
 # ----------------------------------------------------------------------
 
 
@@ -442,22 +435,18 @@ class TestCoverDifferential:
     @pytest.mark.parametrize("seed", [20, 21])
     def test_jobs_and_memplane_grid_byte_identical(self, seed):
         relation = make_random_relation(seed)
-        covers = {}
+        oracle = _fd_tuples(NaiveFDDiscovery().discover(relation).fds)
+        memplane.reset_arena()
         try:
-            for enabled in (True, False):
-                memplane.set_enabled(enabled)
-                for jobs in (1, 2):
-                    memplane.reset_tiers()
-                    memplane.reset_arena()
+            for jobs in (1, 2):
+                memplane.reset_tiers()
+                for tier in ("cold", "warm"):
                     result = DHyFD(jobs=jobs, parallel_min_rows=1).discover(
                         relation
                     )
-                    covers[(enabled, jobs)] = _fd_tuples(result.fds)
+                    assert _fd_tuples(result.fds) == oracle, (jobs, tier)
         finally:
-            memplane.set_enabled(True)
             memplane.reset_arena()
-        reference = covers[(True, 1)]
-        assert all(cover == reference for cover in covers.values())
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +462,6 @@ class TestServiceIntegration:
             )
             payload = service.metrics_payload()
             gauges = payload["gauges"]
-            assert gauges["memplane.enabled"] == 1.0
             assert gauges["memplane.datasets"] >= 1.0
             assert gauges["memplane.arena_bytes"] > 0
             assert "memplane.tier_hit_rate" in gauges
@@ -485,21 +473,6 @@ class TestServiceIntegration:
             service.append_rows("t", [["z", 3]])
             assert fresh_arena.prefix_shared == 1
             assert len(fresh_arena) == 2
-
-    def test_disabled_memplane_registers_nothing(self, fresh_arena):
-        memplane.set_enabled(False)
-        try:
-            with FDService(max_workers=1) as service:
-                service.register_rows(["a"], [["x"], ["y"]], name="t")
-                payload = service.metrics_payload()
-                assert len(fresh_arena) == 0
-                assert payload["gauges"]["memplane.enabled"] == 0.0
-                assert (
-                    "service.registry.arena_ingests"
-                    not in payload["counters"]
-                )
-        finally:
-            memplane.set_enabled(True)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,8 @@ from repro.core.sampling import initial_sample
 from repro.covers.canonical import canonical_cover
 from repro.parallel import config as parallel_config
 from repro.parallel.pool import ENV_FAULT_INJECT, chunk_items
-from repro.parallel.shm import SharedRelationBuffers, SharedRelationView
+from repro.memplane.arena import DatasetArena, get_arena
+from repro.parallel.shm import SharedRelationView
 from repro.partitions.stripped import StrippedPartition
 from repro.ranking.redundancy import (
     NullPolicy,
@@ -110,8 +111,8 @@ class TestSharedMemory:
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_view_round_trips_relation(self, seed):
         relation = make_random_relation(seed)
-        with SharedRelationBuffers(relation) as buffers:
-            view = SharedRelationView(buffers.spec)
+        with DatasetArena(owner="t-view") as arena, arena.lease(relation) as lease:
+            view = SharedRelationView(lease.spec)
             assert view.n_rows == relation.n_rows
             assert view.n_cols == relation.n_cols
             assert np.array_equal(view.matrix(), relation.matrix())
@@ -121,9 +122,14 @@ class TestSharedMemory:
 
     def test_close_is_idempotent(self):
         relation = make_random_relation(1)
-        buffers = SharedRelationBuffers(relation)
-        buffers.close()
-        buffers.close()
+        executor = parallel.ParallelExecutor(relation, jobs=2)
+        executor.run(
+            "redundancy", [(0, attrset.singleton(0))], extra={"policy": "include"}
+        )
+        assert get_arena().pins(relation.fingerprint()) == 1
+        executor.close()
+        executor.close()
+        assert get_arena().pins(relation.fingerprint()) == 0
 
 
 # ----------------------------------------------------------------------
