@@ -51,19 +51,19 @@ def fmt(value: Optional[float], digits: int = 3) -> str:
 
 @contextlib.contextmanager
 def tier_bypassed():
-    """Run with the shared partition tier switched out of the path.
+    """Run with the shared partition layer switched out of the path.
 
-    Every ``SharedPartitionTier`` lookup misses and every publish is
-    dropped, so each job re-derives its partitions exactly as it would
-    with no tier at all.  This is the "off" baseline of the memory-plane
-    and multi-table benchmarks.
+    ``repro.partitions.cache.shared_store`` answers None for every
+    relation, so each ``PartitionCache(shared=True)`` stays private and
+    each job re-derives its partitions exactly as it would with no
+    shared layer at all.  This is the "off" baseline of the
+    memory-plane and multi-table benchmarks.
     """
-    from repro.memplane.tier import SharedPartitionTier
+    from repro.partitions import cache
 
-    get, put = SharedPartitionTier.get, SharedPartitionTier.put
-    SharedPartitionTier.get = lambda self, attrs: None
-    SharedPartitionTier.put = lambda self, partition: None
+    shared_store = cache.shared_store
+    cache.shared_store = lambda relation: None
     try:
         yield
     finally:
-        SharedPartitionTier.get, SharedPartitionTier.put = get, put
+        cache.shared_store = shared_store

@@ -25,9 +25,9 @@ Assertions:
   smoke scale, where relations are big enough for wall-clock to mean
   anything (measured cut at the ``full`` scale is >2.5x).
 
-The "off" baseline bypasses the shared partition tier (every lookup
-misses, every publish is dropped; see ``_utils.tier_bypassed``), so
-each baseline job re-derives everything as it would with no tier.
+The "off" baseline bypasses the shared partition layer (no cache
+joins it; see ``_utils.tier_bypassed``), so each baseline job
+re-derives everything as it would with no shared layer.
 
 Writes ``benchmarks/out/BENCH_memplane.json`` (uploaded by CI) plus a
 human-readable table.

@@ -27,7 +27,7 @@ from ..core.sampling import AgreeSetSampler
 from ..core.validation import validate_fd
 from ..fdtree.extended import ExtendedFDTree
 from ..fdtree.induction import synergized_induct
-from ..partitions.stripped import StrippedPartition
+from ..partitions.cache import PartitionCache
 from ..relational import attrset
 from ..relational.attrset import AttrSet
 from ..relational.fd import FD, FDSet, normalize_singleton_cover
@@ -71,11 +71,9 @@ class HyFD(DiscoveryAlgorithm):
         n_cols = relation.n_cols
         all_attrs = attrset.full_set(n_cols)
 
-        singletons = [
-            StrippedPartition.for_attribute(relation, attr)
-            for attr in range(n_cols)
-        ]
-        universal = StrippedPartition.universal(relation)
+        store = PartitionCache(relation)  # private, as in the DDM
+        singletons = store.singletons()
+        universal = store.universal
         stats.partition_memory_peak_bytes = sum(
             p.memory_bytes() for p in singletons
         )
@@ -134,7 +132,7 @@ class HyFD(DiscoveryAlgorithm):
                 for node in candidates:
                     if node.deleted or not node.rhs:
                         continue
-                    partition = self._best_singleton(singletons, node.path())
+                    partition = store.best_singleton(node.path())
                     outcome = validate_fd(
                         relation, node.path(), node.rhs, partition
                     )
@@ -216,16 +214,3 @@ class HyFD(DiscoveryAlgorithm):
                 tree, lhs, attrset.complement(lhs, tree.n_cols), tally=stats
             )
             stats.induction_calls += 1
-
-    @staticmethod
-    def _best_singleton(
-        singletons: List[StrippedPartition], path: AttrSet
-    ) -> StrippedPartition:
-        best = None
-        for attr in attrset.iter_attrs(path):
-            candidate = singletons[attr]
-            if best is None or candidate.size < best.size:
-                best = candidate
-        if best is None:
-            raise ValueError("validation of an empty LHS needs the universal partition")
-        return best

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.base import Deadline, DiscoveryAlgorithm, RunContext
 from ..core.result import DiscoveryStats
+from ..partitions.cache import PartitionCache
 from ..partitions.stripped import StrippedPartition
 from ..ranking.topk import TopKTracker
 from ..relational import attrset
@@ -66,7 +67,8 @@ class TANE(DiscoveryAlgorithm):
         all_attrs = attrset.full_set(n_cols)
         fds = FDSet()
 
-        universal = StrippedPartition.universal(relation)
+        store = PartitionCache(relation)  # private: level 1 and π_∅
+        universal = store.universal
         partitions: Dict[AttrSet, StrippedPartition] = {attrset.EMPTY: universal}
         errors: Dict[AttrSet, int] = {attrset.EMPTY: universal.error}
         #: ``||pi_X||`` for every partition ever built.  Partitions are
@@ -100,9 +102,8 @@ class TANE(DiscoveryAlgorithm):
             )
 
         level: List[AttrSet] = []
-        for attr in range(n_cols):
-            mask = attrset.singleton(attr)
-            partition = StrippedPartition.for_attribute(relation, attr)
+        for partition in store.singletons():
+            mask = partition.attrs
             partitions[mask] = partition
             errors[mask] = partition.error
             sizes[mask] = partition.size

@@ -679,11 +679,13 @@ def build_parser() -> argparse.ArgumentParser:
         version=f"%(prog)s {package_version()}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The flags of every subcommand that runs one discovery job.
+    job = argparse.ArgumentParser(add_help=False)
+    _add_input_args(job)
+    job.add_argument("--algorithm", default="dhyfd", choices=algorithm_names())
+    _add_limit_args(job)
 
-    discover = sub.add_parser("discover", help="run FD discovery")
-    _add_input_args(discover)
-    discover.add_argument("--algorithm", default="dhyfd", choices=algorithm_names())
-    _add_limit_args(discover)
+    discover = sub.add_parser("discover", parents=[job], help="run FD discovery")
     discover.add_argument(
         "--top-k",
         type=int,
@@ -697,10 +699,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_args(discover)
     discover.set_defaults(handler=_cmd_discover)
 
-    rank = sub.add_parser("rank", help="discover + canonical cover + ranking")
-    _add_input_args(rank)
-    rank.add_argument("--algorithm", default="dhyfd", choices=algorithm_names())
-    _add_limit_args(rank)
+    rank = sub.add_parser(
+        "rank", parents=[job], help="discover + canonical cover + ranking"
+    )
     rank.add_argument("--top", type=int, default=15)
     rank.add_argument(
         "--top-k",
@@ -713,26 +714,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_args(rank)
     rank.set_defaults(handler=_cmd_rank)
 
-    covers = sub.add_parser("covers", help="left-reduced vs canonical cover")
-    _add_input_args(covers)
-    covers.add_argument("--algorithm", default="dhyfd", choices=algorithm_names())
-    _add_limit_args(covers)
+    covers = sub.add_parser(
+        "covers", parents=[job], help="left-reduced vs canonical cover"
+    )
     covers.set_defaults(handler=_cmd_covers)
 
-    report = sub.add_parser("report", help="full markdown data profile")
-    _add_input_args(report)
-    report.add_argument("--algorithm", default="dhyfd", choices=algorithm_names())
-    _add_limit_args(report)
+    report = sub.add_parser("report", parents=[job], help="full markdown data profile")
     report.add_argument("--title", default="Data profile")
     report.add_argument("--output", default=None, help="write to file")
     report.set_defaults(handler=_cmd_report)
 
     normalize = sub.add_parser(
-        "normalize", help="keys, normal forms, 3NF synthesis"
+        "normalize", parents=[job], help="keys, normal forms, 3NF synthesis"
     )
-    _add_input_args(normalize)
-    normalize.add_argument("--algorithm", default="dhyfd", choices=algorithm_names())
-    _add_limit_args(normalize)
     normalize.add_argument("--top", type=int, default=10)
     normalize.set_defaults(handler=_cmd_normalize)
 
@@ -918,14 +912,13 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.set_defaults(handler=_cmd_cluster)
 
     submit = sub.add_parser(
-        "submit", help="upload a dataset to a server and discover/rank there"
+        "submit",
+        parents=[job],
+        help="upload a dataset to a server and discover/rank there",
     )
     submit.add_argument(
         "--server", required=True, help="server base URL, e.g. http://127.0.0.1:8765"
     )
-    _add_input_args(submit)
-    submit.add_argument("--algorithm", default="dhyfd", choices=algorithm_names())
-    _add_limit_args(submit)
     submit.add_argument(
         "--kind", default="discover", choices=["discover", "rank"]
     )

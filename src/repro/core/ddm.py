@@ -2,7 +2,9 @@
 
 The DDM owns two kinds of stripped partitions:
 
-* the pre-computed singleton partitions ``π_A`` for every attribute, and
+* the pre-computed singleton partitions ``π_A`` for every attribute,
+  taken from a private :class:`~repro.partitions.cache.PartitionCache`
+  (its ``store``), and
 * a *dynamic array* of partitions, one per reusable node of the
   extended FD-tree at the current controlled level ``cl``.
 
@@ -25,14 +27,16 @@ made by :meth:`update` while refining are not counted at all.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..fdtree.extended import ExtFDNode
+from ..partitions.cache import PartitionCache
 from ..partitions.stripped import StrippedPartition
 from ..relational import attrset
-from ..relational.attrset import AttrSet
 from ..relational.relation import Relation
 from ..resilience import faults
+from ..telemetry import current_tracer
+from .result import DiscoveryStats
 
 
 class DynamicDataManager:
@@ -41,11 +45,11 @@ class DynamicDataManager:
     def __init__(self, relation: Relation):
         self.relation = relation
         self.n_cols = relation.n_cols
-        self.universal = StrippedPartition.universal(relation)
-        self.singletons: List[StrippedPartition] = [
-            StrippedPartition.for_attribute(relation, attr)
-            for attr in range(relation.n_cols)
-        ]
+        # Private: Table II must not measure partitions another run
+        # published for the same data.
+        self.store = PartitionCache(relation)
+        self.universal = self.store.universal
+        self.singletons: List[StrippedPartition] = self.store.singletons()
         self.dynamic: List[StrippedPartition] = []
         #: Number of Algorithm 3 runs (refinement rounds).
         self.update_count = 0
@@ -84,14 +88,14 @@ class DynamicDataManager:
             if faults.armed() and faults.should_fire("ddm.stale"):
                 # Chaos hook: pretend the dynamic id went stale so the
                 # singleton fallback path gets exercised on demand.
-                return self.best_singleton(node.path()), "stale"
+                return self.store.best_singleton(node.path()), "stale"
             index = node.id - self.n_cols
             if index < len(self.dynamic):
                 partition = self.dynamic[index]
                 if attrset.is_subset(partition.attrs, node.path()):
                     return partition, "dynamic"
-            return self.best_singleton(node.path()), "stale"
-        return self.best_singleton(node.path()), "singleton"
+            return self.store.best_singleton(node.path()), "stale"
+        return self.store.best_singleton(node.path()), "singleton"
 
     def partition_for_node(self, node: ExtFDNode) -> StrippedPartition:
         """The partition a node's id denotes, with a consistency guard.
@@ -109,20 +113,6 @@ class DynamicDataManager:
         else:
             self.stale_fallbacks += 1
         return partition
-
-    def best_singleton(self, path: AttrSet) -> StrippedPartition:
-        """The smallest-``||π_A||`` singleton partition with A on the path.
-
-        This is line 16 of Algorithm 6: before a default-id node is
-        validated, pick the cheapest starting partition among its own
-        LHS attributes (an empty path gets the universal partition).
-        """
-        best: Optional[StrippedPartition] = None
-        for attr in attrset.iter_attrs(path):
-            candidate = self.singletons[attr]
-            if best is None or candidate.size < best.size:
-                best = candidate
-        return best if best is not None else self.universal
 
     # ------------------------------------------------------------------
     # Algorithm 3 — refine the dynamic array to a new controlled level
@@ -166,6 +156,34 @@ class DynamicDataManager:
     def dynamic_memory_bytes(self) -> int:
         """Bytes held by the dynamic array only (DHyFD's extra memory)."""
         return sum(p.memory_bytes() for p in self.dynamic)
+
+    def record_telemetry(self, stats: DiscoveryStats) -> None:
+        """Copy the counters into ``stats`` and report them once.
+
+        Emits the ``partition_cache`` event (``scope="ddm"``) and adds
+        the run's totals to the ``partition_cache.*`` counters; the
+        memory gauge takes the run's peak from ``stats``.
+        """
+        stats.record_cache(self)
+        tracer = current_tracer()
+        tracer.event(
+            "partition_cache",
+            scope="ddm",
+            hits=self.hits,
+            misses=self.misses,
+            singleton_lookups=self.singleton_lookups,
+            stale_fallbacks=self.stale_fallbacks,
+            evictions=self.evictions,
+            entries=len(self.dynamic) + len(self.singletons) + 1,
+            memory_bytes=self.memory_bytes(),
+        )
+        metrics = tracer.metrics
+        metrics.counter("partition_cache.hits").inc(self.hits)
+        metrics.counter("partition_cache.misses").inc(self.misses)
+        metrics.counter("partition_cache.evictions").inc(self.evictions)
+        metrics.gauge("partition_cache.memory_bytes").set_max(
+            stats.partition_memory_peak_bytes
+        )
 
     def shed_dynamic(self) -> int:
         """Drop every dynamic partition; returns the bytes freed.

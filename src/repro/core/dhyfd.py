@@ -28,13 +28,13 @@ from typing import List, Optional, Set, Tuple
 
 from ..fdtree.extended import ExtendedFDTree, ExtFDNode
 from ..fdtree.induction import synergized_induct
-from ..memplane import tier_for
 from ..memplane.arena import current_arena
 from ..parallel import ParallelExecutor, PoolBrokenError, resolve_jobs
 from ..parallel import config as parallel_config
 from ..parallel import merge_validation_outcomes
 from ..parallel import validate_level as parallel_validate_level
 from ..partitions.cache import PartitionCache
+from ..ranking.redundancy import redundancy_upper_bound
 from ..ranking.topk import TopKTracker
 from ..relational import attrset
 from ..relational.attrset import AttrSet
@@ -263,24 +263,16 @@ class DHyFD(DiscoveryAlgorithm):
         # descendant FD has a superset LHS, hence a no-larger
         # redundancy) can reach the threshold.
         measure_cache = (
-            PartitionCache(relation, shared=tier_for(relation))
-            if tracker is not None
-            else None
+            PartitionCache(relation, shared=True) if tracker is not None else None
         )
 
-        def _cheap_bound(path: AttrSet) -> int:
-            if path == attrset.EMPTY:
-                return ddm.universal.size
-            exact = measure_cache.peek(path)
-            if exact is not None:
-                return exact.size
-            return min(
-                measure_cache.peek(attrset.singleton(attr)).size
-                for attr in attrset.iter_attrs(path)
+        def _can_prune(path: AttrSet) -> bool:
+            return tracker.can_prune(
+                redundancy_upper_bound(relation, path, measure_cache)
             )
 
         def _measure(path: AttrSet, rhs: AttrSet) -> None:
-            if tracker.can_prune(_cheap_bound(path)):
+            if _can_prune(path):
                 return
             redundancy = (
                 ddm.universal.size
@@ -410,7 +402,7 @@ class DHyFD(DiscoveryAlgorithm):
             if tracker is not None and tracker.full:
                 kept: List[ExtFDNode] = []
                 for node in todo:
-                    if tracker.can_prune(_cheap_bound(node.path())):
+                    if _can_prune(node.path()):
                         pruned_ids.add(id(node))
                         tracker.pruned_candidates += 1
                     else:
@@ -541,7 +533,7 @@ class DHyFD(DiscoveryAlgorithm):
                     node.depth >= validation_level
                     and not node.deleted
                     and node.rhs
-                    and not tracker.can_prune(_cheap_bound(node.path()))
+                    and not _can_prune(node.path())
                     for node in tree.iter_fd_nodes()
                 )
             ):
@@ -554,26 +546,9 @@ class DHyFD(DiscoveryAlgorithm):
                 )
                 break
 
-        stats.record_cache(ddm)
-        tracer.event(
-            "partition_cache",
-            scope="ddm",
-            hits=ddm.hits,
-            misses=ddm.misses,
-            singleton_lookups=ddm.singleton_lookups,
-            stale_fallbacks=ddm.stale_fallbacks,
-            evictions=ddm.evictions,
-            entries=len(ddm.dynamic) + len(ddm.singletons) + 1,
-            memory_bytes=ddm.memory_bytes(),
-        )
-        cache_counters = tracer.metrics
-        cache_counters.counter("partition_cache.hits").inc(ddm.hits)
-        cache_counters.counter("partition_cache.misses").inc(ddm.misses)
-        cache_counters.counter("partition_cache.evictions").inc(ddm.evictions)
-        cache_counters.gauge("partition_cache.memory_bytes").set_max(
-            stats.partition_memory_peak_bytes
-        )
+        ddm.record_telemetry(stats)
         if tracker is not None:
+            measure_cache.record_telemetry(scope="topk_measure")
             return tracker.cover(), stats
         return normalize_singleton_cover(tree.iter_fds()), stats
 

@@ -47,14 +47,15 @@ class DiscoveryStats:
     def record_cache(self, cache) -> None:
         """Copy hit/miss/eviction counts off a partition store.
 
-        Accepts anything with ``hits``/``misses``/``evictions``
-        attributes — :class:`~repro.partitions.cache.PartitionCache` or
-        the DHyFD :class:`~repro.core.ddm.DynamicDataManager` (whose
-        by-design ``singleton_lookups`` are kept apart from misses).
+        Accepts anything with ``hits``/``misses`` attributes — a
+        :class:`~repro.partitions.cache.PartitionCache` (which never
+        evicts) or the DHyFD :class:`~repro.core.ddm.DynamicDataManager`
+        (whose by-design ``singleton_lookups`` are kept apart from
+        misses).
         """
         self.partition_cache_hits = cache.hits
         self.partition_cache_misses = cache.misses
-        self.partition_cache_evictions = cache.evictions
+        self.partition_cache_evictions = getattr(cache, "evictions", 0)
         self.partition_singleton_lookups = getattr(
             cache, "singleton_lookups", 0
         )

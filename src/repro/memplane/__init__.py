@@ -7,17 +7,19 @@ Two pieces (see ``docs/memplane.md``):
   worker pools, service jobs and replicas lease zero-copy (refcounted
   pins, LRU eviction under ``REPRO_FD_ARENA_BUDGET``, append versions
   sharing their parent's pages);
-* :mod:`repro.memplane.tier` — the :class:`SharedPartitionTier`, a
+* the shared partition layer of :mod:`repro.partitions.cache` — a
   per-dataset store of low-level stripped partitions reused by every
-  ``PartitionCache`` constructed with ``shared=``.
+  ``PartitionCache(relation, shared=True)``; its ``reset_tiers`` and
+  ``tier_gauges`` are re-exported here.
 
 Both are always on.  The arena is the only shared-memory transport
-for worker pools; the tier is a cache, so covers and rankings are
-byte-identical whether a job finds it cold or warm.
+for worker pools; the partition layer is a cache, so covers and
+rankings are byte-identical whether a job finds it cold or warm.
 """
 
 from typing import Dict
 
+from ..partitions.cache import reset_tiers, tier_gauges
 from .arena import (
     ArenaLease,
     DatasetArena,
@@ -29,21 +31,12 @@ from .arena import (
     reset_arena,
     sweep_orphans,
 )
-from .tier import (
-    MAX_SHARED_ATTRS,
-    SharedPartitionTier,
-    reset_tiers,
-    tier_for,
-    tier_gauges,
-)
 
 __all__ = [
     "ArenaLease",
     "DatasetArena",
     "ENV_ARENA_OWNER",
-    "MAX_SHARED_ATTRS",
     "SEGMENT_PREFIX",
-    "SharedPartitionTier",
     "current_arena",
     "default_owner",
     "gauges",
@@ -51,13 +44,12 @@ __all__ = [
     "reset_arena",
     "reset_tiers",
     "sweep_orphans",
-    "tier_for",
     "tier_gauges",
 ]
 
 
 def gauges() -> Dict[str, float]:
-    """Combined ``memplane.*`` gauges (arena + tier) for ``/metrics``.
+    """Combined ``memplane.*`` gauges (arena + partition layer) for ``/metrics``.
 
     Never *creates* an arena: a process that registered no dataset
     reports zeros instead of allocating segments for a metrics scrape.

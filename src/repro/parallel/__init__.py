@@ -16,7 +16,6 @@ from .config import (
 )
 from .merge import merge_validation_outcomes, pack_row_mask, unpack_row_mask
 from .pool import (
-    ENV_FAULT_INJECT,
     ParallelExecutor,
     PoolBrokenError,
     chunk_items,
@@ -30,7 +29,6 @@ __all__ = [
     "DEFAULT_MIN_BATCH",
     "DEFAULT_MIN_PARALLEL_ITEMS",
     "DEFAULT_MIN_PARALLEL_ROWS",
-    "ENV_FAULT_INJECT",
     "ENV_JOBS",
     "ParallelExecutor",
     "PoolBrokenError",

@@ -70,11 +70,6 @@ from .config import (
 from .merge import pack_row_mask, unpack_row_mask
 from .shm import SharedRelationView
 
-#: Legacy spelling of the ``worker.crash`` fault point: setting this to
-#: ``"crash"`` makes every worker batch hard-exit before doing any work.
-#: Kept for compatibility; see :mod:`repro.resilience.faults`.
-ENV_FAULT_INJECT = faults.ENV_FAULT_INJECT_LEGACY
-
 
 class PoolBrokenError(RuntimeError):
     """The worker pool is unusable; the caller should run serially."""

@@ -12,7 +12,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..memplane import tier_for
 from ..partitions.cache import PartitionCache
 from ..relational import attrset
 from ..relational.fd import FD, FDSet
@@ -137,7 +136,7 @@ def rank_cover(
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     with current_tracer().span("ranking", fds=len(fds)):
-        cache = PartitionCache(relation, shared=tier_for(relation))
+        cache = PartitionCache(relation, shared=True)
         if top_k is not None:
             ranked, skipped = _rank_bounded(relation, fds, top_k, cache, deadline)
         else:

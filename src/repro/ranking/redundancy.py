@@ -25,7 +25,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..memplane import tier_for
 from ..partitions import kernels
 from ..partitions.cache import PartitionCache
 from ..partitions.stripped import StrippedPartition
@@ -123,28 +122,16 @@ def redundancy_upper_bound(
     discovery prune whole lattice regions (see
     :mod:`repro.ranking.topk`).
 
-    With a cache, the exact partition is used when already present and
-    the seeded singletons otherwise (O(|lhs|) dictionary lookups, no
-    partition is ever built); without one, singleton partitions are
-    built directly.
+    The exact partition is used when already cached and the smallest
+    seeded singleton otherwise (O(|lhs|) dictionary lookups, no
+    partition is ever built); without a cache a private store is built.
     """
-    if lhs == attrset.EMPTY:
-        return relation.n_rows if relation.n_rows >= 2 else 0
-    if cache is not None:
-        exact = cache.peek(lhs)
-        if exact is not None:
-            return exact.size
-    best: Optional[int] = None
-    for attr in attrset.iter_attrs(lhs):
-        if cache is not None:
-            partition = cache.peek(attrset.singleton(attr))
-            if partition is None:  # pragma: no cover — caches seed singletons
-                partition = StrippedPartition.for_attribute(relation, attr)
-        else:
-            partition = StrippedPartition.for_attribute(relation, attr)
-        if best is None or partition.size < best:
-            best = partition.size
-    return best if best is not None else 0
+    if cache is None:
+        cache = PartitionCache(relation)
+    exact = cache.peek(lhs)
+    if exact is not None:
+        return exact.size
+    return cache.best_singleton(lhs).size
 
 
 def _parallel_rows_by_lhs(
@@ -201,7 +188,7 @@ def redundancy_positions(
     driver's time limit also bounds the ranking pass.
     """
     if cache is None:
-        cache = PartitionCache(relation, shared=tier_for(relation))
+        cache = PartitionCache(relation, shared=True)
     marked = np.zeros((relation.n_rows, relation.n_cols), dtype=bool)
     fds = list(cover)
     unique_lhs = list(dict.fromkeys(fd.lhs for fd in fds))
@@ -255,7 +242,7 @@ def dataset_redundancy(
     """Compute #values / #red / #red+0 for a relation and cover (timed)."""
     start = time.perf_counter()
     with current_tracer().span("redundancy", fds=len(cover)):
-        cache = PartitionCache(relation, shared=tier_for(relation))
+        cache = PartitionCache(relation, shared=True)
         including = redundancy_positions(
             relation, cover, NullPolicy.INCLUDE, cache, jobs=jobs,
             deadline=deadline,

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Union
 
-from ..memplane import tier_for
 from ..partitions.cache import PartitionCache
 from ..relational import attrset
 from ..relational.fd import FD
@@ -49,7 +48,7 @@ def column_determinants(
     """
     target = relation.schema.resolve(column)
     target_nulls = relation.null_mask(target)
-    cache = PartitionCache(relation, shared=tier_for(relation))
+    cache = PartitionCache(relation, shared=True)
     rows_out: List[ColumnDeterminant] = []
     for fd in cover:
         if not attrset.contains(fd.rhs, target):

@@ -1,7 +1,6 @@
 """Named fault-injection points for chaos testing the discovery stack.
 
-This generalizes the original ad-hoc ``REPRO_FD_FAULT_INJECT`` worker
-crash hook into a registry of *named failure points*.  Production code
+A registry of *named failure points*.  Production code
 never fails here on its own: each point is a no-op until a test (or a
 chaos CI leg) arms it, after which the instrumented site raises the
 failure the production code claims to survive.
@@ -41,8 +40,6 @@ processes*: whichever process unlinks the token file first wins)::
     REPRO_FD_FAULTS="ddm.stale,worker.crash:once=/tmp/tok" pytest ...
 
 :func:`arm_once` creates the token file and appends the entry for you.
-The legacy ``REPRO_FD_FAULT_INJECT=crash`` spelling still arms
-``worker.crash``.
 """
 
 from __future__ import annotations
@@ -54,9 +51,6 @@ from typing import Callable, Dict, List, Optional
 
 #: Environment variable holding comma-separated armed fault entries.
 ENV_FAULTS = "REPRO_FD_FAULTS"
-
-#: Legacy spelling (pre-registry): ``crash`` arms ``worker.crash``.
-ENV_FAULT_INJECT_LEGACY = "REPRO_FD_FAULT_INJECT"
 
 #: Every failure point the stack instruments.
 FAULT_POINTS = frozenset(
@@ -138,23 +132,14 @@ def armed() -> bool:
     Hot paths call this before :func:`should_fire` so an unarmed
     process pays two dict probes per poll, nothing more.
     """
-    return (
-        bool(_activations)
-        or ENV_FAULTS in os.environ
-        or ENV_FAULT_INJECT_LEGACY in os.environ
-    )
+    return bool(_activations) or ENV_FAULTS in os.environ
 
 
 def is_active(name: str) -> bool:
     """True when ``name`` is armed in-process or via the environment."""
     if name in _activations:
         return True
-    if any(entry.partition(":")[0] == name for entry in _env_entries()):
-        return True
-    return (
-        name == "worker.crash"
-        and os.environ.get(ENV_FAULT_INJECT_LEGACY) == "crash"
-    )
+    return any(entry.partition(":")[0] == name for entry in _env_entries())
 
 
 def _env_entries() -> List[str]:
@@ -194,8 +179,6 @@ def should_fire(name: str) -> bool:
                 return True
             except OSError:
                 continue  # token already claimed by another process
-    if name == "worker.crash" and os.environ.get(ENV_FAULT_INJECT_LEGACY) == "crash":
-        return True
     return False
 
 

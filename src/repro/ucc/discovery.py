@@ -31,6 +31,7 @@ from typing import List, Optional, Set
 from ..algorithms.fastfds import minimal_hitting_sets
 from ..core.base import Deadline
 from ..core.sampling import AgreeSetSampler
+from ..partitions.cache import PartitionCache
 from ..partitions.stripped import StrippedPartition
 from ..relational import attrset
 from ..relational.attrset import AttrSet
@@ -94,10 +95,7 @@ def discover_uccs(
             max_arity=max_arity,
         )
 
-    singletons = [
-        StrippedPartition.for_attribute(relation, attr) for attr in range(n_cols)
-    ]
-    sampler = AgreeSetSampler(relation, singletons)
+    sampler = AgreeSetSampler(relation, PartitionCache(relation).singletons())
     agree_sets, _ = sampler.sample_round()
     # duplicate rows (full agree set) make *no* set unique except by
     # treating the duplicates as equal — a full agree set has an empty

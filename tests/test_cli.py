@@ -41,6 +41,77 @@ class TestParser:
             ]
             assert not [o for o in options if "memplane" in o], name
 
+    def test_input_subcommand_options_pinned(self):
+        """Every input subcommand keeps each flag's spelling, default,
+        choices, type and action — the shared input/algorithm/limit
+        flags as well as the subcommand's own."""
+        from repro.algorithms import algorithm_names
+        from repro.datasets.benchmarks import benchmark_names
+
+        def spec(default=None, choices=None, type=None, action="_StoreAction",
+                 required=False):
+            return (default, choices, type, action, required)
+
+        common = {
+            "-h": spec(default="==SUPPRESS==", action="_HelpAction"),
+            "--help": spec(default="==SUPPRESS==", action="_HelpAction"),
+            "--csv": spec(),
+            "--benchmark": spec(choices=tuple(benchmark_names())),
+            "--rows": spec(type="int"),
+            "--seed": spec(default=0, type="int"),
+            "--null-semantics": spec(default="eq", choices=("eq", "neq")),
+            "--jobs": spec(type="_parse_jobs_arg"),
+            "--on-bad-row": spec(default="raise", choices=("raise", "skip", "pad")),
+            "--algorithm": spec(default="dhyfd", choices=tuple(algorithm_names())),
+            "--time-limit": spec(type="float"),
+            "--memory-budget": spec(type="_parse_bytes_arg"),
+            "--on-limit": spec(default="raise", choices=("raise", "partial")),
+        }
+        flag = spec(default=False, action="_StoreTrueAction")
+        top_k = spec(type="int")
+        trace = {"--trace": flag, "--trace-out": spec(), "--trace-memory": flag}
+        extras = {
+            "discover": {"--top-k": top_k, "--show-fds": flag, **trace},
+            "rank": {"--top": spec(default=15, type="int"), "--top-k": top_k,
+                     **trace},
+            "covers": {},
+            "report": {"--title": spec(default="Data profile"), "--output": spec()},
+            "normalize": {"--top": spec(default=10, type="int")},
+            "submit": {
+                "--server": spec(required=True),
+                "--kind": spec(default="discover", choices=("discover", "rank")),
+                "--name": spec(),
+                "--priority": spec(default=0, type="int"),
+                "--top-k": top_k,
+                "--top": spec(default=15, type="int"),
+                "--show-fds": flag,
+                "--no-wait": flag,
+                "--request-timeout": spec(default=120.0, type="float"),
+            },
+        }
+        parser = build_parser()
+        subparsers = next(
+            action for action in parser._actions if action.choices
+        ).choices
+        for name, own in extras.items():
+            sub = subparsers[name]
+            actual = {}
+            for action in sub._actions:
+                choices = tuple(action.choices) if action.choices else None
+                kind = getattr(action.type, "__name__", None)
+                for option in action.option_strings:
+                    actual[option] = spec(
+                        action.default, choices, kind,
+                        type(action).__name__, action.required,
+                    )
+            assert actual == {**common, **own}, name
+            groups = [
+                sorted(o for a in group._group_actions for o in a.option_strings)
+                for group in sub._mutually_exclusive_groups
+            ]
+            assert groups == [["--benchmark", "--csv"]], name
+            assert all(g.required for g in sub._mutually_exclusive_groups), name
+
 
 class TestVersion:
     def test_version_flag(self, capsys):

@@ -26,12 +26,12 @@ class TestLookup:
     def test_best_singleton_prefers_smallest(self, city_relation):
         ddm = DynamicDataManager(city_relation)
         # name is a key -> its partition is empty (size 0), the smallest
-        best = ddm.best_singleton(A(0, 2, 3))
+        best = ddm.store.best_singleton(A(0, 2, 3))
         assert best.attrs == attrset.singleton(0)
 
     def test_best_singleton_empty_path_gives_universal(self, city_relation):
         ddm = DynamicDataManager(city_relation)
-        assert ddm.best_singleton(attrset.EMPTY) is ddm.universal
+        assert ddm.store.best_singleton(attrset.EMPTY) is ddm.universal
 
     def test_partition_for_default_id_node(self, city_relation):
         ddm = DynamicDataManager(city_relation)

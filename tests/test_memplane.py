@@ -18,12 +18,11 @@ from repro.algorithms.naive import NaiveFDDiscovery
 from repro.core.dhyfd import DHyFD, _shed_arena
 from repro.datasets.synthetic import random_relation
 from repro.memplane.arena import SEGMENT_PREFIX, DatasetArena, sweep_orphans
-from repro.memplane.tier import MAX_SHARED_ATTRS, SharedPartitionTier
 from repro.parallel import config as parallel_config
 from repro.parallel.pool import ParallelExecutor, PoolBrokenError
 from repro.parallel.shm import SharedRelationView
-from repro.partitions.cache import PartitionCache
-from repro.partitions.stripped import StrippedPartition
+from repro.partitions import cache as partition_cache
+from repro.partitions.cache import MAX_SHARED_ATTRS, PartitionCache
 from repro.ranking.ranker import rank_cover
 from repro.ranking.redundancy import redundancy_positions
 from repro.relational import attrset
@@ -351,33 +350,78 @@ class TestLadder:
 class TestSharedTier:
     def test_cache_seeds_consults_and_publishes(self):
         relation = random_relation(60, 4, domain_sizes=3, seed=101)
-        tier = SharedPartitionTier(("fp", "eq", "python"))
-        cold = PartitionCache(relation, shared=tier)
+        memplane.reset_tiers()
+        cold = PartitionCache(relation, shared=True)
         assert cold.shared_hits == 0
-        assert len(tier) == relation.n_cols  # singletons published
+        shared = partition_cache.shared_store(relation)
+        assert len(shared) == relation.n_cols  # singletons published
         mask = attrset.from_attrs([0, 1])
         cold.get(mask)
-        warm = PartitionCache(relation, shared=tier)
-        assert warm.shared_hits == relation.n_cols  # seeded from the tier
+        warm = PartitionCache(relation, shared=True)
+        assert warm.shared_hits == relation.n_cols  # seeded from the layer
         misses_before = warm.misses
         partition = warm.get(mask)
         assert warm.misses == misses_before + 1  # the local miss...
-        assert warm.shared_hits == relation.n_cols + 1  # ...hit the tier
+        assert warm.shared_hits == relation.n_cols + 1  # ...hit the layer
         assert partition is cold.peek(mask)  # literally the same object
+        # Each shared lookup is counted once: 4 + 1 cold misses, then
+        # 4 + 1 warm hits.
+        gauges = memplane.tier_gauges()
+        assert gauges["memplane.tier_hits"] == relation.n_cols + 1
+        assert gauges["memplane.tier_misses"] == relation.n_cols + 1
+        assert gauges["memplane.tier_partitions"] == relation.n_cols + 1
+        # A private store neither reads nor publishes.
+        private = PartitionCache(relation)
+        private.get(attrset.from_attrs([2, 3]))
+        assert private.shared_hits == 0
+        assert len(shared) == relation.n_cols + 1
+
+    def test_concurrent_lookups_are_each_counted_once(self):
+        relation = random_relation(40, 4, domain_sizes=3, seed=103)
+        mask = attrset.from_attrs([0, 1])
+        threads, rounds = 8, 25
+        memplane.reset_tiers()
+
+        def work():
+            for _ in range(rounds):
+                PartitionCache(relation, shared=True).get(mask)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in pool)
+        finally:
+            sys.setswitchinterval(interval)
+        gauges = memplane.tier_gauges()
+        lookups = threads * rounds * (relation.n_cols + 1)
+        assert gauges["memplane.tier_hits"] + gauges["memplane.tier_misses"] == lookups
+        assert gauges["memplane.tier_partitions"] == relation.n_cols + 1
 
     def test_tier_ignores_wide_partitions(self):
         relation = random_relation(30, MAX_SHARED_ATTRS + 1, seed=102)
-        tier = SharedPartitionTier(("fp", "eq", "python"))
-        wide = StrippedPartition.for_attrs(
-            relation, attrset.from_attrs(range(MAX_SHARED_ATTRS + 1))
-        )
-        tier.put(wide)
-        assert len(tier) == 0
+        memplane.reset_tiers()
+        cache = PartitionCache(relation, shared=True)
+        cache.get(attrset.from_attrs(range(MAX_SHARED_ATTRS)))
+        cache.get(attrset.from_attrs(range(MAX_SHARED_ATTRS + 1)))
+        widths = {
+            attrset.count(mask)
+            for mask in partition_cache.shared_store(relation)
+        }
+        assert max(widths) == MAX_SHARED_ATTRS
 
     def test_tier_for_identity_and_gates(self):
         relation = make_random_relation(18)
-        assert memplane.tier_for(relation) is memplane.tier_for(relation)
-        assert memplane.tier_for(object()) is None  # no fingerprint
+        store = partition_cache.shared_store(relation)
+        assert store is partition_cache.shared_store(relation)
+        assert store is not partition_cache.shared_store(
+            relation.with_semantics("neq")
+        )
+        assert partition_cache.shared_store(object()) is None  # no fingerprint
 
     def test_ranking_identical_cold_warm_and_disabled(self, monkeypatch):
         """Cold, warm and bypassed tiers all give the row-pair counts.
@@ -419,11 +463,11 @@ class TestSharedTier:
         memplane.reset_tiers()
         assert counts(rank_cover(relation, cover)) == expected  # cold
         assert counts(rank_cover(relation, cover)) == expected  # warm
-        tier = memplane.tier_for(relation)
-        assert tier is not None and tier.hits > 0
-        monkeypatch.setattr(SharedPartitionTier, "get", lambda self, attrs: None)
-        monkeypatch.setattr(SharedPartitionTier, "put", lambda self, p: None)
+        assert memplane.tier_gauges()["memplane.tier_hits"] > 0
+        memplane.reset_tiers()
+        monkeypatch.setattr(partition_cache, "shared_store", lambda relation: None)
         assert counts(rank_cover(relation, cover)) == expected  # bypassed
+        assert memplane.tier_gauges()["memplane.tier_datasets"] == 0
 
 
 # ----------------------------------------------------------------------

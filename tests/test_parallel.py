@@ -18,7 +18,7 @@ from repro.core.dhyfd import DHyFD
 from repro.core.sampling import initial_sample
 from repro.covers.canonical import canonical_cover
 from repro.parallel import config as parallel_config
-from repro.parallel.pool import ENV_FAULT_INJECT, chunk_items
+from repro.parallel.pool import chunk_items
 from repro.memplane.arena import DatasetArena, get_arena
 from repro.parallel.shm import SharedRelationView
 from repro.partitions.stripped import StrippedPartition
@@ -30,6 +30,7 @@ from repro.ranking.redundancy import (
 )
 from repro.relational import attrset
 from repro.relational.null import NullSemantics
+from repro.resilience import faults
 from repro.telemetry import Tracer, use_tracer
 from tests.conftest import kernel_mode, make_random_relation
 
@@ -286,7 +287,7 @@ class TestWorkerCrashFallback:
     def test_discovery_survives_crashing_workers(self, monkeypatch):
         relation = make_random_relation(7)
         baseline = DHyFD().discover(relation)
-        monkeypatch.setenv(ENV_FAULT_INJECT, "crash")
+        monkeypatch.setenv(faults.ENV_FAULTS, "worker.crash")
         tracer = Tracer()
         with use_tracer(tracer):
             result = DHyFD(jobs=2, **FORCE_PARALLEL).discover(relation)
@@ -298,7 +299,7 @@ class TestWorkerCrashFallback:
 
     def test_broken_executor_refuses_work(self, monkeypatch):
         relation = make_random_relation(3)
-        monkeypatch.setenv(ENV_FAULT_INJECT, "crash")
+        monkeypatch.setenv(faults.ENV_FAULTS, "worker.crash")
         with parallel.ParallelExecutor(relation, jobs=2) as executor:
             with pytest.raises(parallel.PoolBrokenError):
                 executor.run("validate", [(0, 0, 1, 0, np.zeros(0), np.zeros(0))])
@@ -310,7 +311,7 @@ class TestWorkerCrashFallback:
         relation = make_random_relation(11)
         cover = list(canonical_cover(DHyFD().discover(relation).fds))
         serial = redundancy_positions(relation, cover, NullPolicy.INCLUDE)
-        monkeypatch.setenv(ENV_FAULT_INJECT, "crash")
+        monkeypatch.setenv(faults.ENV_FAULTS, "worker.crash")
         parallel_result = redundancy_positions(
             relation, cover, NullPolicy.INCLUDE, jobs=2
         )

@@ -42,26 +42,26 @@ class TestCache:
         cache.get(mask)
         assert cache.peek(mask) is not None
 
-    def test_put(self, city_relation):
+    def test_singletons_in_attribute_order(self, city_relation):
         cache = PartitionCache(city_relation)
-        mask = attrset.from_attrs([1, 3])
-        partition = StrippedPartition.for_attrs(city_relation, mask)
-        cache.put(partition)
-        assert cache.peek(mask) is partition
+        singletons = cache.singletons()
+        assert [p.attrs for p in singletons] == [
+            attrset.singleton(a) for a in range(city_relation.n_cols)
+        ]
+        assert all(p is cache.peek(p.attrs) for p in singletons)
 
-    def test_evict_level(self, city_relation):
-        cache = PartitionCache(city_relation)
-        mask = attrset.from_attrs([1, 2])
-        cache.get(mask)
-        cache.evict_level(2)
-        assert cache.peek(mask) is None
-        # singletons survive eviction
-        assert cache.peek(attrset.singleton(1)) is not None
-
-    def test_evict_level_protects_singletons(self, city_relation):
-        cache = PartitionCache(city_relation)
-        cache.evict_level(1)
-        assert cache.peek(attrset.singleton(0)) is not None
+    def test_best_singleton_ties_go_to_lowest_attribute(self):
+        # singleton sizes 26, 40, 29, 24, 40: strict minima and a tie
+        rel = random_relation(40, 5, domain_sizes=[30, 3, 30, 60, 3], seed=5)
+        cache = PartitionCache(rel)
+        hits = cache.hits
+        for mask in range(1, 1 << rel.n_cols):
+            members = attrset.to_list(mask)
+            sizes = [cache.peek(attrset.singleton(a)).size for a in members]
+            expected = members[sizes.index(min(sizes))]
+            assert cache.best_singleton(mask).attrs == attrset.singleton(expected)
+        assert cache.best_singleton(attrset.EMPTY) is cache.universal
+        assert cache.hits == hits  # not a lookup
 
     def test_memory_accounting(self, city_relation):
         cache = PartitionCache(city_relation)

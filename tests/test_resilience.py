@@ -44,7 +44,6 @@ FORCE_PARALLEL = dict(parallel_min_rows=0, parallel_min_candidates=1)
 def _clean_faults(monkeypatch):
     """Every test starts and ends with nothing armed anywhere."""
     monkeypatch.delenv(faults.ENV_FAULTS, raising=False)
-    monkeypatch.delenv(faults.ENV_FAULT_INJECT_LEGACY, raising=False)
     monkeypatch.delenv(ENV_MEMORY_BUDGET, raising=False)
     monkeypatch.delenv(ENV_RSS_LIMIT, raising=False)
     faults.reset()
@@ -277,12 +276,6 @@ class TestFaultRegistry:
         assert faults.should_fire("ddm.stale")
         assert faults.should_fire("ddm.stale")
         assert not faults.should_fire("worker.crash")
-
-    def test_legacy_env_arms_worker_crash(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_FAULT_INJECT_LEGACY, "crash")
-        assert faults.armed()
-        assert faults.is_active("worker.crash")
-        assert faults.should_fire("worker.crash")
 
     def test_arm_once_fires_exactly_once(self):
         import os

@@ -263,6 +263,16 @@ class TestStackWiring:
         cache_events = tracer.find_events("partition_cache")
         assert cache_events and "hits" in cache_events[0].attrs
 
+    def test_dhyfd_top_k_reports_its_measure_cache(self, city_relation):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            DHyFD().discover_top_k(city_relation, 5)
+        events = tracer.find_events("partition_cache")
+        assert [e.attrs["scope"] for e in events] == ["ddm", "topk_measure"]
+        assert {"hits", "misses", "shared_hits", "entries", "memory_bytes"} <= set(
+            events[1].attrs
+        )
+
     def test_dhyfd_stats_surface_ddm_cache(self, city_relation):
         result = DHyFD().discover(city_relation)
         stats = result.stats
@@ -283,11 +293,25 @@ class TestStackWiring:
         assert stats.partition_cache_misses > 0
 
     def test_partition_cache_counts_evictions(self, city_relation):
-        cache = PartitionCache(city_relation)
-        mask = attrset.add(attrset.add(attrset.EMPTY, 0), 1)
-        cache.get(mask)
-        cache.evict_level(2)
-        assert cache.evictions == 1
+        from repro.core.ddm import DynamicDataManager
+        from repro.core.result import DiscoveryStats
+        from repro.fdtree.extended import ExtendedFDTree
+
+        tree = ExtendedFDTree(city_relation.n_cols)
+        nodes = [tree.add_fd(attrset.from_attrs([1, 2]), attrset.singleton(3))]
+        tracer = Tracer()
+        with use_tracer(tracer):
+            ddm = DynamicDataManager(city_relation)
+            ddm.update(nodes)
+            ddm.update(nodes)  # replaces the first round's array
+            stats = DiscoveryStats()
+            ddm.record_telemetry(stats)
+        assert ddm.evictions == stats.partition_cache_evictions == 1
+        counters = tracer.metrics.as_dict()["counters"]
+        assert counters["partition_cache.evictions"] == 1
+        (event,) = tracer.find_events("partition_cache")
+        assert event.attrs["scope"] == "ddm"
+        assert event.attrs["evictions"] == 1
 
     def test_partition_cache_feeds_telemetry_counters(self, city_relation):
         tracer = Tracer()
