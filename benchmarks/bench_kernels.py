@@ -20,6 +20,8 @@ import sys
 import time
 from contextlib import contextmanager
 
+import numpy as np
+
 from repro.bench.tables import format_table
 from repro.core.dhyfd import DHyFD
 from repro.datasets.benchmarks import load_benchmark
@@ -67,6 +69,13 @@ def _time(fn):
     return best, result
 
 
+def _same(left, right):
+    """Two flat partitions hold the same values with the same dtypes."""
+    return all(
+        a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(left, right)
+    )
+
+
 def _record(op, py_seconds, np_seconds):
     speedup = py_seconds / np_seconds if np_seconds > 0 else float("inf")
     _rows.append([op, f"{py_seconds:.4f}", f"{np_seconds:.4f}",
@@ -79,9 +88,9 @@ def test_refine_many_speedup():
     rel = _relation()
     base = StrippedPartition.for_attribute(rel, 0)
     codes = [rel.codes(a) for a in range(1, N_COLS)]
-    py_s, py_r = _time(lambda: kernels._refine_clusters_python(codes, base.clusters))
-    np_s, np_r = _time(lambda: kernels._refine_clusters_numpy(codes, base.clusters))
-    assert py_r == np_r
+    py_s, py_r = _time(lambda: kernels._refine_clusters_python(codes, base.flat))
+    np_s, np_r = _time(lambda: kernels._refine_clusters_numpy(codes, base.flat))
+    assert _same(py_r, np_r)
     speedup = _record("refine_many", py_s, np_s)
     assert speedup >= 3.0, f"refine_many speedup only {speedup:.1f}x"
 
@@ -105,26 +114,27 @@ def test_hot_path_pipeline_speedup():
                 for j in range(i + 1, N_COLS)
             ]
             refined = singles[0].refine_many(rel, list(range(1, N_COLS)))
-        return [p.clusters for p in pairs] + [refined.clusters]
+        return pairs + [refined]
 
     py_s, py_r = _time(lambda: run("python"))
     np_s, np_r = _time(lambda: run("numpy"))
-    assert py_r == np_r
+    assert all(_same(p.flat, n.flat) for p, n in zip(py_r, np_r))
     speedup = _record("level2 pipeline", py_s, np_s)
     assert speedup >= 2.0, f"pipeline speedup only {speedup:.1f}x"
 
 
 def test_intersect_speedup():
     rel = _relation()
-    left = StrippedPartition.for_attribute(rel, 0).clusters
-    right = StrippedPartition.for_attribute(rel, 1).clusters
-    py_s, py_r = _time(
-        lambda: kernels._intersect_clusters_python(rel.n_rows, left, right)
-    )
-    np_s, np_r = _time(
-        lambda: kernels._intersect_clusters_numpy(rel.n_rows, left, right)
-    )
-    assert py_r == np_r
+    left = StrippedPartition.for_attribute(rel, 0).flat
+    right = StrippedPartition.for_attribute(rel, 1).flat
+
+    def run(impl):
+        with _forced(impl):
+            return kernels.intersect_clusters(rel.n_rows, left, right)
+
+    py_s, py_r = _time(lambda: run("python"))
+    np_s, np_r = _time(lambda: run("numpy"))
+    assert _same(py_r, np_r)
     speedup = _record("intersect", py_s, np_s)
     assert speedup >= 1.5, f"intersect speedup only {speedup:.1f}x"
 
@@ -139,7 +149,7 @@ def test_for_attrs_speedup():
 
     py_s, py_r = _time(lambda: run("python"))
     np_s, np_r = _time(lambda: run("numpy"))
-    assert py_r.clusters == np_r.clusters
+    assert _same(py_r.flat, np_r.flat)
     _record("for_attrs", py_s, np_s)
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..core.base import Deadline, DiscoveryAlgorithm
 from ..core.result import DiscoveryStats
 from ..partitions.stripped import StrippedPartition
@@ -40,15 +42,19 @@ def g3_error(relation: Relation, lhs: AttrSet, rhs_attr: int) -> float:
 def _g3_from_partition(
     relation: Relation, partition: StrippedPartition, rhs_attr: int
 ) -> float:
-    codes = relation.codes(rhs_attr)
-    removals = 0
-    for cluster in partition.clusters:
-        counts: Dict[int, int] = {}
-        for row in cluster:
-            code = int(codes[row])
-            counts[code] = counts.get(code, 0) + 1
-        removals += len(cluster) - max(counts.values())
-    return removals / relation.n_rows
+    if partition.is_key():
+        return 0.0
+    # each cluster keeps the rows of its most frequent RHS code
+    rows, offsets = partition.flat
+    cluster_ids = np.repeat(np.arange(partition.num_clusters), np.diff(offsets))
+    pairs, counts = np.unique(
+        np.stack([cluster_ids, relation.codes(rhs_attr)[rows]]),
+        axis=1,
+        return_counts=True,
+    )
+    firsts = np.flatnonzero(np.diff(pairs[0], prepend=-1))
+    kept = int(np.maximum.reduceat(counts, firsts).sum())
+    return (len(rows) - kept) / relation.n_rows
 
 
 class ApproximateTANE(DiscoveryAlgorithm):

@@ -34,39 +34,44 @@ from ..relational.attrset import AttrSet
 from ..relational.relation import Relation
 
 
-def row_sort_keys(matrix: np.ndarray) -> List[bytes]:
-    """Per-row sort keys: the row's full byte content.
+def row_sort_ranks(matrix: np.ndarray) -> np.ndarray:
+    """Each row's place in the order of full row contents.
 
-    Sorting cluster rows by whole-row content is what makes neighbours
-    likely to share long agree sets (the sorted-neighborhood method).
-    Shared between the in-process sampler and pool workers so both sort
-    identically.
+    Rows are ordered by their byte content, ties by row index.  Sorting
+    cluster rows by content is what makes neighbours likely to share
+    long agree sets (the sorted-neighborhood method).  Shared between
+    the in-process sampler and pool workers so both sort identically.
     """
-    return [row.tobytes() for row in matrix]
+    keys = [row.tobytes() for row in matrix]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[order] = np.arange(len(keys))
+    return ranks
 
 
-def sort_clusters_by_content(
-    clusters: Sequence[Sequence[int]], row_keys: Sequence[bytes]
-) -> List[np.ndarray]:
-    """Sort each cluster's rows by their full-row content keys."""
-    return [
-        np.asarray(sorted(cluster, key=lambda row: row_keys[row]), dtype=np.int64)
-        for cluster in clusters
-    ]
+def sort_clusters_by_rank(clusters: kernels.Flat, ranks: np.ndarray) -> np.ndarray:
+    """The flat ``rows`` with each cluster's rows ordered by ``ranks``."""
+    rows, offsets = clusters
+    cluster_ids = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    return rows[np.lexsort((ranks[rows], cluster_ids))]
 
 
 def window_pairs(
-    sorted_clusters: Sequence[np.ndarray], window: int
+    clusters: kernels.Flat, window: int
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """All neighbour pairs at distance ``window``, as two row arrays.
+    """All in-cluster row pairs at distance ``window``, as two row arrays.
 
-    Returns ``None`` when no cluster is long enough to yield a pair.
+    Pairs come cluster by cluster; returns ``None`` when no cluster is
+    long enough to yield one.
     """
-    rows_a = [c[:-window] for c in sorted_clusters if len(c) > window]
-    if not rows_a:
+    rows, offsets = clusters
+    if len(rows) <= window:
         return None
-    rows_b = [c[window:] for c in sorted_clusters if len(c) > window]
-    return np.concatenate(rows_a), np.concatenate(rows_b)
+    cluster_ids = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    same = cluster_ids[window:] == cluster_ids[:-window]
+    if not same.any():
+        return None
+    return rows[:-window][same], rows[window:][same]
 
 
 class SampleStats:
@@ -98,9 +103,9 @@ class AgreeSetSampler:
         self.matrix = relation.matrix()
         self._full = attrset.full_set(relation.n_cols)
         #: Per-attribute clusters with rows pre-sorted by full row content.
-        row_keys = row_sort_keys(self.matrix)
-        self._sorted_clusters: List[List[np.ndarray]] = [
-            sort_clusters_by_content(partition.clusters, row_keys)
+        ranks = row_sort_ranks(self.matrix)
+        self._sorted_clusters: List[kernels.Flat] = [
+            (sort_clusters_by_rank(partition.flat, ranks), partition.offsets)
             for partition in partitions
         ]
         #: Next window distance to run, per attribute.
@@ -135,8 +140,8 @@ class AgreeSetSampler:
     def exhausted(self) -> bool:
         """True when every cluster has been fully windowed."""
         for attr, clusters in enumerate(self._sorted_clusters):
-            window = self._windows[attr]
-            if any(len(cluster) > window for cluster in clusters):
+            _rows, offsets = clusters
+            if len(offsets) > 1 and np.diff(offsets).max() > self._windows[attr]:
                 return False
         return True
 

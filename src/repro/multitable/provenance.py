@@ -481,15 +481,13 @@ def lift_partition(
     """
     n = int(len(idx))
     members = attrset.to_list(attrs)
-    if n < 2:
-        return StrippedPartition(attrs, [], n)
-    if not members:
-        return StrippedPartition(attrs, [list(range(n))], n)
-    keys = [
-        _lift_keys(relation.column(a), idx, semantics) for a in members
-    ]
-    clusters = kernels.refine_clusters(keys, [list(range(n))])
-    return StrippedPartition(attrs, clusters, n)
+    rows, offsets = kernels.universal(n)
+    if members:
+        keys = [
+            _lift_keys(relation.column(a), idx, semantics) for a in members
+        ]
+        rows, offsets = kernels.refine_clusters(keys, (rows, offsets))
+    return StrippedPartition(attrs, rows, offsets, n)
 
 
 def lift_relation(

@@ -9,13 +9,12 @@ host-wide dataset arena (:mod:`repro.memplane.arena`; the layout is in
 :class:`concurrent.futures.ProcessPoolExecutor` whose initializer
 attaches every worker to those segments, and then ships *work items* —
 candidate ``(LHS, RHS, partition)`` triples, FD LHSs, or per-attribute
-cluster lists — batched by :func:`chunk_items` to amortize dispatch
-overhead.  Partitions travel as flat ``(rows, lengths)`` index arrays
-(:func:`repro.partitions.kernels.flatten_clusters`); workers rebuild
-them and run the exact serial primitives (``validate_fd``,
-``redundant_rows_for_lhs``, the sorted-neighborhood helpers) against
-the shared view.  Results come back tagged with their item index and
-are merged in submission order by the reducers in
+partitions — batched by :func:`chunk_items` to amortize dispatch
+overhead.  Partitions travel as their own flat ``(rows, offsets)``
+index arrays; workers wrap them and run the exact serial primitives
+(``validate_fd``, ``redundant_rows_for_lhs``, the sorted-neighborhood
+helpers) against the shared view.  Results come back tagged with their
+item index and are merged in submission order by the reducers in
 :mod:`repro.parallel.merge`, so the combined covers, stats and masks
 are byte-identical for any worker count.
 
@@ -109,10 +108,8 @@ def _validate_batch(view: SharedRelationView, payload: dict) -> list:
     from ..partitions.stripped import StrippedPartition
 
     out = []
-    for index, lhs, rhs, part_attrs, rows, lengths in payload["items"]:
-        partition = StrippedPartition.from_flat(
-            part_attrs, rows, lengths, view.n_rows
-        )
+    for index, lhs, rhs, part_attrs, rows, offsets in payload["items"]:
+        partition = StrippedPartition(part_attrs, rows, offsets, view.n_rows)
         outcome = validate_fd(view, lhs, rhs, partition)
         out.append(
             (index, outcome.valid_rhs, sorted(outcome.non_fd_lhs), outcome.comparisons)
@@ -134,17 +131,16 @@ def _redundancy_batch(view: SharedRelationView, payload: dict) -> list:
 
 
 def _sample_batch(view: SharedRelationView, payload: dict) -> list:
-    from ..core.sampling import row_sort_keys, sort_clusters_by_content, window_pairs
+    from ..core.sampling import row_sort_ranks, sort_clusters_by_rank, window_pairs
 
     matrix = view.matrix()
-    row_keys = row_sort_keys(matrix)
+    ranks = row_sort_ranks(matrix)
     full = attrset.full_set(view.n_cols)
     masks: Set[AttrSet] = set()
     comparisons = 0
-    for _attr, rows, lengths in payload["items"]:
-        clusters = kernels.unflatten_clusters(rows, lengths)
-        sorted_clusters = sort_clusters_by_content(clusters, row_keys)
-        pairs = window_pairs(sorted_clusters, window=1)
+    for _attr, rows, offsets in payload["items"]:
+        sorted_rows = sort_clusters_by_rank((rows, offsets), ranks)
+        pairs = window_pairs((sorted_rows, offsets), window=1)
         if pairs is None:
             continue
         rows_a, rows_b = pairs
@@ -441,8 +437,9 @@ def validate_level(
 
     payload_items = []
     for index, (lhs, rhs, partition) in enumerate(items):
-        rows, lengths = kernels.flatten_clusters(partition.clusters)
-        payload_items.append((index, lhs, rhs, partition.attrs, rows, lengths))
+        payload_items.append(
+            (index, lhs, rhs, partition.attrs, partition.rows, partition.offsets)
+        )
     raw = executor.run("validate", payload_items)
     results: List[Optional[ValidationResult]] = [None] * len(payload_items)
     for index, valid_rhs, non_fds, comparisons in raw:
@@ -490,10 +487,10 @@ def sample_initial(
     the merged agree-set union and comparison total are identical to
     the serial sampler's first round.
     """
-    payload_items = []
-    for attr, partition in enumerate(partitions):
-        rows, lengths = kernels.flatten_clusters(partition.clusters)
-        payload_items.append((attr, rows, lengths))
+    payload_items = [
+        (attr, partition.rows, partition.offsets)
+        for attr, partition in enumerate(partitions)
+    ]
     # One task per worker when possible: every sampling task pays a full
     # row-key computation, so fewer, larger tasks win here.
     per_task = max(1, math.ceil(len(payload_items) / max(1, executor.jobs)))

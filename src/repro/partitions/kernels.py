@@ -1,40 +1,37 @@
 """Size-dispatched kernels for the partition and agree-set hot paths.
 
-Every discovery algorithm in this library bottoms out in four array
+Every discovery algorithm in this library bottoms out in a few array
 operations: grouping rows by codes (partition construction), splitting
 existing clusters by more codes (Algorithm 5 refinement), the TANE
-partition product, and agree-set computation over row pairs.  This
-module implements each operation twice:
+partition product, the constant-per-cluster FD check, and agree-set
+computation over row pairs.
 
-* a per-row dict/loop implementation (``_*_python``), which is also the
-  reference that ``tests/test_kernels_differential.py`` compares
-  against;
-* a vectorized implementation (``_*_numpy``) over flat row-index arrays
-  (``lexsort`` grouping, ``reduceat`` reductions, ``packbits`` bitmask
-  packing) that does O(rows) work in C instead of Python.
+Partitions are flat: a ``(rows, offsets)`` pair of :data:`INDEX`
+arrays, where cluster ``i`` is ``rows[offsets[i]:offsets[i + 1]]``.
+The order is canonical: clusters sorted by their first row, rows
+ascending inside each.  Grouping is refinement of the one all-rows
+cluster, and the product refines one partition by the cluster ids of
+the other (its probe table), so refinement carries three operations.
+It and the constant check are implemented twice:
 
-Both return *identical* results: cluster lists are emitted in a
-canonical order (sorted by each cluster's first row index, with rows
-inside a cluster in ascending order, assuming ascending inputs), and
-agree sets are plain :class:`~repro.relational.attrset.AttrSet` ints.
+* per-row dict/loop code (``_*_python``), also the reference that
+  ``tests/test_kernels_differential.py`` compares against;
+* vectorized code (``_*_numpy``): one composite key per row, one value
+  sort, ``reduceat`` reductions — O(rows) work in C, not Python.
 
-Which one runs is decided per call from the size of its input.  A
-vectorized call pays a fixed 15–30 µs of array set-up, so it only wins
-once there is enough per-row work to amortize it, while DHyFD refines
-everything from huge level-1 clusters down to tiny deep ones.
-:func:`group_rows`, :func:`refine_clusters`, :func:`intersect_clusters`
-and :func:`clusters_constant_on` therefore run per-row code when their
-work is below :data:`VECTOR_MIN_WORK` and vectorized code at or above
-it.  The work is the number of input rows; for :func:`refine_clusters`
-it is rows × ``len(codes_list)``, because validation often refines a
-small cluster by several keys at once.  Measured crossovers (best of
-200 calls, 2-vCPU Intel Xeon VM): refining one cluster by one key
-per-row vs vectorized takes 3.7 vs 32 µs at 4 rows, 40 vs 45 µs at 128
-rows and 294 vs 110 µs at 1,024 rows; by three keys the crossover falls
-between 16 and 32 rows (48–96 rows × keys); grouping, intersection and
-the constant check cross over at 64–256 rows.  :func:`agree_masks` is
-faster vectorized from two row pairs up, so it and
-:func:`pairwise_agree_sets` always run vectorized.
+Both return *identical* arrays.  Which one runs is decided per call
+from its size, because a vectorized call pays a fixed 25–35 µs of array
+set-up while DHyFD refines everything from huge level-1 clusters down
+to tiny deep ones: per-row code below :data:`VECTOR_MIN_WORK` work,
+vectorized at or above it.  The work is the number of input rows, times
+``len(codes_list)`` for a refinement.  Measured crossovers (best of
+200 calls, 2-vCPU x86_64 VM): refining one cluster by one key per-row
+vs vectorized takes 8 vs 36 µs at 4 rows, 40 vs 60 µs at 192 rows and
+264 vs 61 µs at 1,024 rows; by three keys the crossover falls at
+128–192 rows, over 4-row clusters at 64–128 rows; grouping and the
+product cross over at 256–512 rows, the constant check at 64–128.
+:func:`agree_masks` is faster vectorized from two row pairs up, so it
+and :func:`pairwise_agree_sets` always run vectorized.
 
 When telemetry is enabled (:func:`repro.telemetry.current_tracer`),
 every kernel call records a ``kernels.<op>.<python|numpy>`` counter and
@@ -44,7 +41,6 @@ exactly where partition time goes.
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import Callable, List, Sequence, Set, Tuple
 
@@ -54,6 +50,12 @@ from ..relational.attrset import AttrSet
 from ..telemetry import current_tracer
 
 Cluster = List[int]
+
+#: dtype of the flat ``rows`` and ``offsets`` arrays of a partition.
+INDEX = np.int32
+
+#: A partition's clusters in flat form: ``(rows, offsets)``.
+Flat = Tuple[np.ndarray, np.ndarray]
 
 #: Work (input rows; rows × keys for refinement) at and above which the
 #: size-dispatched kernels run vectorized code instead of per-row code.
@@ -90,111 +92,23 @@ def _dispatch(op: str, work: int, numpy_impl: Callable, python_impl: Callable, *
     return _timed(op, "python", python_impl, *args)
 
 
-def _n_rows(clusters: Sequence[Cluster]) -> int:
-    return sum(map(len, clusters))
+def universal(n_rows: int) -> Flat:
+    """One cluster of all ``n_rows`` rows (none when there are fewer than 2)."""
+    if n_rows < 2:
+        return np.zeros(0, dtype=INDEX), np.zeros(1, dtype=INDEX)
+    return np.arange(n_rows, dtype=INDEX), np.array([0, n_rows], dtype=INDEX)
 
 
-def _canonical(clusters: List[Cluster]) -> List[Cluster]:
-    """Order clusters by their first row so implementations agree exactly."""
-    clusters.sort(key=lambda cluster: cluster[0])
-    return clusters
-
-
-def _flatten(
-    clusters: Sequence[Cluster], dtype=np.int64
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten cluster lists into flat (rows, cluster-ids) arrays."""
-    lengths = np.fromiter(
-        (len(c) for c in clusters), dtype=np.int64, count=len(clusters)
-    )
-    rows = np.fromiter(
-        itertools.chain.from_iterable(clusters),
-        dtype=dtype,
-        count=int(lengths.sum()),
-    )
-    cids = np.repeat(np.arange(len(clusters), dtype=dtype), lengths)
-    return rows, cids
-
-
-def flatten_clusters(
-    clusters: Sequence[Cluster],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten cluster lists into ``(rows, lengths)`` index arrays.
-
-    The compact transport format used to ship partitions to pool
-    workers: two int64 arrays instead of nested Python lists.  Inverse
-    of :func:`unflatten_clusters`.
-    """
-    lengths = np.fromiter(
-        (len(c) for c in clusters), dtype=np.int64, count=len(clusters)
-    )
-    rows = np.fromiter(
-        itertools.chain.from_iterable(clusters),
-        dtype=np.int64,
-        count=int(lengths.sum()),
-    )
-    return rows, lengths
-
-
-def unflatten_clusters(rows: np.ndarray, lengths: np.ndarray) -> List[Cluster]:
-    """Rebuild cluster lists from ``(rows, lengths)`` index arrays."""
-    clusters: List[Cluster] = []
-    start = 0
+def cluster_lists(rows: np.ndarray, offsets: np.ndarray) -> List[Cluster]:
+    """The flat form as one Python list of row indices per cluster."""
     row_list = rows.tolist()
-    for length in lengths.tolist():
-        clusters.append(row_list[start:start + length])
-        start += length
-    return clusters
+    bounds = offsets.tolist()
+    return [row_list[s:e] for s, e in zip(bounds, bounds[1:])]
 
 
-def _emit(srows: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> List[Cluster]:
-    """Slice sorted rows into clusters, already in canonical order.
-
-    Reorders the (start, end) group bounds by each group's first row —
-    groups are disjoint so first rows are unique — then does one bulk
-    ``tolist`` and cheap Python-list slicing per group.
-    """
-    if len(starts) == 0:
-        return []
-    order = np.argsort(srows[starts], kind="stable")
-    starts_list = starts[order].tolist()
-    ends_list = ends[order].tolist()
-    rows_list = srows.tolist()
-    return [rows_list[s:e] for s, e in zip(starts_list, ends_list)]
-
-
-# ----------------------------------------------------------------------
-# Grouping: all rows by one code array (π_A construction)
-# ----------------------------------------------------------------------
-
-
-def group_rows(codes: np.ndarray) -> List[Cluster]:
-    """Group all rows by ``codes``; clusters of size >= 2, canonical order."""
-    return _dispatch("group", len(codes), _group_rows_numpy, _group_rows_python, codes)
-
-
-def _group_rows_python(codes: np.ndarray) -> List[Cluster]:
-    buckets: dict = {}
-    for row in range(len(codes)):
-        code = int(codes[row])
-        bucket = buckets.get(code)
-        if bucket is None:
-            buckets[code] = [row]
-        else:
-            bucket.append(row)
-    return _canonical([b for b in buckets.values() if len(b) >= 2])
-
-
-def _group_rows_numpy(codes: np.ndarray) -> List[Cluster]:
-    if len(codes) < 2:
-        return []
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    boundaries = np.nonzero(np.diff(sorted_codes))[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(order)]))
-    keep = np.nonzero(ends - starts >= 2)[0]
-    return _emit(order, starts[keep], ends[keep])
+def _cluster_ids(offsets: np.ndarray) -> np.ndarray:
+    """The cluster id of every position of a flat ``rows`` array."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
 
 # ----------------------------------------------------------------------
@@ -202,148 +116,145 @@ def _group_rows_numpy(codes: np.ndarray) -> List[Cluster]:
 # ----------------------------------------------------------------------
 
 
+def group_rows(codes: np.ndarray) -> Flat:
+    """Group all rows by ``codes``; clusters of size >= 2, canonical order."""
+    return _dispatch(
+        "group",
+        len(codes),
+        _refine_clusters_numpy,
+        _refine_clusters_python,
+        [codes],
+        universal(len(codes)),
+    )
+
+
 def refine_clusters(
-    codes_list: Sequence[np.ndarray],
-    clusters: Sequence[Cluster],
-) -> List[Cluster]:
+    codes_list: Sequence[np.ndarray], clusters: Flat, by_source: bool = False
+) -> Flat:
     """Split every cluster by the codes of one or more attributes.
 
     Rows that end up alone are stripped; the surviving clusters come
-    back in canonical order.  ``codes_list`` may hold several code
-    arrays — the vectorized code then groups by the full key tuple in a
-    single ``lexsort`` pass instead of refining attribute by attribute.
+    back in canonical order or, with ``by_source``, grouped by the
+    cluster they came from (in input order) and canonical within each
+    group.  Several code arrays are grouped by their full key tuple in
+    one pass instead of attribute by attribute.
     """
     return _dispatch(
         "refine",
-        _n_rows(clusters) * len(codes_list),
+        len(clusters[0]) * len(codes_list),
         _refine_clusters_numpy,
         _refine_clusters_python,
         codes_list,
         clusters,
+        by_source,
     )
 
 
-def _refine_clusters_python(
-    codes_list: Sequence[np.ndarray], clusters: Sequence[Cluster]
-) -> List[Cluster]:
-    result: List[Cluster] = [list(c) for c in clusters]
-    for codes in codes_list:
-        next_clusters: List[Cluster] = []
-        for cluster in result:
-            buckets: dict = {}
-            for row in cluster:
-                code = int(codes[row])
-                bucket = buckets.get(code)
-                if bucket is None:
-                    buckets[code] = [row]
-                else:
-                    bucket.append(row)
-            next_clusters.extend(
-                bucket for bucket in buckets.values() if len(bucket) >= 2
-            )
-        result = next_clusters
-        if not result:
-            break
-    return _canonical(result)
+def intersect_clusters(n_rows: int, left: Flat, right: Flat) -> Flat:
+    """The partition product ``π_X ∩ π_Y`` of two flat partitions.
 
-
-def _refine_clusters_numpy(
-    codes_list: Sequence[np.ndarray], clusters: Sequence[Cluster]
-) -> List[Cluster]:
-    if not clusters:
-        return []
-    if not codes_list:
-        return _canonical([list(c) for c in clusters])
-    rows, cids = _flatten(clusters)
-    keys = [codes[rows] for codes in codes_list]
-    # lexsort's last key is primary: cluster id first, then the codes.
-    order = np.lexsort(tuple(keys) + (cids,))
-    srows = rows[order]
-    scids = cids[order]
-    change = scids[1:] != scids[:-1]
-    for key in keys:
-        skey = key[order]
-        change |= skey[1:] != skey[:-1]
-    boundaries = np.nonzero(change)[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(srows)]))
-    keep = np.nonzero(ends - starts >= 2)[0]
-    return _emit(srows, starts[keep], ends[keep])
-
-
-# ----------------------------------------------------------------------
-# Partition product (TANE's π_X ∩ π_Y)
-# ----------------------------------------------------------------------
-
-
-def intersect_clusters(
-    n_rows: int,
-    left: Sequence[Cluster],
-    right: Sequence[Cluster],
-) -> List[Cluster]:
-    """The probe-table partition product of two cluster lists."""
+    ``right`` is refined by the probe table of ``left``: each row's
+    ``left`` cluster id, or a code of its own for a row outside every
+    ``left`` cluster, which refinement then strips.
+    """
+    n_left = len(left[1]) - 1
+    probe = np.arange(n_left, n_left + n_rows)
+    probe[left[0]] = _cluster_ids(left[1])
     return _dispatch(
         "intersect",
-        _n_rows(left) + _n_rows(right),
-        _intersect_clusters_numpy,
-        _intersect_clusters_python,
-        n_rows,
-        left,
+        len(left[0]) + len(right[0]),
+        _refine_clusters_numpy,
+        _refine_clusters_python,
+        [probe],
         right,
     )
 
 
-def _intersect_clusters_python(
-    n_rows: int, left: Sequence[Cluster], right: Sequence[Cluster]
-) -> List[Cluster]:
-    tag = np.full(n_rows, -1, dtype=np.int64)
-    for cluster_id, cluster in enumerate(left):
-        for row in cluster:
-            tag[row] = cluster_id
-    new_clusters: List[Cluster] = []
-    for cluster in right:
-        groups: dict = {}
-        for row in cluster:
-            t = tag[row]
-            if t >= 0:
-                groups.setdefault(int(t), []).append(row)
-        for group in groups.values():
-            if len(group) >= 2:
-                new_clusters.append(group)
-    return _canonical(new_clusters)
-
-
-def _intersect_clusters_numpy(
-    n_rows: int, left: Sequence[Cluster], right: Sequence[Cluster]
-) -> List[Cluster]:
-    if not left or not right:
-        return []
-    # int32 keys make the radix sort roughly twice as cheap; fall back
-    # to int64 when the composite (cid, tag) key could overflow.
-    if n_rows < 2**31 and len(left) * len(right) < 2**31:
-        dtype = np.int32
+def _refine_clusters_python(
+    codes_list: Sequence[np.ndarray], clusters: Flat, by_source: bool = False
+) -> Flat:
+    rows, offsets = clusters
+    if len(codes_list) == 1:
+        keys = codes_list[0][rows].tolist()
     else:
-        dtype = np.int64
-    tag = np.full(n_rows, -1, dtype=dtype)
-    left_rows, left_cids = _flatten(left, dtype)
-    tag[left_rows] = left_cids
-    rows, cids = _flatten(right, dtype)
-    tags = tag[rows]
-    if tags.min(initial=0) < 0:
-        valid = tags >= 0
-        rows, cids, tags = rows[valid], cids[valid], tags[valid]
-    if len(rows) < 2:
-        return []
-    # single composite key: (cid, tag) packed into one integer.
-    key = cids * dtype(len(left)) + tags
-    order = np.argsort(key, kind="stable")
-    srows = rows[order]
+        keys = list(zip(*(codes[rows].tolist() for codes in codes_list)))
+        keys = keys or [()] * len(rows)
+    row_list = rows.tolist()
+    bounds = offsets.tolist()
+    result: List[Cluster] = []
+    for start, end in zip(bounds, bounds[1:]):
+        buckets: dict = {}
+        for row, key in zip(row_list[start:end], keys[start:end]):
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [row]
+            else:
+                bucket.append(row)
+        # buckets open in row order: canonical within the source cluster
+        result.extend(bucket for bucket in buckets.values() if len(bucket) >= 2)
+    if not by_source:
+        result.sort(key=lambda cluster: cluster[0])
+    flat_rows: Cluster = []
+    new_bounds = [0]
+    for cluster in result:
+        flat_rows += cluster
+        new_bounds.append(len(flat_rows))
+    return np.array(flat_rows, dtype=INDEX), np.array(new_bounds, dtype=INDEX)
+
+
+def _refine_clusters_numpy(
+    codes_list: Sequence[np.ndarray], clusters: Flat, by_source: bool = False
+) -> Flat:
+    rows, offsets = clusters
+    if len(rows) == 0:
+        return universal(0)
+    # One composite key per row, its cluster id and then each code as
+    # mixed-radix digits (relabelled densely where the product would
+    # overflow), so that one sort groups by the whole tuple.
+    cids = _cluster_ids(offsets)
+    key, bound = cids, len(offsets) - 1
+    for codes in codes_list:
+        values = codes[rows]
+        low = int(values.min())
+        span = int(values.max()) - low + 1
+        if bound * span > 1 << 62:
+            key = np.unique(key, return_inverse=True)[1]
+            values = np.unique(values, return_inverse=True)[1]
+            bound, low, span = len(rows), 0, len(rows)
+        key = key * span + (values - low)
+        bound *= span
+    order = _stable_order(key, bound)
     skey = key[order]
-    boundaries = np.nonzero(skey[1:] != skey[:-1])[0] + 1
+    boundaries = np.flatnonzero(skey[1:] != skey[:-1]) + 1
     starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [len(srows)]))
-    keep = np.nonzero(ends - starts >= 2)[0]
-    return _emit(srows, starts[keep], ends[keep])
+    ends = np.concatenate((boundaries, [len(skey)]))
+    keep = ends - starts >= 2
+    starts, ends = starts[keep], ends[keep]
+    srows = rows[order]
+    # Groups are disjoint, so their first rows order them canonically.
+    if by_source:
+        groups = np.lexsort((srows[starts], cids[order[starts]]))
+    else:
+        groups = np.argsort(srows[starts])
+    lengths = (ends - starts)[groups]
+    new_offsets = np.zeros(len(groups) + 1, dtype=INDEX)
+    np.cumsum(lengths, out=new_offsets[1:])
+    shift = np.repeat(starts[groups] - new_offsets[:-1], lengths)
+    return srows[np.arange(len(shift)) + shift], new_offsets
+
+
+def _stable_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """A stable sorting permutation of ``key`` (values in ``[0, bound)``).
+
+    Where ``bound`` leaves room, each position is packed into the low
+    bits of its key and the packed values are sorted: one value sort,
+    several times cheaper than ``argsort`` or ``lexsort``.
+    """
+    shift = max(1, (len(key) - 1).bit_length())
+    if bound > 1 << (62 - shift):
+        return np.argsort(key, kind="stable")
+    packed = np.sort((key << shift) | np.arange(len(key)))
+    return packed & ((1 << shift) - 1)
 
 
 # ----------------------------------------------------------------------
@@ -351,14 +262,11 @@ def _intersect_clusters_numpy(
 # ----------------------------------------------------------------------
 
 
-def clusters_constant_on(
-    codes: np.ndarray,
-    clusters: Sequence[Cluster],
-) -> bool:
+def clusters_constant_on(codes: np.ndarray, clusters: Flat) -> bool:
     """True iff every cluster holds a single code value of ``codes``."""
     return _dispatch(
         "constant",
-        _n_rows(clusters),
+        len(clusters[0]),
         _clusters_constant_on_numpy,
         _clusters_constant_on_python,
         codes,
@@ -366,28 +274,20 @@ def clusters_constant_on(
     )
 
 
-def _clusters_constant_on_python(
-    codes: np.ndarray, clusters: Sequence[Cluster]
-) -> bool:
-    for cluster in clusters:
-        first = codes[cluster[0]]
-        for row in cluster[1:]:
-            if codes[row] != first:
-                return False
-    return True
-
-
-def _clusters_constant_on_numpy(
-    codes: np.ndarray, clusters: Sequence[Cluster]
-) -> bool:
-    if not clusters:
-        return True
-    lengths = np.fromiter(
-        (len(c) for c in clusters), dtype=np.int64, count=len(clusters)
+def _clusters_constant_on_python(codes: np.ndarray, clusters: Flat) -> bool:
+    values = codes[clusters[0]].tolist()
+    bounds = clusters[1].tolist()
+    return all(
+        len(set(values[start:end])) == 1 for start, end in zip(bounds, bounds[1:])
     )
-    rows = np.concatenate([np.asarray(c, dtype=np.int64) for c in clusters])
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+
+
+def _clusters_constant_on_numpy(codes: np.ndarray, clusters: Flat) -> bool:
+    rows, offsets = clusters
+    if len(rows) == 0:
+        return True
     values = codes[rows]
+    starts = offsets[:-1]
     mins = np.minimum.reduceat(values, starts)
     maxs = np.maximum.reduceat(values, starts)
     return bool(np.all(mins == maxs))

@@ -15,13 +15,15 @@ Refinement is the primitive that makes the dynamic data manager
 possible: it derives a finer partition from a coarser one without ever
 re-touching rows outside existing clusters.
 
-All of these bottom out in :mod:`repro.partitions.kernels`, which runs
-per-row or vectorized code depending on the size of each call.
+A partition is stored flat: a ``rows`` array holding the clustered rows
+cluster after cluster, in canonical order, and an ``offsets`` array of
+cluster bounds (see :mod:`repro.partitions.kernels`, where every
+operation bottoms out and picks per-row or vectorized code by size).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List
 
 import numpy as np
 
@@ -39,61 +41,41 @@ class StrippedPartition:
 
     Attributes:
         attrs: the attribute-set bitmask ``X`` the partition refines on.
-        clusters: equivalence classes of size >= 2, as row-index lists.
+        rows: every clustered row, cluster after cluster (canonical
+            order: clusters by first row, rows ascending).
+        offsets: cluster ``i`` is ``rows[offsets[i]:offsets[i + 1]]``.
         n_rows: the number of rows of the underlying relation.
     """
 
-    __slots__ = ("attrs", "clusters", "n_rows")
+    __slots__ = ("attrs", "rows", "offsets", "n_rows")
 
-    def __init__(self, attrs: AttrSet, clusters: Sequence[Cluster], n_rows: int):
+    def __init__(
+        self, attrs: AttrSet, rows: np.ndarray, offsets: np.ndarray, n_rows: int
+    ):
+        # read-only: shared stores hand the same arrays to every caller
+        rows.flags.writeable = False
+        offsets.flags.writeable = False
         self.attrs = attrs
-        self.clusters: List[Cluster] = [list(c) for c in clusters]
+        self.rows = rows
+        self.offsets = offsets
         self.n_rows = n_rows
-
-    @classmethod
-    def _from_kernel(
-        cls, attrs: AttrSet, clusters: List[Cluster], n_rows: int
-    ) -> "StrippedPartition":
-        """Adopt freshly built cluster lists without the defensive copy."""
-        partition = cls.__new__(cls)
-        partition.attrs = attrs
-        partition.clusters = clusters
-        partition.n_rows = n_rows
-        return partition
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_flat(
-        cls,
-        attrs: AttrSet,
-        rows: np.ndarray,
-        lengths: np.ndarray,
-        n_rows: int,
-    ) -> "StrippedPartition":
-        """Rebuild a partition from its flat ``(rows, lengths)`` transport
-        form (:func:`repro.partitions.kernels.flatten_clusters`)."""
-        return cls._from_kernel(
-            attrs, kernels.unflatten_clusters(rows, lengths), n_rows
-        )
-
-    @classmethod
     def universal(cls, relation: Relation) -> "StrippedPartition":
         """``π_∅``: one cluster of all rows (empty when |r| < 2)."""
-        if relation.n_rows >= 2:
-            clusters = [list(range(relation.n_rows))]
-        else:
-            clusters = []
-        return cls._from_kernel(attrset.EMPTY, clusters, relation.n_rows)
+        n_rows = relation.n_rows
+        return cls(attrset.EMPTY, *kernels.universal(n_rows), n_rows)
 
     @classmethod
     def for_attribute(cls, relation: Relation, attr: int) -> "StrippedPartition":
         """Build ``π_A`` by grouping rows on the column's DIIS codes."""
         faults.fire("partition.build.memory", MemoryError)
-        clusters = kernels.group_rows(relation.codes(attr))
-        return cls._from_kernel(attrset.singleton(attr), clusters, relation.n_rows)
+        flat = kernels.group_rows(relation.codes(attr))
+        return cls(attrset.singleton(attr), *flat, relation.n_rows)
 
     @classmethod
     def for_attrs(cls, relation: Relation, attrs: AttrSet) -> "StrippedPartition":
@@ -103,10 +85,10 @@ class StrippedPartition:
             return cls.universal(relation)
         faults.fire("partition.build.memory", MemoryError)
         base = cls.universal(relation)
-        clusters = kernels.refine_clusters(
-            [relation.codes(attr) for attr in members], base.clusters
+        flat = kernels.refine_clusters(
+            [relation.codes(attr) for attr in members], base.flat
         )
-        return cls._from_kernel(attrs, clusters, relation.n_rows)
+        return cls(attrs, *flat, relation.n_rows)
 
     # ------------------------------------------------------------------
     # Measures
@@ -115,12 +97,12 @@ class StrippedPartition:
     @property
     def num_clusters(self) -> int:
         """``|π_X|``: the number of (non-singleton) equivalence classes."""
-        return len(self.clusters)
+        return len(self.offsets) - 1
 
     @property
     def size(self) -> int:
         """``||π_X||``: total number of tuples inside the clusters."""
-        return sum(len(c) for c in self.clusters)
+        return len(self.rows)
 
     @property
     def error(self) -> int:
@@ -129,14 +111,27 @@ class StrippedPartition:
 
     def is_key(self) -> bool:
         """True iff X uniquely identifies every row (no duplicates)."""
-        return not self.clusters
+        return len(self.rows) == 0
+
+    @property
+    def flat(self) -> kernels.Flat:
+        """``(rows, offsets)``: the form every partition kernel takes."""
+        return self.rows, self.offsets
 
     def memory_bytes(self) -> int:
-        """Rough memory footprint (row indices at 8 bytes each)."""
-        return 8 * self.size + 64 * len(self.clusters)
+        """Bytes held by the ``rows`` and ``offsets`` arrays."""
+        return self.rows.nbytes + self.offsets.nbytes
+
+    @property
+    def clusters(self) -> List[Cluster]:
+        """The clusters as row-index lists: a fresh copy, for inspection.
+
+        Built from the arrays on every access; no hot path uses it.
+        """
+        return kernels.cluster_lists(self.rows, self.offsets)
 
     def __len__(self) -> int:
-        return len(self.clusters)
+        return self.num_clusters
 
     def __iter__(self) -> Iterator[Cluster]:
         return iter(self.clusters)
@@ -153,11 +148,7 @@ class StrippedPartition:
 
     def refine(self, relation: Relation, attr: int) -> "StrippedPartition":
         """``π_XA`` from ``π_X``: split every cluster on attribute codes."""
-        faults.fire("partition.refine.memory", MemoryError)
-        clusters = kernels.refine_clusters([relation.codes(attr)], self.clusters)
-        return StrippedPartition._from_kernel(
-            attrset.add(self.attrs, attr), clusters, self.n_rows
-        )
+        return self.refine_many(relation, [attr])
 
     def refine_many(
         self, relation: Relation, attrs: Iterable[int]
@@ -167,11 +158,11 @@ class StrippedPartition:
         if not attr_list:
             return self
         faults.fire("partition.refine.memory", MemoryError)
-        clusters = kernels.refine_clusters(
-            [relation.codes(attr) for attr in attr_list], self.clusters
+        flat = kernels.refine_clusters(
+            [relation.codes(attr) for attr in attr_list], self.flat
         )
-        return StrippedPartition._from_kernel(
-            self.attrs | attrset.from_attrs(attr_list), clusters, self.n_rows
+        return StrippedPartition(
+            self.attrs | attrset.from_attrs(attr_list), *flat, self.n_rows
         )
 
     def intersect(self, other: "StrippedPartition") -> "StrippedPartition":
@@ -181,12 +172,8 @@ class StrippedPartition:
         with their cluster id in ``self``; rows of each ``other``
         cluster are then grouped by that tag.
         """
-        clusters = kernels.intersect_clusters(
-            self.n_rows, self.clusters, other.clusters
-        )
-        return StrippedPartition._from_kernel(
-            self.attrs | other.attrs, clusters, self.n_rows
-        )
+        flat = kernels.intersect_clusters(self.n_rows, self.flat, other.flat)
+        return StrippedPartition(self.attrs | other.attrs, *flat, self.n_rows)
 
     # ------------------------------------------------------------------
     # FD checks
@@ -198,5 +185,4 @@ class StrippedPartition:
         Holds exactly when every cluster of ``π_X`` is constant on the
         attribute's codes.
         """
-        return kernels.clusters_constant_on(relation.codes(attr), self.clusters)
-
+        return kernels.clusters_constant_on(relation.codes(attr), self.flat)

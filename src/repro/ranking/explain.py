@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..partitions.stripped import StrippedPartition
 from ..relational import attrset
 from ..relational.fd import FD
@@ -54,28 +56,30 @@ def explain_redundancy(
     witness per cluster is returned as a sample.
     """
     partition = StrippedPartition.for_attrs(relation, fd.lhs)
+    rows, offsets = partition.flat
+    if row is None:
+        picks = [
+            (cluster, int(rows[offsets[cluster]]))
+            for cluster in range(partition.num_clusters)
+        ]
+    else:
+        picks = [
+            (int(np.searchsorted(offsets, at, side="right")) - 1, row)
+            for at in np.flatnonzero(rows == row)
+        ]
     witnesses: List[RedundancyWitness] = []
-    for cluster in partition.clusters:
-        members = set(cluster)
-        if row is not None:
-            if row not in members:
-                continue
-            targets = [row]
-        else:
-            targets = [cluster[0]]
-        for target in targets:
-            others = tuple(r for r in cluster if r != target)[:max_witnesses]
-            for attr in attrset.iter_attrs(fd.rhs):
-                witnesses.append(
-                    RedundancyWitness(
-                        row=target,
-                        attr=attr,
-                        value=relation.value(target, attr),
-                        witness_rows=others,
-                    )
+    for cluster, target in picks:
+        members = rows[offsets[cluster]:offsets[cluster + 1]].tolist()
+        others = tuple(r for r in members if r != target)[:max_witnesses]
+        for attr in attrset.iter_attrs(fd.rhs):
+            witnesses.append(
+                RedundancyWitness(
+                    row=target,
+                    attr=attr,
+                    value=relation.value(target, attr),
+                    witness_rows=others,
                 )
-        if row is not None:
-            break
+            )
     return witnesses
 
 
@@ -90,14 +94,12 @@ def violating_pairs(
     inspection of almost-valid FDs stays cheap.
     """
     partition = StrippedPartition.for_attrs(relation, fd.lhs)
-    rhs_attrs = attrset.to_list(fd.rhs)
-    codes = [relation.codes(attr) for attr in rhs_attrs]
-    pairs: List[Tuple[int, int]] = []
-    for cluster in partition.clusters:
-        pivot = cluster[0]
-        for other in cluster[1:]:
-            if any(col[pivot] != col[other] for col in codes):
-                pairs.append((pivot, other))
-                if len(pairs) >= limit:
-                    return pairs
-    return pairs
+    rows, offsets = partition.flat
+    pivots = np.repeat(rows[offsets[:-1]], np.diff(offsets))
+    differs = np.zeros(len(rows), dtype=bool)
+    for attr in attrset.iter_attrs(fd.rhs):
+        codes = relation.codes(attr)
+        differs |= codes[rows] != codes[pivots]
+    # the first pair is always reported, even for limit < 1
+    at = np.flatnonzero(differs)[:max(limit, 1)]
+    return list(zip(pivots[at].tolist(), rows[at].tolist()))

@@ -25,7 +25,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..partitions import kernels
 from ..partitions.cache import PartitionCache
 from ..partitions.stripped import StrippedPartition
 from ..relational import attrset
@@ -64,9 +63,9 @@ def redundant_rows_for_lhs(
     values are dropped before cluster sizes are re-checked.
     """
     marked = np.zeros(relation.n_rows, dtype=bool)
-    if not partition.clusters:
+    if partition.is_key():
         return marked
-    rows, lengths = kernels.flatten_clusters(partition.clusters)
+    rows, offsets = partition.flat
     lhs_nulls = (
         _lhs_null_mask(relation, partition.attrs)
         if policy is NullPolicy.EXCLUDE_LHS_RHS
@@ -78,9 +77,8 @@ def redundant_rows_for_lhs(
     # EXCLUDE_LHS_RHS: drop null-LHS rows, then a cluster only witnesses
     # redundancy if at least two of its rows survive.
     survivors = ~lhs_nulls[rows]
-    starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
-    counts = np.add.reduceat(survivors.astype(np.int64), starts)
-    keep = survivors & np.repeat(counts >= 2, lengths)
+    counts = np.add.reduceat(survivors.astype(np.int64), offsets[:-1])
+    keep = survivors & np.repeat(counts >= 2, np.diff(offsets))
     marked[rows[keep]] = True
     return marked
 

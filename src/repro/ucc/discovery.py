@@ -160,6 +160,6 @@ def _has_duplicate_rows(
 def _find_violating_pair(relation: Relation, attrs: AttrSet):
     """Two rows agreeing on all of ``attrs`` (None if unique)."""
     partition = StrippedPartition.for_attrs(relation, attrs)
-    for cluster in partition.clusters:
-        return cluster[0], cluster[1]
-    return None
+    if partition.is_key():
+        return None
+    return int(partition.rows[0]), int(partition.rows[1])

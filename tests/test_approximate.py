@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,11 @@ from repro.algorithms import ApproximateTANE, NaiveFDDiscovery, g3_error
 from repro.datasets.synthetic import planted_fd_relation, random_relation
 from repro.relational import attrset
 from repro.relational.fd import FD
+from repro.partitions.stripped import StrippedPartition
+from repro.relational.null import NullSemantics
 from repro.relational.relation import Relation
+
+from tests.conftest import make_random_relation
 
 
 def A(*attrs):
@@ -109,3 +115,26 @@ def test_approximate_soundness_property(seed, threshold):
             attrset.is_subset(approx.lhs, fd.lhs) and approx.rhs == fd.rhs
             for approx in result.fds
         )
+
+
+def _g3_reference(relation, lhs, rhs_attr):
+    """g3 by the definition: per LHS cluster, all but the largest RHS group go."""
+    codes = relation.codes(rhs_attr)
+    removals = 0
+    for cluster in StrippedPartition.for_attrs(relation, lhs).clusters:
+        counts = {}
+        for row in cluster:
+            counts[int(codes[row])] = counts.get(int(codes[row]), 0) + 1
+        removals += len(cluster) - max(counts.values())
+    return removals / relation.n_rows
+
+
+@pytest.mark.parametrize("semantics", [NullSemantics.EQ, NullSemantics.NEQ])
+@pytest.mark.parametrize("seed", range(12))
+def test_g3_matches_definition(seed, semantics):
+    rel = make_random_relation(seed, semantics)
+    rng = random.Random(seed)
+    for _ in range(6):
+        lhs = A(*rng.sample(range(rel.n_cols), rng.randint(0, rel.n_cols - 1)))
+        rhs_attr = rng.randrange(rel.n_cols)
+        assert g3_error(rel, lhs, rhs_attr) == _g3_reference(rel, lhs, rhs_attr)

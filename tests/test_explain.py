@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
+
+from repro.partitions.stripped import StrippedPartition
 from repro.ranking.explain import (
     RedundancyWitness,
     explain_redundancy,
@@ -9,6 +14,9 @@ from repro.ranking.explain import (
 )
 from repro.relational import attrset
 from repro.relational.fd import FD
+from repro.relational.null import NullSemantics
+
+from tests.conftest import make_random_relation
 
 
 def A(*attrs):
@@ -80,3 +88,41 @@ class TestViolatingPairs:
         assert len(pairs) == 1
         left, right = pairs[0]
         assert rel.value(left, voter) == rel.value(right, voter)
+
+
+def _violating_pairs_reference(relation, fd, limit):
+    """Pivot/other pairs in cluster order, the scan ``limit`` stops."""
+    codes = [relation.codes(attr) for attr in attrset.to_list(fd.rhs)]
+    pairs = []
+    for cluster in StrippedPartition.for_attrs(relation, fd.lhs).clusters:
+        for other in cluster[1:]:
+            if any(col[cluster[0]] != col[other] for col in codes):
+                pairs.append((cluster[0], other))
+                if len(pairs) >= limit:
+                    return pairs
+    return pairs
+
+
+@pytest.mark.parametrize("semantics", [NullSemantics.EQ, NullSemantics.NEQ])
+@pytest.mark.parametrize("seed", range(12))
+def test_explanations_match_cluster_scan(seed, semantics):
+    rel = make_random_relation(seed, semantics)
+    rng = random.Random(seed)
+    for _ in range(4):
+        lhs_attrs = rng.sample(range(rel.n_cols), rng.randint(0, rel.n_cols - 1))
+        others = [a for a in range(rel.n_cols) if a not in lhs_attrs]
+        lhs = A(*lhs_attrs)
+        fd = FD(lhs, A(rng.choice(others)))
+        for limit in (1, 3, 1000):
+            assert violating_pairs(rel, fd, limit) == _violating_pairs_reference(
+                rel, fd, limit
+            )
+        clusters = StrippedPartition.for_attrs(rel, lhs).clusters
+        sampled = explain_redundancy(rel, fd, max_witnesses=3)
+        assert [w.row for w in sampled] == [c[0] for c in clusters]
+        row = rng.randrange(rel.n_rows)
+        home = [c for c in clusters if row in c]
+        witnesses = explain_redundancy(rel, fd, row=row, max_witnesses=3)
+        assert [w.witness_rows for w in witnesses] == [
+            tuple(r for r in c if r != row)[:3] for c in home
+        ]

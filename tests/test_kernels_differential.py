@@ -6,9 +6,9 @@ semantics, plus hand-built edge cases: the empty relation, a single
 row, all-duplicate rows, and relations whose partitions are exclusively
 single-row (stripped) clusters.  Each comparison runs once with
 ``kernels.VECTOR_MIN_WORK`` forcing the per-row code and once forcing
-the vectorized code; both must return *identical* structures — same
-cluster lists in the same canonical order, same agree sets, same
-validation outcomes, and byte-identical FD covers from a full DHyFD
+the vectorized code; both must return *identical* structures — the
+same flat ``(rows, offsets)`` arrays, same agree sets, same validation
+outcomes, and byte-identical FD covers from a full DHyFD
 run.  The always-vectorized agree-set kernels are compared with their
 per-row ``_*_python`` references directly.
 """
@@ -35,6 +35,13 @@ from tests.conftest import in_both_kernel_modes, make_random_relation
 
 SEEDS = list(range(12))
 SEMANTICS = [NullSemantics.EQ, NullSemantics.NEQ]
+
+
+def _same(left, right):
+    """Two flat partitions hold the same values with the same dtypes."""
+    return all(
+        a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(left, right)
+    )
 
 
 def edge_case_relations(semantics):
@@ -64,7 +71,7 @@ class TestPartitionKernels:
             py, np_ = in_both_kernel_modes(
                 lambda: StrippedPartition.for_attrs(rel, mask)
             )
-            assert py.clusters == np_.clusters
+            assert _same(py.flat, np_.flat)
             assert py.attrs == np_.attrs
 
     def test_refine_identical(self, seed, semantics):
@@ -75,11 +82,11 @@ class TestPartitionKernels:
         py_base, np_base = in_both_kernel_modes(
             lambda: StrippedPartition.for_attribute(rel, attr)
         )
-        assert py_base.clusters == np_base.clusters
+        assert _same(py_base.flat, np_base.flat)
         py, np_ = in_both_kernel_modes(
             lambda: StrippedPartition.for_attribute(rel, attr).refine(rel, other)
         )
-        assert py.clusters == np_.clusters
+        assert _same(py.flat, np_.flat)
 
     def test_refine_many_identical(self, seed, semantics):
         rel = make_random_relation(seed, semantics)
@@ -88,7 +95,7 @@ class TestPartitionKernels:
         py, np_ = in_both_kernel_modes(
             lambda: universal.refine_many(rel, attrs)
         )
-        assert py.clusters == np_.clusters
+        assert _same(py.flat, np_.flat)
 
     def test_intersect_identical(self, seed, semantics):
         rel = make_random_relation(seed, semantics)
@@ -103,12 +110,31 @@ class TestPartitionKernels:
             return left.intersect(right)
 
         py, np_ = in_both_kernel_modes(product)
-        assert py.clusters == np_.clusters
+        assert _same(py.flat, np_.flat)
         # and both match direct construction of the union partition
         direct = StrippedPartition.for_attrs(rel, left_mask | right_mask)
         assert {frozenset(c) for c in py.clusters} == {
             frozenset(c) for c in direct.clusters
         }
+
+    def test_refine_by_source_identical(self, seed, semantics):
+        """Grouped by source cluster: each source refined on its own."""
+        rel = make_random_relation(seed, semantics)
+        rng = random.Random(seed + 4)
+        base = StrippedPartition.for_attribute(rel, rng.randrange(rel.n_cols))
+        codes = [rel.codes(a) for a in rng.sample(range(rel.n_cols), 1)]
+        py, np_ = in_both_kernel_modes(
+            lambda: kernels.refine_clusters(codes, base.flat, by_source=True)
+        )
+        assert _same(py, np_)
+        expected = []
+        for cluster in base.clusters:
+            single = (
+                np.array(cluster, dtype=kernels.INDEX),
+                np.array([0, len(cluster)], dtype=kernels.INDEX),
+            )
+            expected += kernels.cluster_lists(*kernels.refine_clusters(codes, single))
+        assert kernels.cluster_lists(*py) == expected
 
     def test_refines_attribute_identical(self, seed, semantics):
         rel = make_random_relation(seed, semantics)
@@ -184,7 +210,7 @@ def test_edge_cases(semantics):
         py, np_ = in_both_kernel_modes(
             lambda: StrippedPartition.for_attrs(rel, mask)
         )
-        assert py.clusters == np_.clusters
+        assert _same(py.flat, np_.flat)
         assert kernels._pairwise_agree_sets_python(
             rel.matrix()
         ) == kernels.pairwise_agree_sets(rel.matrix())
@@ -219,8 +245,10 @@ def test_refine_dispatch_at_threshold(n_keys, at_threshold):
     assert (n_rows * n_keys >= kernels.VECTOR_MIN_WORK) is at_threshold
     rng = np.random.default_rng(n_keys)
     codes_list = [rng.integers(0, 3, size=n_rows) for _ in range(n_keys)]
-    half = n_rows // 2
-    clusters = [list(range(half)), list(range(half, n_rows))]
+    clusters = (
+        np.arange(n_rows, dtype=kernels.INDEX),
+        np.array([0, n_rows // 2, n_rows], dtype=kernels.INDEX),
+    )
     tracer = Tracer()
     with use_tracer(tracer):
         dispatched = kernels.refine_clusters(codes_list, clusters)
@@ -228,4 +256,32 @@ def test_refine_dispatch_at_threshold(n_keys, at_threshold):
     assert tracer.metrics.counters[f"kernels.refine.{chosen}.calls"].value == 1
     per_row = kernels._refine_clusters_python(codes_list, clusters)
     vectorized = kernels._refine_clusters_numpy(codes_list, clusters)
-    assert dispatched == per_row == vectorized
+    for rows, offsets in (dispatched, per_row, vectorized):
+        assert rows.dtype == offsets.dtype == kernels.INDEX
+    assert _same(dispatched, per_row) and _same(per_row, vectorized)
+
+
+@pytest.mark.parametrize("by_source", [False, True])
+@pytest.mark.parametrize("n_keys", [1, 3])
+def test_refine_wide_code_ranges(n_keys, by_source):
+    """Codes spanning more than a composite key can hold, negative ones too.
+
+    The vectorized code falls back from its packed sort (one key) and
+    relabels keys densely (three keys); the per-row code never looks
+    at magnitudes.
+    """
+    rng = np.random.default_rng(5)
+    n_rows = 300
+    codes_list = [
+        rng.integers(-2, 3, size=n_rows) * 2**55,
+        rng.integers(0, 2, size=n_rows) * 2**61 - 7,
+        rng.integers(0, 3, size=n_rows),
+    ][:n_keys]
+    clusters = (
+        np.arange(n_rows, dtype=kernels.INDEX),
+        np.array([0, 50, 51, 180, n_rows], dtype=kernels.INDEX),
+    )
+    per_row = kernels._refine_clusters_python(codes_list, clusters, by_source)
+    vectorized = kernels._refine_clusters_numpy(codes_list, clusters, by_source)
+    assert _same(per_row, vectorized)
+    assert len(per_row[1]) > 4

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +67,15 @@ class TestMeasures:
         partition = StrippedPartition.for_attribute(city_relation, 2)
         assert partition.memory_bytes() > 0
 
+    def test_flat_arrays_exact_bytes_read_only(self, city_relation):
+        partition = StrippedPartition.for_attribute(city_relation, 1)
+        rows, offsets = partition.flat
+        assert rows.dtype == offsets.dtype == kernels.INDEX
+        assert partition.size == len(rows) == offsets[-1]
+        assert partition.memory_bytes() == rows.nbytes + offsets.nbytes
+        with pytest.raises(ValueError):
+            rows[0] = 5
+
     def test_iter_and_len(self, city_relation):
         partition = StrippedPartition.for_attribute(city_relation, 1)
         assert len(partition) == 2
@@ -84,8 +94,10 @@ class TestRefinement:
 
     def test_refine_cluster_helper(self, city_relation):
         codes = city_relation.codes(1)
-        split = kernels.refine_clusters([codes], [[0, 1, 2]])
-        assert {frozenset(c) for c in split} == {frozenset({0, 1})}
+        rows = np.array([0, 1, 2], dtype=kernels.INDEX)
+        offsets = np.array([0, 3], dtype=kernels.INDEX)
+        split = kernels.refine_clusters([codes], (rows, offsets))
+        assert kernels.cluster_lists(*split) == [[0, 1]]
 
     def test_refine_many(self, city_relation):
         base = StrippedPartition.universal(city_relation)
