@@ -7,6 +7,12 @@ uploads a benchmark replica over HTTP, runs discover + rank with
 byte-identical to a direct in-process ``discover()`` — plus that the
 repeat request was served from the result store.
 
+A second phase boots ``serve`` with ``--store-dir`` and
+``--dataset-dir``, uploads a named dataset, declares a schema and
+discovers, then SIGTERMs and reboots it: the name must still resolve,
+the schema must still be listed, and a repeat discover must be a store
+hit with a byte-identical cover.
+
 Run directly (CI runs this as a dedicated leg)::
 
     PYTHONPATH=src python benchmarks/smoke_service.py
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import tempfile
 import time
 
 from repro.algorithms.registry import make_algorithm
@@ -28,10 +35,10 @@ ROWS = 60
 CONFIG = {"algorithm": "dhyfd", "jobs": 2, "memory_budget": "256m"}
 
 
-def boot_server():
-    """Start ``repro serve --port 0`` and parse the bound URL."""
+def boot_server(*extra):
+    """Start ``repro serve --port 0 [extra...]`` and parse the bound URL."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0", "--max-workers", "2"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--max-workers", "2", *extra],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -79,13 +86,59 @@ def main() -> int:
         assert counters["service.discovery.runs"] == 1, counters
         print("metrics: exactly 1 discovery run for 2 requests — OK")
     finally:
-        proc.terminate()
-        try:
-            proc.wait(timeout=10.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+        stop_server(proc)
+    restart_phase(relation, expected)
     print("service smoke test passed")
     return 0
+
+
+def stop_server(proc) -> int:
+    """SIGTERM (graceful drain) and wait; returns the exit code."""
+    proc.terminate()
+    try:
+        return proc.wait(timeout=30.0)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        raise SystemExit("server did not exit within 30s of SIGTERM")
+
+
+def restart_phase(relation, expected: str) -> None:
+    """Names, schemas and covers survive a SIGTERM restart of one
+    persisted ``serve``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = ("--store-dir", f"{tmp}/store", "--dataset-dir", f"{tmp}/datasets")
+        proc, url = boot_server(*dirs)
+        try:
+            client = ServiceClient(url, timeout=120.0)
+            client.upload_rows(relation.schema.names, list(relation.iter_rows()), name=DATASET)
+            client.register_schema("smoke", {"t": DATASET})
+            status = client.discover(DATASET, config=dict(CONFIG))
+            assert status["status"] == "done", status
+            result = ServiceClient.result_from_status(status)
+            assert cover_to_json(result.fds, result.schema) == expected
+        finally:
+            rc = stop_server(proc)
+        assert rc == 0, f"SIGTERM exit code {rc}"
+        print("restart: persisted serve stopped cleanly")
+
+        proc, url = boot_server(*dirs)
+        try:
+            client = ServiceClient(url, timeout=120.0)
+            assert DATASET in [d["name"] for d in client.datasets()], client.datasets()
+            assert "smoke" in [s["name"] for s in client.schemas()], client.schemas()
+            hits = client.metrics()["counters"].get("service.store.hits", 0)
+            status = client.discover(DATASET, config=dict(CONFIG))
+            assert status["status"] == "done", status
+            result = ServiceClient.result_from_status(status)
+            assert cover_to_json(result.fds, result.schema) == expected, (
+                "cover after restart differs"
+            )
+            counters = client.metrics()["counters"]
+            assert counters.get("service.store.hits", 0) > hits, counters
+            assert counters.get("service.discovery.runs", 0) == 0, counters
+        finally:
+            stop_server(proc)
+        print("restart: name resolves, schema listed, repeat discover is a store hit")
 
 
 if __name__ == "__main__":

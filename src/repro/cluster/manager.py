@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..memplane import arena as _arena
-from ..service.journal import atomic_write_text
+from ..service.keyed import atomic_write_text
 
 #: Replica lifecycle states (mirrored into ``replicas.json``).
 STARTING = "starting"

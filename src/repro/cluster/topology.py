@@ -31,7 +31,7 @@ import threading
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from ..service.journal import atomic_write_text
+from ..service.keyed import atomic_write_text
 
 #: Version tag for the persisted routing-table file format.
 _ROUTES_FORMAT = "repro-fd-routes"

@@ -2,11 +2,14 @@
 
 The serving layer over the whole stack: datasets are loaded once into
 a content-fingerprint-keyed :class:`DatasetRegistry`, finished covers
-are cached in a :class:`ResultStore` (JSON-persisted, migrated across
-appends by synergized induction), and discovery runs are sequenced by
-a priority-aware, bounded :class:`JobScheduler`.  :class:`FDService`
-composes the three; :mod:`repro.service.server` exposes them over a
-stdlib-only HTTP API and :class:`ServiceClient` consumes it.
+are cached in a :class:`ResultStore` (migrated across appends by
+synergized induction), multi-table schemas live in a
+:class:`SchemaIndex`, and discovery runs are sequenced by a
+priority-aware, bounded :class:`JobScheduler`.  The registry, store and
+schema index are thin views over one keyed, JSON-persisted map
+(:mod:`repro.service.keyed`).  :class:`FDService` composes them;
+:mod:`repro.service.server` exposes them over a stdlib-only HTTP API
+and :class:`ServiceClient` consumes it.
 
 In process::
 

@@ -44,9 +44,9 @@ from ..multitable.provenance import attribute_tables, build_provenance, lift_rel
 from ..telemetry import MetricsRegistry, Tracer, trace_summary, use_tracer
 from .config import ConfigError, JobConfig
 from .journal import WAL_FILENAME, JobJournal
-from .registry import DatasetEntry, DatasetRegistry, UnknownDatasetError
+from .registry import DatasetEntry, DatasetRegistry
 from .scheduler import Job, JobCancelled, JobScheduler
-from .schemas import SchemaEntry, SchemaIndex, UnknownSchemaError
+from .schemas import SchemaEntry, SchemaIndex
 from .store import ResultStore
 
 
@@ -151,26 +151,12 @@ class FDService:
         self.recovery: Dict[str, int] = {}
         if recover and self.journal is not None:
             self.recovery = self.scheduler.recover(
-                dataset_ok=self._dataset_known, result_for=self._stored_result
+                dataset_ok=self._dataset_known, result_for=self.store.get
             )
 
     def _dataset_known(self, fingerprint: str) -> bool:
         """A recovered job's target still exists (dataset *or* schema)."""
-        try:
-            self.registry.resolve(fingerprint)
-            return True
-        except UnknownDatasetError:
-            pass
-        try:
-            self.schemas.resolve(fingerprint)
-            return True
-        except UnknownSchemaError:
-            return False
-
-    def _stored_result(
-        self, fingerprint: str, config: JobConfig
-    ) -> Optional[DiscoveryResult]:
-        return self.store.get(fingerprint, config)
+        return fingerprint in self.registry or fingerprint in self.schemas
 
     def _count(self, name: str, amount: int = 1) -> None:
         """Thread-safe counter increment on the service metrics registry."""

@@ -49,50 +49,13 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
 from ..resilience import faults
-from .store import _noop_count
+from .keyed import _noop_count, fsync_dir
 
 #: ``jobs.wal`` frame header: crc32(payload), len(payload).
 _HEADER = struct.Struct("<II")
 
 #: Default WAL filename under a service's ``--store-dir``.
 WAL_FILENAME = "jobs.wal"
-
-# ----------------------------------------------------------------------
-# Crash-consistent file replacement (shared by every persistence path)
-# ----------------------------------------------------------------------
-
-
-def fsync_dir(path: Union[str, Path]) -> None:
-    """fsync a directory so a rename inside it survives a power cut."""
-    try:
-        fd = os.open(str(path), os.O_RDONLY)
-    except OSError:
-        return  # e.g. platforms without directory fds — best effort
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def atomic_write_text(path: Union[str, Path], text: str) -> None:
-    """Durably replace ``path`` with ``text``.
-
-    Write to a sibling tmp file, flush + fsync it, ``os.replace`` over
-    the target, then fsync the parent directory — the sequence that
-    guarantees a reader after a crash sees either the old file or the
-    complete new one, never a torn or empty JSON document.
-    """
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, target)
-    fsync_dir(target.parent)
-
 
 # ----------------------------------------------------------------------
 # Replayed job state

@@ -17,16 +17,16 @@ to the new one by synergized induction — see
 
 from __future__ import annotations
 
-import json
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
+from ..memplane import arena
 from ..relational.null import is_null
 from ..relational.relation import Relation
-from .store import ResultStore, _noop_count
+from .keyed import KeyedStore, NamedView, _noop_count
+from .store import ResultStore
 
 
 class UnknownDatasetError(KeyError):
@@ -61,7 +61,7 @@ class DatasetEntry:
         }
 
 
-class DatasetRegistry:
+class DatasetRegistry(NamedView):
     """Thread-safe fingerprint-keyed collection of datasets."""
 
     def __init__(
@@ -79,19 +79,17 @@ class DatasetRegistry:
                 replica still owns its shard's datasets (None keeps
                 the registry in-memory — the single-process default).
         """
-        self._lock = threading.RLock()
-        self._by_fingerprint: Dict[str, DatasetEntry] = {}
-        self._by_name: Dict[str, str] = {}
         self._store = store
         self._count = count
-        self.persist_dir = Path(persist_dir) if persist_dir is not None else None
-        if self.persist_dir is not None:
-            self.persist_dir.mkdir(parents=True, exist_ok=True)
-            self._load()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._by_fingerprint)
+        self._entries: KeyedStore[str, DatasetEntry] = KeyedStore(
+            "repro-fd-dataset",
+            "service.registry",
+            _encode,
+            _decode,
+            persist_dir=persist_dir,
+            count=count,
+            missing=UnknownDatasetError,
+        )
 
     def register(self, relation: Relation, name: Optional[str] = None) -> DatasetEntry:
         """Add a relation (idempotent: same content ⇒ same entry).
@@ -99,36 +97,13 @@ class DatasetRegistry:
         A re-upload of known content refreshes the name alias but keeps
         the existing entry, so cached covers are shared across callers.
         """
-        fingerprint = relation.fingerprint()
-        with self._lock:
-            entry = self._by_fingerprint.get(fingerprint)
-            if entry is None:
-                entry = DatasetEntry(fingerprint, relation, name=name)
-                self._by_fingerprint[fingerprint] = entry
-                self._count("service.registry.registered")
-                self._persist(entry)
-                self._arena_ingest(relation)
-            else:
-                self._count("service.registry.duplicate_uploads")
-                if name and not entry.name:
-                    entry.name = name
-            if name:
-                self._by_name[name] = fingerprint
-            return entry
-
-    def resolve(self, ref: str) -> str:
-        """Normalize a name or fingerprint to a fingerprint."""
-        with self._lock:
-            if ref in self._by_name:
-                return self._by_name[ref]
-            if ref in self._by_fingerprint:
-                return ref
-        raise UnknownDatasetError(ref)
-
-    def get(self, ref: str) -> DatasetEntry:
-        """Look up a dataset by name or fingerprint."""
-        with self._lock:
-            return self._by_fingerprint[self.resolve(ref)]
+        entry, created = self._add(
+            DatasetEntry(relation.fingerprint(), relation, name=name),
+            "service.registry.registered",
+        )
+        if not created:
+            self._count("service.registry.duplicate_uploads")
+        return entry
 
     def append(self, ref: str, rows: Sequence[Sequence[object]]) -> DatasetEntry:
         """Append rows to a dataset, producing (and returning) a new version.
@@ -142,31 +117,22 @@ class DatasetRegistry:
         """
         old = self.get(ref)
         rows = [list(row) for row in rows]
-        new_relation = old.relation.append_rows(rows)
-        with self._lock:
-            entry = self._by_fingerprint.get(new_relation.fingerprint())
-            if entry is None:
-                entry = DatasetEntry(
-                    new_relation.fingerprint(),
-                    new_relation,
-                    name=old.name,
-                    parent=old.fingerprint,
-                )
-                self._by_fingerprint[entry.fingerprint] = entry
-                self._count("service.registry.appends")
-                self._persist(entry)
-                self._arena_ingest(new_relation, parent=old.fingerprint)
-            if old.name:
-                self._by_name[old.name] = entry.fingerprint
+        relation = old.relation.append_rows(rows)
+        new = DatasetEntry(
+            relation.fingerprint(), relation, name=old.name, parent=old.fingerprint
+        )
+        entry, _ = self._add(new, "service.registry.appends")
         if self._store is not None and rows:
             self._store.update_for_append(
                 old.fingerprint, old.relation, rows, entry.fingerprint
             )
         return entry
 
-    def _arena_ingest(self, relation: Relation, parent: Optional[str] = None) -> None:
-        """Materialize a registered dataset in the memplane (best-effort).
+    def _add(self, entry: DatasetEntry, counter: str) -> Tuple[DatasetEntry, bool]:
+        """Register ``entry`` unless its content is known; returns the
+        registered entry and whether it is new.
 
+        A new entry is materialized in the memplane (best-effort).
         Registration is the natural ingest point: every later job on
         this replica — and every worker pool it spawns — attaches to
         the one arena copy instead of paying per-job copy-in.  Appends
@@ -174,92 +140,47 @@ class DatasetRegistry:
         arena failure is swallowed: the registry must work with the
         arena broken.
         """
-        try:
-            from ..memplane import arena
-
-            if arena.get_arena().ingest(relation, parent_fingerprint=parent):
-                self._count("service.registry.arena_ingests")
-        except Exception:
-            self._count("service.registry.arena_errors")
-
-    def list(self) -> List[Dict[str, object]]:
-        """Summaries of every registered dataset version."""
-        with self._lock:
-            entries = sorted(
-                self._by_fingerprint.values(), key=lambda e: e.registered_at
-            )
-            return [entry.describe() for entry in entries]
-
-    # ------------------------------------------------------------------
-    # Persistence (replica restarts — see repro.cluster)
-    # ------------------------------------------------------------------
-
-    def _persist(self, entry: DatasetEntry) -> None:
-        """Mirror one dataset version to its JSON file (best-effort).
-
-        In-process registrations may hold values JSON cannot encode;
-        those datasets simply stay memory-only (counted, not fatal) —
-        every HTTP upload is JSON-clean by construction.
-        """
-        if self.persist_dir is None:
-            return
-        relation = entry.relation
-        rows = [
-            [None if is_null(value) else value for value in row]
-            for row in relation.iter_rows()
-        ]
-        payload = {
-            "format": "repro-fd-dataset",
-            "version": 1,
-            "fingerprint": entry.fingerprint,
-            "name": entry.name,
-            "parent": entry.parent,
-            "registered_at": entry.registered_at,
-            "semantics": relation.semantics.value,
-            "columns": relation.schema.names,
-            "rows": rows,
-        }
-        try:
-            text = json.dumps(payload)
-        except (TypeError, ValueError):
-            self._count("service.registry.persist_skipped")
-            return
-        from .journal import atomic_write_text
-
-        path = self.persist_dir / f"{entry.fingerprint[:32]}.json"
-        atomic_write_text(path, text + "\n")
-
-    def _load(self) -> None:
-        """Reload persisted datasets, oldest first so name aliases land
-        on the latest version; content is verified against the recorded
-        fingerprint and mismatches are skipped, never trusted."""
-        loaded = []
-        for path in sorted(self.persist_dir.glob("*.json")):
+        entry, created = self._entries.register(entry.fingerprint, entry, entry.name)
+        if created:
+            self._count(counter)
             try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                if payload.get("format") != "repro-fd-dataset":
-                    continue
-                relation = Relation.from_rows(
-                    payload["rows"],
-                    schema=list(payload["columns"]),
-                    semantics=payload.get("semantics", "eq"),
-                )
-                if relation.fingerprint() != payload["fingerprint"]:
-                    raise ValueError("fingerprint mismatch")
-                loaded.append(
-                    DatasetEntry(
-                        payload["fingerprint"],
-                        relation,
-                        name=payload.get("name"),
-                        registered_at=float(payload.get("registered_at") or 0.0),
-                        parent=payload.get("parent"),
-                    )
-                )
-            except (ValueError, KeyError, TypeError, OSError):
-                self._count("service.registry.load_errors")
-                continue
-        for entry in sorted(loaded, key=lambda e: e.registered_at):
-            self._by_fingerprint[entry.fingerprint] = entry
-            if entry.name:
-                self._by_name[entry.name] = entry.fingerprint
-        self._count("service.registry.loaded", len(loaded))
+                if arena.get_arena().ingest(entry.relation, parent_fingerprint=entry.parent):
+                    self._count("service.registry.arena_ingests")
+            except Exception:
+                self._count("service.registry.arena_errors")
+        return entry, created
+
+
+# ----------------------------------------------------------------------
+# Persisted form (replica restarts — see repro.cluster)
+# ----------------------------------------------------------------------
+
+
+def _encode(fingerprint: str, entry: DatasetEntry) -> Dict[str, object]:
+    return {
+        **entry.describe(),
+        "registered_at": entry.registered_at,
+        "rows": [
+            [None if is_null(value) else value for value in row]
+            for row in entry.relation.iter_rows()
+        ],
+    }
+
+
+def _decode(payload: Dict[str, object]) -> Tuple[str, DatasetEntry]:
+    """Rebuild a dataset, verified against its recorded fingerprint."""
+    relation = Relation.from_rows(
+        payload["rows"],
+        schema=list(payload["columns"]),
+        semantics=payload.get("semantics", "eq"),
+    )
+    fingerprint = payload["fingerprint"]
+    if relation.fingerprint() != fingerprint:
+        raise ValueError("fingerprint mismatch")
+    return fingerprint, DatasetEntry(
+        fingerprint,
+        relation,
+        name=payload.get("name"),
+        registered_at=float(payload.get("registered_at") or 0.0),
+        parent=payload.get("parent"),
+    )

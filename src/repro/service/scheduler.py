@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional
 from ..core.result import DiscoveryResult
 from ..resilience import faults
 from .config import JobConfig
-from .store import _noop_count
+from .keyed import _noop_count
 
 #: Job lifecycle states.
 QUEUED = "queued"

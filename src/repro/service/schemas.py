@@ -17,16 +17,14 @@ still answers ``/multitable`` jobs for its shard.
 
 from __future__ import annotations
 
-import json
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..multitable.schema import SchemaGraph
-from .registry import DatasetRegistry, UnknownDatasetError
-from .store import _noop_count
+from .keyed import KeyedStore, NamedView, _noop_count
+from .registry import DatasetRegistry
 
 
 class UnknownSchemaError(KeyError):
@@ -61,7 +59,7 @@ class SchemaEntry:
         return payload
 
 
-class SchemaIndex:
+class SchemaIndex(NamedView):
     """Thread-safe fingerprint-keyed collection of schema graphs."""
 
     def __init__(
@@ -77,19 +75,17 @@ class SchemaIndex:
                 and reload on construction (requires the registry to be
                 loaded first — schemas reference its datasets).
         """
-        self._lock = threading.RLock()
         self._registry = registry
         self._count = count
-        self._by_fingerprint: Dict[str, SchemaEntry] = {}
-        self._by_name: Dict[str, str] = {}
-        self.persist_dir = Path(persist_dir) if persist_dir is not None else None
-        if self.persist_dir is not None:
-            self.persist_dir.mkdir(parents=True, exist_ok=True)
-            self._load()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._by_fingerprint)
+        self._entries: KeyedStore[str, SchemaEntry] = KeyedStore(
+            "repro-fd-schema",
+            "service.schemas",
+            _encode,
+            self._decode,
+            persist_dir=persist_dir,
+            count=count,
+            missing=UnknownSchemaError,
+        )
 
     def register(
         self,
@@ -117,148 +113,74 @@ class SchemaIndex:
         """
         if not tables:
             raise ValueError("a schema needs at least one table")
-        keys = dict(keys or {})
+        entry = self._build(tables, keys, foreign_keys, require_inclusion, infer_fks)
+        entry.name = name
+        entry, created = self._entries.register(entry.fingerprint, entry, name)
+        if created:
+            self._count("service.schemas.registered")
+        else:
+            self._count("service.schemas.duplicate_registrations")
+        return entry
+
+    def _build(
+        self,
+        tables: Dict[str, str],
+        keys: Optional[Dict[str, Sequence[str]]],
+        foreign_keys: Optional[Sequence[Dict[str, object]]],
+        require_inclusion: bool,
+        infer_fks: bool,
+    ) -> SchemaEntry:
+        """Build the graph over registered datasets; each table binds to
+        its dataset's fingerprint (refs may be names or fingerprints)."""
+        keys = {t: list(k) for t, k in dict(keys or {}).items()}
         resolved: Dict[str, str] = {}
         graph = SchemaGraph()
         for table_name in sorted(tables):
-            fingerprint = self._registry.resolve(str(tables[table_name]))
-            resolved[table_name] = fingerprint
-            graph.add_table(
-                table_name,
-                self._registry.get(fingerprint).relation,
-                key=keys.get(table_name),
-            )
+            dataset = self._registry.get(str(tables[table_name]))
+            resolved[table_name] = dataset.fingerprint
+            graph.add_table(table_name, dataset.relation, key=keys.get(table_name))
         for fk in foreign_keys or ():
             graph.add_foreign_key(
                 str(fk["child"]),
                 [str(c) for c in fk["child_columns"]],
                 str(fk["parent"]),
-                (
-                    [str(c) for c in fk["parent_columns"]]
-                    if fk.get("parent_columns")
-                    else None
-                ),
+                [str(c) for c in fk.get("parent_columns") or ()] or None,
                 require_inclusion=require_inclusion,
             )
         if infer_fks:
             graph.infer_foreign_keys()
-        entry = SchemaEntry(
-            fingerprint=graph.fingerprint(),
-            graph=graph,
-            tables=resolved,
-            keys={t: list(k) for t, k in keys.items()},
-            name=name,
-            inferred_fks=bool(infer_fks),
+        return SchemaEntry(
+            graph.fingerprint(), graph, resolved, keys, inferred_fks=bool(infer_fks)
         )
-        with self._lock:
-            existing = self._by_fingerprint.get(entry.fingerprint)
-            if existing is None:
-                self._by_fingerprint[entry.fingerprint] = entry
-                self._count("service.schemas.registered")
-                self._persist(entry)
-            else:
-                self._count("service.schemas.duplicate_registrations")
-                if name and not existing.name:
-                    existing.name = name
-                entry = existing
-            if name:
-                self._by_name[name] = entry.fingerprint
-            return entry
 
-    def resolve(self, ref: str) -> str:
-        """Normalize a schema name or fingerprint to a fingerprint."""
-        with self._lock:
-            if ref in self._by_name:
-                return self._by_name[ref]
-            if ref in self._by_fingerprint:
-                return ref
-        raise UnknownSchemaError(ref)
+    def _decode(self, payload: Dict[str, object]) -> Tuple[str, SchemaEntry]:
+        """Rebuild a persisted schema from the (already loaded) registry.
 
-    def get(self, ref: str) -> SchemaEntry:
-        """Look up a schema by name or fingerprint."""
-        with self._lock:
-            return self._by_fingerprint[self.resolve(ref)]
-
-    def list(self) -> List[Dict[str, object]]:
-        """Summaries of every registered schema."""
-        with self._lock:
-            entries = sorted(
-                self._by_fingerprint.values(), key=lambda e: e.registered_at
-            )
-            return [entry.describe() for entry in entries]
-
-    # ------------------------------------------------------------------
-    # Persistence (replica restarts — mirrors DatasetRegistry)
-    # ------------------------------------------------------------------
-
-    def _persist(self, entry: SchemaEntry) -> None:
-        if self.persist_dir is None:
-            return
-        payload = {
-            "format": "repro-fd-schema",
-            "version": 1,
-            "fingerprint": entry.fingerprint,
-            "name": entry.name,
-            "registered_at": entry.registered_at,
-            "tables": entry.tables,
-            "keys": entry.keys,
-            "foreign_keys": [fk.to_payload() for fk in entry.graph.foreign_keys],
-            "inferred_fks": entry.inferred_fks,
-        }
-        from .journal import atomic_write_text
-
-        path = self.persist_dir / f"{entry.fingerprint[:32]}.json"
-        atomic_write_text(path, json.dumps(payload) + "\n")
-
-    def _load(self) -> None:
-        """Rebuild persisted schemas from the (already loaded) registry.
-
-        Every FK edge was validated at declaration time, so the rebuild
-        re-declares with ``require_inclusion=False``; a schema whose
-        dataset is gone — or whose rebuilt fingerprint no longer matches
-        the recorded one — is skipped, never trusted.
+        Every FK edge (inferred ones included) was validated at
+        declaration time, so the rebuild re-declares with
+        ``require_inclusion=False``; a schema whose dataset is gone — or
+        whose rebuilt fingerprint no longer matches the recorded one —
+        is rejected, never trusted.
         """
-        loaded: List[SchemaEntry] = []
-        for path in sorted(self.persist_dir.glob("*.json")):
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                if payload.get("format") != "repro-fd-schema":
-                    continue
-                graph = SchemaGraph()
-                tables = dict(payload["tables"])
-                keys = {t: list(k) for t, k in dict(payload.get("keys") or {}).items()}
-                for table_name in sorted(tables):
-                    graph.add_table(
-                        table_name,
-                        self._registry.get(str(tables[table_name])).relation,
-                        key=keys.get(table_name),
-                    )
-                for fk in payload.get("foreign_keys") or ():
-                    graph.add_foreign_key(
-                        str(fk["child"]),
-                        [str(c) for c in fk["child_columns"]],
-                        str(fk["parent"]),
-                        [str(c) for c in fk["parent_columns"]],
-                        require_inclusion=False,
-                    )
-                if graph.fingerprint() != payload["fingerprint"]:
-                    raise ValueError("fingerprint mismatch")
-                loaded.append(
-                    SchemaEntry(
-                        fingerprint=payload["fingerprint"],
-                        graph=graph,
-                        tables=tables,
-                        keys=keys,
-                        name=payload.get("name"),
-                        inferred_fks=bool(payload.get("inferred_fks")),
-                        registered_at=float(payload.get("registered_at") or 0.0),
-                    )
-                )
-            except (ValueError, KeyError, TypeError, OSError, UnknownDatasetError):
-                self._count("service.schemas.load_errors")
-                continue
-        for entry in sorted(loaded, key=lambda e: e.registered_at):
-            self._by_fingerprint[entry.fingerprint] = entry
-            if entry.name:
-                self._by_name[entry.name] = entry.fingerprint
-        self._count("service.schemas.loaded", len(loaded))
+        entry = self._build(
+            payload["tables"], payload.get("keys"), payload.get("foreign_keys"), False, False
+        )
+        if entry.fingerprint != payload["fingerprint"]:
+            raise ValueError("fingerprint mismatch")
+        entry.name = payload.get("name")
+        entry.inferred_fks = bool(payload.get("inferred_fks"))
+        entry.registered_at = float(payload.get("registered_at") or 0.0)
+        return entry.fingerprint, entry
+
+
+def _encode(fingerprint: str, entry: SchemaEntry) -> Dict[str, object]:
+    """Persisted form: dataset *fingerprints*, never rows."""
+    return {
+        "fingerprint": fingerprint,
+        "name": entry.name,
+        "registered_at": entry.registered_at,
+        "tables": entry.tables,
+        "keys": entry.keys,
+        "foreign_keys": [fk.to_payload() for fk in entry.graph.foreign_keys],
+        "inferred_fks": entry.inferred_fks,
+    }

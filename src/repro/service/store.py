@@ -22,9 +22,6 @@ key) and reloaded on construction, so covers survive restarts.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import threading
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -33,13 +30,10 @@ from ..core.result import DiscoveryResult
 from ..incremental.maintainer import IncrementalFDMaintainer
 from ..relational.relation import Relation
 from .config import JobConfig
+from .keyed import KeyedStore, _noop_count
 
 #: Store key: (dataset fingerprint, algorithm name, config key).
 StoreKey = Tuple[str, str, str]
-
-
-def _noop_count(name: str, amount: int = 1) -> None:
-    return None
 
 
 class ResultStore:
@@ -56,21 +50,22 @@ class ResultStore:
             count: metrics hook ``count(name, amount=1)`` — the service
                 passes its registry-backed counter here.
         """
-        self._lock = threading.RLock()
-        self._entries: Dict[StoreKey, Tuple[JobConfig, DiscoveryResult]] = {}
         self._count = count
         self.hits = 0
         self.misses = 0
         self.puts = 0
         self.incremental_updates = 0
-        self.persist_dir = Path(persist_dir) if persist_dir is not None else None
-        if self.persist_dir is not None:
-            self.persist_dir.mkdir(parents=True, exist_ok=True)
-            self._load()
+        self._entries: KeyedStore[StoreKey, Tuple[JobConfig, DiscoveryResult]] = KeyedStore(
+            "repro-fd-store-entry",
+            "service.store",
+            _encode,
+            _decode,
+            persist_dir=persist_dir,
+            count=count,
+        )
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     # ------------------------------------------------------------------
     # Lookup / insert
@@ -78,9 +73,8 @@ class ResultStore:
 
     def get(self, fingerprint: str, config: JobConfig) -> Optional[DiscoveryResult]:
         """The cached result for ``(fingerprint, config)``, counting hit/miss."""
-        key = (fingerprint, config.algorithm, config.key())
-        with self._lock:
-            entry = self._entries.get(key)
+        with self._entries.lock:
+            entry = self._entries.get((fingerprint, config.algorithm, config.key()))
             if entry is None:
                 self.misses += 1
                 self._count("service.store.misses")
@@ -94,22 +88,15 @@ class ResultStore:
         if not result.completed:
             self._count("service.store.partial_skipped")
             return False
-        key = (fingerprint, config.algorithm, config.key())
-        with self._lock:
-            self._entries[key] = (config, result)
+        with self._entries.lock:
+            self._entries.put((fingerprint, config.algorithm, config.key()), (config, result))
             self.puts += 1
             self._count("service.store.puts")
-        self._persist(key, config, result)
         return True
 
     def results_for(self, fingerprint: str) -> List[Tuple[JobConfig, DiscoveryResult]]:
         """All cached ``(config, result)`` pairs for one fingerprint."""
-        with self._lock:
-            return [
-                entry
-                for key, entry in sorted(self._entries.items())
-                if key[0] == fingerprint
-            ]
+        return [entry for key, entry in sorted(self._entries.items()) if key[0] == fingerprint]
 
     # ------------------------------------------------------------------
     # Append migration
@@ -158,56 +145,11 @@ class ResultStore:
                 stats=result.stats,
             )
             self.put(new_fingerprint, config, updated)
-            with self._lock:
+            with self._entries.lock:
                 self.incremental_updates += 1
             self._count("service.store.incremental_updates")
             migrated += 1
         return migrated
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _entry_filename(key: StoreKey) -> str:
-        digest = hashlib.sha256("\x00".join(key).encode("utf-8")).hexdigest()
-        return f"{digest[:32]}.json"
-
-    def _persist(self, key: StoreKey, config: JobConfig, result: DiscoveryResult) -> None:
-        if self.persist_dir is None:
-            return
-        payload = {
-            "format": "repro-fd-store-entry",
-            "version": 1,
-            "fingerprint": key[0],
-            "config": config.to_dict(),
-            "result": result.to_payload(),
-        }
-        # Durable replace (fsync tmp + parent dir): a SIGKILL or power
-        # cut can never leave an empty or torn JSON entry behind.
-        from .journal import atomic_write_text
-
-        path = self.persist_dir / self._entry_filename(key)
-        atomic_write_text(
-            path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-
-    def _load(self) -> None:
-        """Reload persisted entries; malformed files are skipped, not fatal."""
-        for path in sorted(self.persist_dir.glob("*.json")):
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                if payload.get("format") != "repro-fd-store-entry":
-                    continue
-                config = JobConfig.from_dict(payload["config"])
-                result = DiscoveryResult.from_payload(payload["result"])
-                key = (payload["fingerprint"], config.algorithm, config.key())
-            except (ValueError, KeyError, OSError):
-                self._count("service.store.load_errors")
-                continue
-            with self._lock:
-                self._entries[key] = (config, result)
-        self._count("service.store.loaded", len(self._entries))
 
     def sync(self) -> int:
         """Re-mirror every entry to ``persist_dir`` (drain/shutdown hook).
@@ -218,17 +160,11 @@ class ResultStore:
         earlier mirror write raced a crash.  Returns the number of
         entries written (0 for in-memory stores).
         """
-        if self.persist_dir is None:
-            return 0
-        with self._lock:
-            entries = list(self._entries.items())
-        for key, (config, result) in entries:
-            self._persist(key, config, result)
-        return len(entries)
+        return self._entries.sync()
 
     def counters(self) -> Dict[str, int]:
         """Hit/miss/put accounting as a JSON-friendly dict."""
-        with self._lock:
+        with self._entries.lock:
             return {
                 "entries": len(self._entries),
                 "hits": self.hits,
@@ -236,3 +172,22 @@ class ResultStore:
                 "puts": self.puts,
                 "incremental_updates": self.incremental_updates,
             }
+
+
+# ----------------------------------------------------------------------
+# Persisted form
+# ----------------------------------------------------------------------
+
+
+def _encode(key: StoreKey, entry: Tuple[JobConfig, DiscoveryResult]) -> Dict[str, object]:
+    config, result = entry
+    return {"fingerprint": key[0], "config": config.to_dict(), "result": result.to_payload()}
+
+
+def _decode(payload: Dict[str, object]) -> Tuple[StoreKey, Tuple[JobConfig, DiscoveryResult]]:
+    fingerprint, config = payload["fingerprint"], payload["config"]
+    if not isinstance(fingerprint, str) or not isinstance(config, dict):
+        raise TypeError("store entry needs a fingerprint string and a config object")
+    config = JobConfig.from_dict(config)
+    result = DiscoveryResult.from_payload(payload["result"])
+    return (fingerprint, config.algorithm, config.key()), (config, result)

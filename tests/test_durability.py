@@ -22,11 +22,8 @@ from repro.relational.fd_io import cover_to_json
 from repro.relational.null import NullSemantics
 from repro.resilience import faults
 from repro.service import FDService, JobConfig, JobScheduler, ServiceClient, start_in_thread
-from repro.service.journal import (
-    WAL_FILENAME,
-    JobJournal,
-    atomic_write_text,
-)
+from repro.service.journal import WAL_FILENAME, JobJournal
+from repro.service.keyed import atomic_write_text
 from repro.service.scheduler import DONE, LOST, QUEUED
 
 from .conftest import make_random_relation
