@@ -20,10 +20,18 @@ Modes:
   load, queueing included.
 
 The workload uploads ``--datasets`` distinct relations (spread across
-shards by content fingerprint), optionally warms each one (so
-steady-state measures request-serving capacity, not repeated
-discovery), then issues ``discover`` requests round-robin with a
-sprinkle of ``metrics`` reads.
+shards by content fingerprint), warms each one (so steady-state
+measures request-serving capacity, not repeated discovery), then
+issues ``discover`` requests round-robin with a sprinkle of
+``metrics`` reads.
+
+``--cold`` loads the discovery path instead.  Each concurrency stage
+uploads its own fresh copies of the datasets (rows rotated by the
+stage index, so every fingerprint is new and nothing is served from
+the store) and C streams drain a shared queue that holds each
+dataset once: exactly one ``discover`` per dataset.  A cold stage
+reports its makespan (first submission to last completion) and its
+p50/p95 job latency; ``--duration`` does not apply.
 
 Examples::
 
@@ -38,6 +46,11 @@ Examples::
     # open loop at 50 req/s
     PYTHONPATH=src python benchmarks/load_service.py \
         --spawn single --mode open --rate 50 --duration 10
+
+    # cold discovery: 8 letter datasets per stage, one discover each
+    REPRO_FD_JOBS=2 PYTHONPATH=src python benchmarks/load_service.py \
+        --spawn single --cold --benchmark letter --rows 2000 --datasets 8 \
+        --concurrency 1,2,4
 """
 
 from __future__ import annotations
@@ -46,6 +59,7 @@ import argparse
 import json
 import os
 import platform
+import queue
 import subprocess
 import sys
 import threading
@@ -130,18 +144,23 @@ def spawn_target(args: argparse.Namespace) -> Tuple[Optional[subprocess.Popen], 
 # ----------------------------------------------------------------------
 
 
-def upload_datasets(client: ServiceClient, args: argparse.Namespace) -> List[str]:
+def upload_datasets(
+    client: ServiceClient, args: argparse.Namespace, rotate: int = 0
+) -> List[str]:
     """Upload ``--datasets`` distinct relations; returns fingerprints.
 
     Each dataset is the benchmark replica at a different row count, so
     contents (and therefore fingerprints — and shard placement) differ.
+    ``rotate`` moves that many leading rows to the end: the same rows
+    under a new fingerprint, which the store has never seen.
     """
     fingerprints = []
     for index in range(args.datasets):
         relation = load_benchmark(args.benchmark, n_rows=args.rows + index)
+        rows = list(relation.iter_rows())
         info = client.upload_rows(
             relation.schema.names,
-            list(relation.iter_rows()),
+            rows[rotate:] + rows[:rotate],
             name=f"{args.benchmark}-{index}",
         )
         fingerprints.append(info["fingerprint"])
@@ -189,12 +208,24 @@ def _one_request(
     counter: int,
     stats: StreamStats,
 ) -> None:
+    if counter % int(1 / METRICS_MIX) == 0:
+        _timed_request(client, None, config, stats)
+    else:
+        _timed_request(client, fingerprints[counter % len(fingerprints)], config, stats)
+
+
+def _timed_request(
+    client: ServiceClient,
+    fingerprint: Optional[str],
+    config: Dict[str, object],
+    stats: StreamStats,
+) -> None:
+    """One timed ``discover`` of ``fingerprint``; a ``/metrics`` read if None."""
     start = time.perf_counter()
     try:
-        if counter % int(1 / METRICS_MIX) == 0:
+        if fingerprint is None:
             client.metrics()
         else:
-            fingerprint = fingerprints[counter % len(fingerprints)]
             status = client.discover(fingerprint, config=dict(config))
             if status["status"] != "done":
                 stats.fail(f"job-{status['status']}")
@@ -238,6 +269,43 @@ def run_closed_stage(
         thread.join(timeout=timeout + 5.0)
     elapsed = time.perf_counter() - start
     return _stage_payload({"concurrency": concurrency}, stats, elapsed)
+
+
+def run_cold_stage(
+    url: str,
+    fingerprints: List[str],
+    config: Dict[str, object],
+    concurrency: int,
+    timeout: float,
+) -> Dict[str, object]:
+    """C streams drain one shared queue: one ``discover`` per dataset."""
+    stats = StreamStats()
+    pending: "queue.Queue[str]" = queue.Queue()
+    for fingerprint in fingerprints:
+        pending.put(fingerprint)
+
+    def stream() -> None:
+        client = ServiceClient(url, timeout=timeout, retries=2, backoff=0.1)
+        while True:
+            try:
+                fingerprint = pending.get_nowait()
+            except queue.Empty:
+                return
+            _timed_request(client, fingerprint, config, stats)
+
+    threads = [
+        threading.Thread(target=stream, name=f"cold-stream-{i}", daemon=True)
+        for i in range(concurrency)
+    ]
+    start = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    makespan = time.perf_counter() - start
+    payload = _stage_payload({"concurrency": concurrency}, stats, makespan)
+    payload["makespan_s"] = round(makespan, 3)
+    return payload
 
 
 def run_open_stage(
@@ -361,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cold",
         action="store_true",
-        help="skip warmup: every stream request may trigger real discovery",
+        help="load discovery: per stage, one discover per freshly uploaded "
+        "dataset, drawn by the streams from a shared queue",
     )
     parser.add_argument(
         "--timeout", type=float, default=120.0, help="per-request client timeout"
@@ -375,7 +444,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.cold and args.mode != "closed":
+        parser.error("--cold runs closed-loop stages only")
     proc, url, kind = spawn_target(args)
     config = {"algorithm": args.algorithm}
     try:
@@ -390,19 +462,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         stages: List[Dict[str, object]] = []
         if args.mode == "closed":
             levels = [int(level) for level in args.concurrency.split(",") if level]
-            for level in levels:
-                stage = run_closed_stage(
-                    url, fingerprints, config, level, args.duration, args.timeout
-                )
+            for index, level in enumerate(levels):
+                if args.cold:
+                    if index:  # stage 0 runs on the datasets uploaded above
+                        fingerprints = upload_datasets(client, args, rotate=index)
+                    stage = run_cold_stage(url, fingerprints, config, level, args.timeout)
+                    head = f"cold c={level}: makespan {stage['makespan_s']}s,"
+                else:
+                    stage = run_closed_stage(
+                        url, fingerprints, config, level, args.duration, args.timeout
+                    )
+                    head = f"closed c={level}: {stage['throughput_rps']} req/s,"
                 stages.append(stage)
                 print(
-                    f"closed c={level}: {stage['throughput_rps']} req/s, "
+                    f"{head} "
                     f"p50={stage['latency_ms']['p50']}ms "
                     f"p95={stage['latency_ms']['p95']}ms "
                     f"p99={stage['latency_ms']['p99']}ms "
                     f"errors={stage['errors']}"
                 )
-            saturation = find_saturation(stages)
+            saturation = None if args.cold else find_saturation(stages)
         else:
             stage = run_open_stage(
                 url, fingerprints, config, args.rate, args.duration, args.timeout
@@ -432,6 +511,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "datasets": args.datasets,
                 "algorithm": args.algorithm,
                 "warm": not args.cold,
+                "cold_discovers_per_stage": args.datasets if args.cold else None,
                 "metrics_mix": METRICS_MIX,
                 "duration_per_stage_s": args.duration,
             },

@@ -3,8 +3,8 @@
 Horizontal scale-out for :mod:`repro.service` (ROADMAP item 3): the
 dataset space is partitioned by content fingerprint across N replica
 processes — each a full single-process discovery service owning one
-shard of the registry — and a single-threaded, selectors-based HTTP
-router places every request on the replica that owns its dataset.
+shard of the registry — and an HTTP router, one asyncio event loop on
+one thread, places every request on the replica that owns its dataset.
 ``/metrics`` and ``/health`` fan out to all replicas and merge, with
 per-replica metric prefixes plus ``cluster.*`` totals.
 
@@ -15,8 +15,9 @@ The pieces compose but also stand alone:
   versions);
 * :class:`ReplicaManager` — spawn/health-check/restart the replica
   processes, persisting a ``replicas.json`` table;
-* :class:`Router` — the non-blocking proxy (point it at any list of
-  service URLs, managed or not);
+* :class:`Router` — the asyncio proxy (point it at any list of
+  service URLs, managed or not); upload fingerprinting runs off its
+  loop, so one large upload never stalls other requests;
 * :class:`Cluster` — manager + router as one unit (``repro-fd
   cluster``).
 

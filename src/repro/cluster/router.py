@@ -1,10 +1,16 @@
-"""Fingerprint-routed async HTTP front-end for a replica fleet.
+"""Fingerprint-routed HTTP front-end for a replica fleet.
 
-A **single-threaded, non-blocking** (``selectors``-based) HTTP proxy —
-no thread per connection, so thousands of concurrent clients cost one
-file descriptor each, not a stack.  It speaks the exact
-:mod:`repro.service` protocol, which means :class:`ServiceClient`
-works against a cluster unchanged.
+One ``asyncio`` event loop on one thread, one coroutine per client
+connection.  The coroutines do their I/O with the loop's socket
+methods (``sock_accept``, ``sock_recv``, ``sock_sendall``,
+``sock_connect``), each replica call on a fresh connection; deadlines
+are ``asyncio.wait_for``, and fanouts run their legs with
+``asyncio.gather``.  CPU work that grows with an upload (decoding its
+JSON body and computing its fingerprint) runs in one
+``asyncio.to_thread`` call, so one big upload never stalls the requests
+around it.  The router speaks the exact :mod:`repro.service` protocol
+(``Content-Length`` framed HTTP/1.1, one request per connection), which
+means :class:`ServiceClient` works against a cluster unchanged.
 
 Routing rules (see :mod:`repro.cluster.topology`):
 
@@ -40,14 +46,14 @@ callers).
 
 from __future__ import annotations
 
+import asyncio
 import json
 import re
-import selectors
 import socket
 import threading
-import time
 import urllib.parse
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from http.client import responses as _REASONS
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..relational.io import read_csv_text
 from ..relational.relation import Relation
@@ -57,18 +63,13 @@ from .topology import RoutingTable
 #: Prefixed job ids: ``s<shard>:<replica-local job id>``.
 _JOB_REF = re.compile(r"^s(\d+):(.+)$")
 
-_REASONS = {
-    200: "OK",
-    201: "Created",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    409: "Conflict",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
+#: A ``"job_id": "<id>"`` member of a replica's JSON reply (quotes inside
+#: strings are escaped, so only members match).  Inserting ``s<shard>:``
+#: namespaces ids like :func:`_prefix_job_ids`, without a decode/encode.
+_JOB_ID_MEMBER = re.compile(rb'("job_id"\s*:\s*")')
+
+#: Longest header block accepted, in requests and responses alike.
+_HEADER_LIMIT = 64 * 1024
 
 
 class RouterError(RuntimeError):
@@ -84,153 +85,107 @@ class _PlanError(Exception):
 
 
 # ----------------------------------------------------------------------
-# Incremental HTTP/1.x parsing (requests from clients, responses from
-# replicas).  Only what the service protocol needs: Content-Length
-# framing, with read-until-EOF as the response fallback.
+# HTTP/1.x framing: only what the service protocol needs
 # ----------------------------------------------------------------------
 
 
-class _HTTPParser:
-    """Feed bytes in, get a complete message (or an error) out."""
-
-    __slots__ = (
-        "kind",
-        "buf",
-        "headers",
-        "method",
-        "path",
-        "status",
-        "content_length",
-        "body",
-        "complete",
-        "error",
-    )
-
-    def __init__(self, kind: str):
-        self.kind = kind  # "request" | "response"
-        self.buf = bytearray()
-        self.headers: Optional[Dict[str, str]] = None
-        self.method: Optional[str] = None
-        self.path: Optional[str] = None
-        self.status: Optional[int] = None
-        self.content_length: Optional[int] = None
-        self.body: Optional[bytes] = None
-        self.complete = False
-        self.error: Optional[str] = None
-
-    def feed(self, data: bytes) -> None:
-        if self.complete or self.error:
-            return
-        self.buf += data
-        self._advance()
-
-    def finish(self) -> None:
-        """EOF: responses without Content-Length complete here."""
-        if self.complete or self.error:
-            return
-        if (
-            self.kind == "response"
-            and self.headers is not None
-            and self.content_length is None
-        ):
-            self.body = bytes(self.buf)
-            self.complete = True
-        else:
-            self.error = "connection closed mid-message"
-
-    def _advance(self) -> None:
-        if self.headers is None:
-            idx = self.buf.find(b"\r\n\r\n")
-            if idx < 0:
-                if len(self.buf) > 65536:
-                    self.error = "header block too large"
-                return
-            try:
-                head = bytes(self.buf[:idx]).decode("latin-1")
-            except UnicodeDecodeError:  # pragma: no cover — latin-1 total
-                self.error = "undecodable header block"
-                return
-            del self.buf[: idx + 4]
-            lines = head.split("\r\n")
-            parts = lines[0].split(" ", 2)
-            if self.kind == "request":
-                if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
-                    self.error = f"malformed request line: {lines[0]!r}"
-                    return
-                self.method, self.path = parts[0].upper(), parts[1]
-            else:
-                if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-                    self.error = f"malformed status line: {lines[0]!r}"
-                    return
-                try:
-                    self.status = int(parts[1])
-                except ValueError:
-                    self.error = f"malformed status code: {parts[1]!r}"
-                    return
-            headers: Dict[str, str] = {}
-            for line in lines[1:]:
-                if ":" in line:
-                    key, value = line.split(":", 1)
-                    headers[key.strip().lower()] = value.strip()
-            self.headers = headers
-            raw_length = headers.get("content-length")
-            if raw_length is not None:
-                try:
-                    self.content_length = int(raw_length)
-                except ValueError:
-                    self.error = f"malformed Content-Length: {raw_length!r}"
-                    return
-                if self.content_length > MAX_BODY_BYTES:
-                    self.error = f"body exceeds {MAX_BODY_BYTES} bytes"
-                    return
-            elif self.kind == "request":
-                self.content_length = 0  # chunked uploads unsupported
-        if self.content_length is not None and not self.complete:
-            if len(self.buf) >= self.content_length:
-                self.body = bytes(self.buf[: self.content_length])
-                self.complete = True
+async def _recv(sock: socket.socket) -> bytes:
+    chunk = await asyncio.get_running_loop().sock_recv(sock, 65536)
+    if not chunk:
+        raise asyncio.IncompleteReadError(b"", None)
+    return chunk
 
 
-def _build_request(
-    method: str,
-    path: str,
-    host: str,
-    body: Optional[bytes],
-    extra_headers: Optional[Dict[str, str]] = None,
-) -> bytes:
-    """Serialized upstream HTTP request (always ``Connection: close``)."""
-    lines = [
-        f"{method} {path} HTTP/1.1",
-        f"Host: {host}",
-        "Connection: close",
-        "Accept: application/json",
-    ]
-    for name, value in (extra_headers or {}).items():
-        lines.append(f"{name}: {value}")
-    if body:
-        lines.append("Content-Type: application/json")
-        lines.append(f"Content-Length: {len(body)}")
-    elif method == "POST":
-        lines.append("Content-Length: 0")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + (body or b"")
+async def _read_message(sock: socket.socket) -> Tuple[List[str], Dict[str, str], bytes]:
+    """One message: start-line fields, lower-cased headers and the body,
+    framed by ``Content-Length`` (none without it).  A length above
+    ``MAX_BODY_BYTES`` is refused before any of the body is read."""
+    buf = bytearray()
+    while b"\r\n\r\n" not in buf:
+        if len(buf) > _HEADER_LIMIT:
+            raise _PlanError(400, "header block too large")
+        buf += await _recv(sock)
+    head, _, rest = bytes(buf).partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        if ":" in line:
+            key, value = line.split(":", 1)
+            headers[key.strip().lower()] = value.strip()
+    raw_length = headers.get("content-length", "0")
+    if not raw_length.isdecimal():
+        raise _PlanError(400, f"malformed Content-Length: {raw_length!r}")
+    length = int(raw_length)
+    if length > MAX_BODY_BYTES:
+        raise _PlanError(400, f"body exceeds {MAX_BODY_BYTES} bytes")
+    body = bytearray(rest)
+    while len(body) < length:
+        body += await _recv(sock)
+    return lines[0].split(" ", 2), headers, bytes(body[:length])
 
 
-def _serialize_response(
+def _serialize(start_line: str, headers: Dict[str, object], body: bytes) -> bytes:
+    lines = [start_line] + [f"{name}: {value}" for name, value in headers.items()]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def _response(
     status: int,
     body: bytes,
     content_type: str = "application/json",
     retry_after: Optional[int] = None,
 ) -> bytes:
-    reason = _REASONS.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        "Connection: close",
-    ]
+    headers: Dict[str, object] = {
+        "Content-Type": content_type,
+        "Content-Length": len(body),
+        "Connection": "close",
+    }
     if retry_after is not None:
-        lines.append(f"Retry-After: {retry_after}")
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+        headers["Retry-After"] = retry_after
+    return _serialize(f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}", headers, body)
+
+
+def _json_response(status: int, payload: dict, retry_after: Optional[int] = None) -> bytes:
+    return _response(status, json.dumps(payload).encode("utf-8"), retry_after=retry_after)
+
+
+async def _exchange(
+    url: str,
+    method: str,
+    path: str,
+    body: bytes,
+    extra_headers: Optional[Dict[str, str]] = None,
+) -> Tuple[int, Dict[str, str], bytes]:
+    """One ``Connection: close`` request to a replica: status, headers, body."""
+    loop = asyncio.get_running_loop()
+    parsed = urllib.parse.urlsplit(url)
+    headers: Dict[str, object] = {
+        "Host": parsed.netloc,
+        "Connection": "close",
+        "Accept": "application/json",
+        **(extra_headers or {}),
+    }
+    if body or method == "POST":
+        headers.update({"Content-Type": "application/json", "Content-Length": len(body)})
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.setblocking(False)
+        await loop.sock_connect(sock, (parsed.hostname, parsed.port or 80))
+        await loop.sock_sendall(sock, _serialize(f"{method} {path} HTTP/1.1", headers, body))
+        start, reply_headers, reply = await _read_message(sock)
+    if len(start) < 2 or not start[0].startswith("HTTP/1."):
+        raise ValueError(f"malformed status line: {' '.join(start)!r}")
+    return int(start[1]), reply_headers, reply
+
+
+def _parse_body(body_bytes: bytes) -> dict:
+    """The request body as a JSON object (400 otherwise)."""
+    try:
+        payload = json.loads(body_bytes) if body_bytes else {}
+    except ValueError as exc:
+        raise _PlanError(400, f"invalid JSON body: {exc}") from None
+    if not isinstance(payload, dict):
+        raise _PlanError(400, "request body must be a JSON object")
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -347,11 +302,13 @@ def merge_jobs(per_shard: Sequence[Optional[dict]]) -> dict:
     return {"jobs": jobs}
 
 
+#: Fanned-out ``GET`` paths and how their replica payloads merge.
 _MERGERS: Dict[str, Callable[[Sequence[Optional[dict]]], dict]] = {
-    "health": merge_health,
-    "metrics": merge_metrics,
-    "datasets": merge_datasets,
-    "jobs": merge_jobs,
+    "/health": merge_health,
+    "/metrics": merge_metrics,
+    "/datasets": merge_datasets,
+    "/jobs": merge_jobs,
+    "/multitable/schemas": merge_schemas,
 }
 
 
@@ -396,236 +353,21 @@ def upload_fingerprint(body: dict) -> str:
     return relation.fingerprint()
 
 
+def _upload_route(body_bytes: bytes) -> str:
+    """The reference an upload routes by: its ``colocate_with`` dataset
+    (so a schema over both tables can be registered on that shard), else
+    its fingerprint.  Both steps grow with the upload: run it off the loop."""
+    body = _parse_body(body_bytes)
+    return str(body.get("colocate_with") or upload_fingerprint(body))
+
+
 # ----------------------------------------------------------------------
-# Event-loop plumbing
+# The router
 # ----------------------------------------------------------------------
-
-
-class _Upstream:
-    """One non-blocking exchange with a replica."""
-
-    __slots__ = (
-        "router",
-        "session",
-        "shard",
-        "sock",
-        "out",
-        "parser",
-        "state",
-        "failure",
-    )
-
-    def __init__(self, router: "Router", session: "_Session", shard: int, url: str, request: bytes):
-        self.router = router
-        self.session = session
-        self.shard = shard
-        self.out = bytearray(request)
-        self.parser = _HTTPParser("response")
-        self.state = "connecting"
-        self.failure: Optional[str] = None
-        parsed = urllib.parse.urlsplit(url)
-        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.sock.setblocking(False)
-        self.sock.connect_ex((parsed.hostname, parsed.port or 80))
-        router._register(self.sock, selectors.EVENT_WRITE, self)
-
-    def on_event(self, mask: int) -> None:
-        if self.state == "connecting" and mask & selectors.EVENT_WRITE:
-            error = self.sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
-            if error:
-                self._fail(f"connect failed (errno {error})")
-                return
-            self.state = "sending"
-        if self.state == "sending" and mask & selectors.EVENT_WRITE:
-            try:
-                sent = self.sock.send(self.out)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError as exc:
-                self._fail(f"send failed: {exc}")
-                return
-            del self.out[:sent]
-            if not self.out:
-                self.state = "receiving"
-                self.router._modify(self.sock, selectors.EVENT_READ, self)
-            return
-        if self.state == "receiving" and mask & selectors.EVENT_READ:
-            try:
-                data = self.sock.recv(65536)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError as exc:
-                self._fail(f"recv failed: {exc}")
-                return
-            if data:
-                self.parser.feed(data)
-                if self.parser.error:
-                    self._fail(self.parser.error)
-                elif self.parser.complete:
-                    self._done()
-            else:
-                self.parser.finish()
-                if self.parser.complete:
-                    self._done()
-                else:
-                    self._fail(self.parser.error or "replica closed early")
-
-    def abort(self, reason: str) -> None:
-        self._fail(reason)
-
-    def _fail(self, reason: str) -> None:
-        self.failure = reason
-        self._close()
-        self.session.upstream_done(self)
-
-    def _done(self) -> None:
-        self._close()
-        self.session.upstream_done(self)
-
-    def _close(self) -> None:
-        self.router._unregister(self.sock)
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover — close is best-effort
-            pass
-
-
-class _Session:
-    """One client connection through its read → proxy → write lifecycle."""
-
-    __slots__ = (
-        "router",
-        "sock",
-        "parser",
-        "out",
-        "state",
-        "upstreams",
-        "pending",
-        "finisher",
-        "deadline",
-    )
-
-    def __init__(self, router: "Router", sock: socket.socket):
-        self.router = router
-        self.sock = sock
-        self.parser = _HTTPParser("request")
-        self.out = bytearray()
-        self.state = "reading"
-        self.upstreams: List[_Upstream] = []
-        self.pending = 0
-        #: Called with the finished upstreams to build the response.
-        self.finisher: Optional[Callable[[List[_Upstream]], None]] = None
-        self.deadline = time.monotonic() + router.client_timeout
-        router._register(sock, selectors.EVENT_READ, self)
-
-    # -- event handling -------------------------------------------------
-
-    def on_event(self, mask: int) -> None:
-        if self.state == "reading" and mask & selectors.EVENT_READ:
-            try:
-                data = self.sock.recv(65536)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                self.close()
-                return
-            if not data:
-                self.close()
-                return
-            self.parser.feed(data)
-            if self.parser.error:
-                self.respond_json(400, {"error": self.parser.error})
-            elif self.parser.complete:
-                self.state = "waiting"
-                self.deadline = time.monotonic() + self.router.upstream_timeout
-                self.router._route(self)
-        elif self.state == "writing" and mask & selectors.EVENT_WRITE:
-            try:
-                sent = self.sock.send(self.out)
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                self.close()
-                return
-            del self.out[:sent]
-            if not self.out:
-                self.close()
-
-    # -- responses ------------------------------------------------------
-
-    def respond_json(
-        self, status: int, payload: dict, retry_after: Optional[int] = None
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.respond_raw(status, body, retry_after=retry_after)
-
-    def respond_raw(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str = "application/json",
-        retry_after: Optional[int] = None,
-    ) -> None:
-        self.out = bytearray(
-            _serialize_response(status, body, content_type, retry_after)
-        )
-        self.state = "writing"
-        self.deadline = time.monotonic() + self.router.client_timeout
-        self.router._modify(self.sock, selectors.EVENT_WRITE, self)
-
-    # -- upstream orchestration ----------------------------------------
-
-    def launch(
-        self,
-        calls: List[Tuple[int, str, bytes]],
-        finisher: Callable[[List[_Upstream]], None],
-    ) -> None:
-        """Start upstream exchanges; ``finisher`` runs when all settle."""
-        self.finisher = finisher
-        self.pending = len(calls)
-        for shard, url, request in calls:
-            self.upstreams.append(_Upstream(self.router, self, shard, url, request))
-
-    def upstream_done(self, upstream: _Upstream) -> None:
-        self.pending -= 1
-        if self.pending <= 0 and self.state == "waiting":
-            finisher, self.finisher = self.finisher, None
-            if finisher is not None:
-                finisher(self.upstreams)
-
-    def expire(self, now: float) -> None:
-        if now < self.deadline:
-            return
-        if self.state == "waiting":
-            for upstream in self.upstreams:
-                if upstream.failure is None and not upstream.parser.complete:
-                    upstream.failure = "timed out"
-                    upstream._close()
-            self.pending = 0
-            finisher, self.finisher = self.finisher, None
-            if finisher is not None:
-                finisher(self.upstreams)
-            else:  # pragma: no cover — waiting always has a finisher
-                self.respond_json(504, {"error": "upstream timeout"})
-        else:
-            self.close()
-
-    def close(self) -> None:
-        for upstream in self.upstreams:
-            if upstream.failure is None and not upstream.parser.complete:
-                upstream.failure = "session closed"
-                upstream._close()
-        self.upstreams = []
-        self.router._unregister(self.sock)
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover — close is best-effort
-            pass
-        self.router._sessions.discard(self)
 
 
 class Router:
-    """Single-threaded selectors event loop proxying a replica fleet."""
+    """One asyncio event loop, on one thread, proxying a replica fleet."""
 
     def __init__(
         self,
@@ -667,19 +409,13 @@ class Router:
         self.client_timeout = client_timeout
         self.retry_after = retry_after
         self.counters: Dict[str, int] = {}
-        self._sel = selectors.DefaultSelector()
-        self._sessions: set = set()
-        self._running = False
         self._thread: Optional[threading.Thread] = None
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(1024)
+        # Bound here so .address is valid before the loop runs.
+        self._listener = socket.create_server((host, port), backlog=1024)
         self._listener.setblocking(False)
-        self._sel.register(self._listener, selectors.EVENT_READ, "accept")
-        self._sel.register(self._wake_r, selectors.EVENT_READ, "wake")
+        self._loop = asyncio.new_event_loop()
+        #: Cancelled by :meth:`shutdown`, even before the loop runs.
+        self._stopping = self._loop.create_future()
 
     # ------------------------------------------------------------------
     # Public surface
@@ -691,44 +427,14 @@ class Router:
 
     @property
     def url(self) -> str:
-        host, port = self.address
-        return f"http://{host}:{port}"
+        return "http://%s:%d" % self.address
 
     def serve_forever(self) -> None:
         """Run the event loop until :meth:`shutdown` (blocking)."""
-        self._running = True
         try:
-            while self._running:
-                events = self._sel.select(timeout=0.1)
-                for key, mask in events:
-                    if key.data == "accept":
-                        self._accept()
-                    elif key.data == "wake":
-                        try:
-                            self._wake_r.recv(4096)
-                        except OSError:
-                            pass
-                    else:
-                        try:
-                            key.data.on_event(mask)
-                        except Exception:  # noqa: BLE001 — isolate connections
-                            self._count("router.connection_errors")
-                            if isinstance(key.data, _Session):
-                                key.data.close()
-                            elif isinstance(key.data, _Upstream):
-                                key.data.abort("internal error")
-                now = time.monotonic()
-                for session in list(self._sessions):
-                    session.expire(now)
+            self._loop.run_until_complete(self._serve())
         finally:
-            for session in list(self._sessions):
-                session.close()
-            self._sel.unregister(self._listener)
-            self._sel.unregister(self._wake_r)
-            self._listener.close()
-            self._wake_r.close()
-            self._wake_w.close()
-            self._sel.close()
+            self._loop.close()
 
     def start(self) -> "Router":
         """Run :meth:`serve_forever` on a daemon thread."""
@@ -740,98 +446,100 @@ class Router:
 
     def shutdown(self) -> None:
         """Stop the loop (from any thread) and join it if threaded."""
-        self._running = False
         try:
-            self._wake_w.send(b"x")
-        except OSError:
+            self._loop.call_soon_threadsafe(self._stopping.cancel)
+        except RuntimeError:  # the loop has already closed
             pass
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
 
-    # ------------------------------------------------------------------
-    # Selector helpers (loop thread only)
-    # ------------------------------------------------------------------
+    async def _serve(self) -> None:
+        listening = {self._stopping, self._loop.create_task(self._listen())}
+        await asyncio.wait(listening, return_when=asyncio.FIRST_COMPLETED)
+        tasks = asyncio.all_tasks() - {asyncio.current_task()}
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        self._listener.close()
 
-    def _register(self, sock: socket.socket, mask: int, data: object) -> None:
-        self._sel.register(sock, mask, data)
-
-    def _modify(self, sock: socket.socket, mask: int, data: object) -> None:
-        self._sel.modify(sock, mask, data)
-
-    def _unregister(self, sock: socket.socket) -> None:
-        try:
-            self._sel.unregister(sock)
-        except (KeyError, ValueError):
-            pass
-
-    def _count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    def _accept(self) -> None:
+    async def _listen(self) -> None:
+        handlers: Set[asyncio.Task] = set()  # the loop holds tasks weakly
         while True:
             try:
-                sock, _addr = self._listener.accept()
-            except (BlockingIOError, InterruptedError):
-                return
-            except OSError:
-                return
-            sock.setblocking(False)
-            self._count("router.connections")
-            self._sessions.add(_Session(self, sock))
+                sock, _ = await self._loop.sock_accept(self._listener)
+            except OSError:  # e.g. out of file descriptors: back off, keep serving
+                await asyncio.sleep(0.1)
+                continue
+            task = self._loop.create_task(self._handle(sock))
+            handlers.add(task)
+            task.add_done_callback(handlers.discard)
+
+    def _count(self, name: str) -> None:
+        self.counters[name] = self.counters.get(name, 0) + 1
+
+    def _shard_down(self, message: str) -> bytes:
+        self._count("router.shard_down_503")
+        return _json_response(503, {"error": message}, retry_after=self.retry_after)
+
+    async def _handle(self, sock: socket.socket) -> None:
+        """Answer one request; an idle, vanished or reset client is dropped."""
+        self._count("router.connections")
+        with sock:
+            try:
+                try:
+                    start, headers, body = await asyncio.wait_for(
+                        _read_message(sock), self.client_timeout
+                    )
+                    if len(start) != 3 or not start[2].startswith("HTTP/1."):
+                        raise _PlanError(400, f"malformed request line: {' '.join(start)!r}")
+                    response = await self._plan(start[0].upper(), start[1], headers, body)
+                except _PlanError as exc:
+                    response = _json_response(exc.status, {"error": str(exc)})
+                except (asyncio.TimeoutError, asyncio.IncompleteReadError, ConnectionError):
+                    return
+                except Exception as exc:  # noqa: BLE001 — protocol boundary
+                    self._count("router.plan_errors")
+                    response = _json_response(500, {"error": f"{type(exc).__name__}: {exc}"})
+                await asyncio.wait_for(
+                    self._loop.sock_sendall(sock, response), self.client_timeout
+                )
+            except (asyncio.TimeoutError, ConnectionError):
+                pass
+            except Exception:  # noqa: BLE001 — isolate connections
+                self._count("router.connection_errors")
 
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
 
-    def _route(self, session: _Session) -> None:
-        request = session.parser
-        try:
-            self._plan(session, request)
-        except _PlanError as exc:
-            session.respond_json(exc.status, {"error": str(exc)})
-        except Exception as exc:  # noqa: BLE001 — protocol boundary
-            self._count("router.plan_errors")
-            session.respond_json(500, {"error": f"{type(exc).__name__}: {exc}"})
-
-    def _plan(self, session: _Session, request: _HTTPParser) -> None:
-        method = request.method
-        path, _, query = request.path.partition("?")
+    async def _plan(
+        self, method: str, target: str, headers: Dict[str, str], body_bytes: bytes
+    ) -> bytes:
+        path, _, query = target.partition("?")
         parts = [p for p in path.split("/") if p]
-        body_bytes = request.body or b""
         #: Proxied paths keep the original query string (``?top_k=`` on
         #: /discover and /rank must reach the replica verbatim).
-        target = path + (f"?{query}" if query else "")
+        query = f"?{query}" if query else ""
+        target = path + query
 
         if method == "GET" and parts == ["cluster"]:
-            session.respond_json(200, self._cluster_payload())
-            return
-        if method == "GET" and parts in (["health"], ["metrics"], ["datasets"], ["jobs"]):
-            self._fanout(session, method, "/" + parts[0], _MERGERS[parts[0]])
-            return
-        if method == "GET" and parts == ["multitable", "schemas"]:
-            self._fanout(session, method, "/multitable/schemas", merge_schemas)
-            return
+            return _json_response(200, self._cluster_payload())
+        fanout = "/" + "/".join(parts)
+        if method == "GET" and fanout in _MERGERS:
+            return await self._fanout(fanout, _MERGERS[fanout])
         if (
             method == "GET"
             and len(parts) == 3
             and parts[:2] == ["multitable", "schemas"]
         ):
             shard = self.table.shard_of(parts[2])
-            self._proxy(session, shard, method, target, body_bytes)
-            return
+            return await self._proxy(shard, method, target, body_bytes)
 
-        body = self._parse_body(body_bytes) if method == "POST" else {}
         if method == "POST" and parts == ["datasets"]:
-            colocate = body.get("colocate_with")
-            if colocate:
-                # Land this upload on the named dataset's shard so a
-                # schema over both tables can be registered there.
-                shard = self.table.shard_of(str(colocate))
-            else:
-                shard = self.table.shard_of(upload_fingerprint(body))
-            self._proxy(session, shard, method, target, body_bytes, hook="upload")
-            return
+            shard = self.table.shard_of(await asyncio.to_thread(_upload_route, body_bytes))
+            return await self._proxy(shard, method, target, body_bytes, hook="upload")
+        body = _parse_body(body_bytes) if method == "POST" else {}
         if method == "POST" and parts == ["multitable", "schemas"]:
             tables = body.get("tables")
             if not isinstance(tables, dict) or not tables:
@@ -852,24 +560,7 @@ class Router:
                     "so they share a replica",
                 )
             shard = next(iter(shards.values()))
-            self._proxy(session, shard, method, target, body_bytes, hook="schema")
-            return
-        if method == "POST" and parts == ["multitable", "discover"]:
-            ref = body.get("schema") or body.get("dataset")
-            if not ref:
-                raise _PlanError(400, "multitable discovery needs a 'schema' reference")
-            shard = self.table.shard_of(str(ref))
-            idem = (request.headers or {}).get("idempotency-key")
-            self._proxy(
-                session,
-                shard,
-                method,
-                target,
-                body_bytes,
-                hook="jobs",
-                extra_headers={"Idempotency-Key": idem} if idem else None,
-            )
-            return
+            return await self._proxy(shard, method, target, body_bytes, hook="schema")
         if (
             method == "POST"
             and len(parts) == 3
@@ -877,61 +568,33 @@ class Router:
             and parts[2] == "append"
         ):
             shard = self.table.shard_of(parts[1])
-            self._proxy(session, shard, method, target, body_bytes, hook="append")
-            return
-        if method == "POST" and parts in (["discover"], ["rank"]):
-            ref = body.get("dataset")
+            return await self._proxy(shard, method, target, body_bytes, hook="append")
+        if method == "POST" and parts in (["discover"], ["rank"], ["multitable", "discover"]):
+            if parts[0] == "multitable":
+                ref = body.get("schema") or body.get("dataset")
+                missing = "multitable discovery needs a 'schema' reference"
+            else:
+                ref, missing = body.get("dataset"), "job submission needs a 'dataset' reference"
             if not ref:
-                raise _PlanError(400, "job submission needs a 'dataset' reference")
+                raise _PlanError(400, missing)
             shard = self.table.shard_of(str(ref))
-            # The client's Idempotency-Key must survive the proxy hop:
-            # the replica dedups retried submissions through it.
-            idem = (request.headers or {}).get("idempotency-key")
-            self._proxy(
-                session,
-                shard,
-                method,
-                target,
-                body_bytes,
-                hook="jobs",
-                extra_headers={"Idempotency-Key": idem} if idem else None,
+            # The client's Idempotency-Key must survive the proxy hop: the
+            # replica dedups retried job submissions through it.
+            idem = headers.get("idempotency-key")
+            idem_headers = {"Idempotency-Key": idem} if idem else None
+            return await self._proxy(
+                shard, method, target, body_bytes, hook="jobs", extra_headers=idem_headers
             )
-            return
         if parts and parts[0] == "jobs" and len(parts) in (2, 3):
-            shard, local_id = self._parse_job_ref(parts[1])
-            suffix = f"/{parts[2]}" if len(parts) == 3 else ""
-            if (method, len(parts)) not in (("GET", 2), ("POST", 3)):
+            match = _JOB_REF.match(parts[1])
+            shard = int(match.group(1)) if match else -1
+            if not 0 <= shard < self.n_shards:
+                raise _PlanError(404, f"unknown job {parts[1]!r} (ids look like s0:job-1)")
+            if (method, parts[2:]) not in (("GET", []), ("POST", ["cancel"])):
                 raise _PlanError(404, f"no such endpoint: {method} {path}")
-            if len(parts) == 3 and parts[2] != "cancel":
-                raise _PlanError(404, f"no such endpoint: {method} {path}")
-            self._proxy(
-                session,
-                shard,
-                method,
-                f"/jobs/{local_id}{suffix}" + (f"?{query}" if query else ""),
-                body_bytes,
-                hook="jobs",
-            )
-            return
+            local = "/".join(["/jobs", match.group(2)] + parts[2:]) + query
+            return await self._proxy(shard, method, local, body_bytes, hook="jobs")
         raise _PlanError(404, f"no such endpoint: {method} {path}")
-
-    @staticmethod
-    def _parse_body(body_bytes: bytes) -> dict:
-        if not body_bytes:
-            return {}
-        try:
-            payload = json.loads(body_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _PlanError(400, f"invalid JSON body: {exc}") from None
-        if not isinstance(payload, dict):
-            raise _PlanError(400, "request body must be a JSON object")
-        return payload
-
-    def _parse_job_ref(self, ref: str) -> Tuple[int, str]:
-        match = _JOB_REF.match(ref)
-        if not match or not 0 <= int(match.group(1)) < self.n_shards:
-            raise _PlanError(404, f"unknown job {ref!r} (cluster ids look like s0:job-1)")
-        return int(match.group(1)), match.group(2)
 
     def _cluster_payload(self) -> dict:
         endpoints = list(self._endpoints())
@@ -950,118 +613,63 @@ class Router:
     # Proxy / fanout execution
     # ------------------------------------------------------------------
 
-    def _shard_url(self, shard: int) -> Optional[str]:
-        endpoints = self._endpoints()
-        if shard >= len(endpoints):  # pragma: no cover — fixed shard count
-            return None
-        return endpoints[shard]
-
-    def _proxy(
+    async def _proxy(
         self,
-        session: _Session,
         shard: int,
         method: str,
         path: str,
         body: bytes,
         hook: Optional[str] = None,
         extra_headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        url = self._shard_url(shard)
+    ) -> bytes:
+        url = self._endpoints()[shard]
         if url is None:
-            self._count("router.shard_down_503")
-            session.respond_json(
-                503,
-                {"error": f"shard {shard} is down; retry shortly"},
-                retry_after=self.retry_after,
-            )
-            return
+            return self._shard_down(f"shard {shard} is down; retry shortly")
         self._count(f"router.routed.shard-{shard}")
-        host = urllib.parse.urlsplit(url).netloc
-        request = _build_request(method, path, host, body, extra_headers)
-
-        def finish(upstreams: List[_Upstream]) -> None:
-            self._finish_proxy(session, shard, hook, upstreams[0])
-
-        session.launch([(shard, url, request)], finish)
-
-    def _finish_proxy(
-        self, session: _Session, shard: int, hook: Optional[str], upstream: _Upstream
-    ) -> None:
-        response = upstream.parser
-        if upstream.failure is not None or response.status is None:
-            timed_out = upstream.failure == "timed out"
-            self._count("router.upstream_timeouts" if timed_out else "router.shard_down_503")
-            status = 504 if timed_out else 503
-            session.respond_json(
-                status,
-                {"error": f"shard {shard} unavailable: {upstream.failure}"},
-                retry_after=None if timed_out else self.retry_after,
-            )
-            return
-        body = response.body or b""
-        content_type = (response.headers or {}).get("content-type", "application/json")
-        if hook in ("upload", "append", "schema") and response.status in (200, 201):
-            self._pin_from_response(shard, body)
-        if hook == "jobs" and body:
-            try:
-                payload = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                payload = None
-            if payload is not None:
-                body = json.dumps(_prefix_job_ids(payload, shard)).encode("utf-8")
-        session.respond_raw(response.status, body, content_type=content_type)
-
-    def _pin_from_response(self, shard: int, body: bytes) -> None:
-        """Pin the fingerprint (and name alias) an upload/append created."""
         try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            return
-        if not isinstance(payload, dict):
-            return
-        fingerprint = payload.get("fingerprint")
-        if isinstance(fingerprint, str):
-            self.table.pin(fingerprint, shard)
-        name = payload.get("name")
-        if isinstance(name, str) and name:
-            self.table.pin(name, shard)
-
-    def _fanout(
-        self,
-        session: _Session,
-        method: str,
-        path: str,
-        merger: Callable[[Sequence[Optional[dict]]], dict],
-    ) -> None:
-        endpoints = list(self._endpoints())
-        calls: List[Tuple[int, str, bytes]] = []
-        for shard, url in enumerate(endpoints):
-            if url is None:
-                continue
-            host = urllib.parse.urlsplit(url).netloc
-            calls.append((shard, url, _build_request(method, path, host, None)))
-        self._count("router.fanouts")
-        session.deadline = time.monotonic() + self.fanout_timeout
-        if not calls:
-            session.respond_json(
-                503,
-                {"error": "no replicas are up"},
-                retry_after=self.retry_after,
+            status, headers, reply = await asyncio.wait_for(
+                _exchange(url, method, path, body, extra_headers), self.upstream_timeout
             )
-            return
+        except asyncio.TimeoutError:
+            self._count("router.upstream_timeouts")
+            return _json_response(504, {"error": f"shard {shard} unavailable: timed out"})
+        except Exception as exc:  # noqa: BLE001 — any failed exchange: shard down
+            return self._shard_down(f"shard {shard} unavailable: {type(exc).__name__}: {exc}")
+        if hook == "jobs":
+            reply = _JOB_ID_MEMBER.sub(rb"\1s%d:" % shard, reply)
+        elif hook and status in (200, 201):
+            # Pin the fingerprint and name alias an upload, append or
+            # schema registration created to the shard that holds it.
+            try:
+                payload = json.loads(reply)
+                refs = [payload.get("fingerprint"), payload.get("name")]
+            except (ValueError, AttributeError):  # not JSON, or not an object
+                refs = []
+            for ref in refs:
+                if isinstance(ref, str) and ref:
+                    self.table.pin(ref, shard)
+        return _response(status, reply, headers.get("content-type", "application/json"))
 
-        def finish(upstreams: List[_Upstream]) -> None:
-            per_shard: List[Optional[dict]] = [None] * len(endpoints)
-            for upstream in upstreams:
-                response = upstream.parser
-                if upstream.failure is not None or response.status != 200:
-                    continue
-                try:
-                    per_shard[upstream.shard] = json.loads(
-                        (response.body or b"{}").decode("utf-8")
-                    )
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    continue
-            session.respond_json(200, merger(per_shard))
+    async def _fanout(
+        self, path: str, merger: Callable[[Sequence[Optional[dict]]], dict]
+    ) -> bytes:
+        endpoints = list(self._endpoints())
+        self._count("router.fanouts")
+        if not any(endpoints):
+            return _json_response(
+                503, {"error": "no replicas are up"}, retry_after=self.retry_after
+            )
+        per_shard = await asyncio.gather(*(self._fanout_leg(url, path) for url in endpoints))
+        return _json_response(200, merger(per_shard))
 
-        session.launch(calls, finish)
+    async def _fanout_leg(self, url: Optional[str], path: str) -> Optional[dict]:
+        """One replica's payload, or None if it is down, fails or is late."""
+        if url is None:
+            return None
+        try:
+            status, _, body = await asyncio.wait_for(
+                _exchange(url, "GET", path, b""), self.fanout_timeout
+            )
+            return json.loads(body or b"{}") if status == 200 else None
+        except Exception:  # noqa: BLE001 — a failed leg drops out of the merge
+            return None

@@ -128,15 +128,23 @@ class KeyedStore(Generic[K, V]):
         with self.lock:
             entry = self._values.setdefault(key, value)
             created = entry is value
+            if created:
+                # A reload orders entries by registered_at: stamp it
+                # under the lock so that order is the registration order.
+                entry.registered_at = self._tick()
             if name and not entry.name:
                 entry.name = name
             moved = bool(name) and self._aliases.get(name, (None,))[0] != key
             if moved:
-                self._stamp = max(time.time(), self._stamp + 1e-6)
-                self._aliases[name] = (key, self._stamp)
+                self._aliases[name] = (key, self._tick())
             if created or moved:
                 self._persist(key)
             return entry, created
+
+    def _tick(self) -> float:
+        """A strictly increasing wall-clock stamp (caller holds the lock)."""
+        self._stamp = max(time.time(), self._stamp + 1e-6)
+        return self._stamp
 
     def sync(self) -> int:
         """Rewrite every entry's file; returns how many (0 in memory)."""
@@ -185,8 +193,9 @@ class KeyedStore(Generic[K, V]):
                 continue
             loaded.append((order, key, value))
             moves.extend(entry_moves)
-        for _, key, value in sorted(loaded, key=lambda item: item[0]):
+        for order, key, value in sorted(loaded, key=lambda item: item[0]):
             self._values[key] = value
+            self._stamp = max(self._stamp, order)
         for stamp, name, key in sorted(moves, key=lambda move: move[0]):
             self._aliases[name] = (key, stamp)
             self._stamp = max(self._stamp, stamp)

@@ -8,24 +8,34 @@ client retries transient transport failures with backoff; SIGTERM
 drain refuses new jobs with 503 + Retry-After while finishing accepted
 ones; and ``/metrics`` carries scheduler gauges.
 
+The router contract is pinned too: a wedged replica costs a 504 (and
+a ``degraded`` health) after the configured deadline, malformed or
+oversized requests get a 400, unknown paths a 404, idle clients are
+dropped after ``client_timeout``, and one upload whose fingerprint is
+still being computed stalls no other request.
+
 The replica "fleet" here is in-process: real ``ServiceHTTPServer``
-instances on daemon threads behind a real :class:`Router` event loop —
-every byte still travels through HTTP sockets, only the process
-boundary is elided (the subprocess path is covered by
-``benchmarks/smoke_cluster.py`` and the CI cluster leg).
+instances on daemon threads behind a real :class:`Router` (one asyncio
+event loop on its own thread) — every byte still travels through HTTP
+sockets, only the process boundary is elided (the subprocess path is
+covered by ``benchmarks/smoke_cluster.py`` and the CI cluster leg).
 """
 
 from __future__ import annotations
 
+import http.server
 import io
 import json
+import socket
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
 
+import repro.cluster.router as router_module
 from repro.algorithms.registry import make_algorithm
 from repro.cluster import (
     Router,
@@ -44,6 +54,7 @@ from repro.service import (
     ServiceError,
     start_in_thread,
 )
+from repro.service.server import MAX_BODY_BYTES
 
 ROWS = [
     ("ann", "z1", "c1", "nc"),
@@ -324,6 +335,200 @@ class TestFailover:
         assert health["status"] == "degraded"
         assert health["healthy"] == 1
         assert health["replicas"]["replica-1"] == {"status": "down"}
+
+
+# ----------------------------------------------------------------------
+# Router contract: deadlines, bad requests, idle clients, no stalls
+# ----------------------------------------------------------------------
+
+
+def _timed_request(url, method="GET", data=None, timeout=10.0):
+    """``(status, JSON payload, seconds)``; status None on a client timeout."""
+    request = urllib.request.Request(url, data=data, method=method)
+    start = time.monotonic()
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as response:
+            status, body = response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        status, body = exc.code, exc.read()
+    except OSError:  # socket timeout, connection reset
+        return None, None, time.monotonic() - start
+    return status, json.loads(body or b"{}"), time.monotonic() - start
+
+
+def _raw_exchange(url, data, timeout=10.0):
+    """Send raw bytes; return everything read until EOF."""
+    parsed = urllib.parse.urlsplit(url)
+    with socket.create_connection((parsed.hostname, parsed.port), timeout) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+@pytest.fixture
+def contract_router(tmp_path):
+    """Shard 0 is a live replica, shard 1 a socket that never answers;
+    every router deadline is 1 s."""
+    service = FDService(max_workers=1)
+    server, _ = start_in_thread(service)
+    wedged = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    wedged.bind(("127.0.0.1", 0))
+    wedged.listen(16)
+    router = Router(
+        [
+            f"http://127.0.0.1:{server.server_port}",
+            f"http://127.0.0.1:{wedged.getsockname()[1]}",
+        ],
+        routes_path=tmp_path / "routes.json",
+        upstream_timeout=1.0,
+        fanout_timeout=1.0,
+        client_timeout=1.0,
+    ).start()
+    yield router
+    router.shutdown()
+    wedged.close()
+    server.shutdown()
+    server.server_close()
+    service.close()
+
+
+def _wedged_replica_times_out(router):
+    status, payload, elapsed = _timed_request(router.url + "/jobs/s1:job-1")
+    assert status == 504, payload
+    assert 0.8 < elapsed < 3.0
+    status, health, elapsed = _timed_request(router.url + "/health")
+    assert status == 200
+    assert health["status"] == "degraded"
+    assert health["replicas"]["replica-1"] == {"status": "down"}
+    assert 0.8 < elapsed < 3.0
+
+
+def _malformed_json_is_400(router):
+    status, payload, _ = _timed_request(
+        router.url + "/discover", method="POST", data=b"{not json"
+    )
+    assert status == 400
+    assert "invalid JSON" in payload["error"]
+
+
+def _unknown_path_is_404(router):
+    status, payload, _ = _timed_request(router.url + "/no/such/endpoint")
+    assert status == 404
+    assert "error" in payload
+
+
+def _oversized_body_refused_unread(router):
+    # No body follows the header: a router that tried to read it would
+    # drop the connection at client_timeout instead of answering.
+    head = (
+        "POST /datasets HTTP/1.1\r\nHost: router\r\n"
+        f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+    )
+    raw = _raw_exchange(router.url, head.encode("latin-1"))
+    assert raw.startswith(b"HTTP/1.1 400 "), raw[:80]
+    assert b"exceeds" in raw
+
+
+def _idle_client_dropped(router):
+    parsed = urllib.parse.urlsplit(router.url)
+    start = time.monotonic()
+    with socket.create_connection((parsed.hostname, parsed.port), 10.0) as idle:
+        # Other clients are served while the idle one holds a connection.
+        status, payload, elapsed = _timed_request(router.url + "/cluster")
+        assert status == 200 and payload["shards"] == 2
+        assert elapsed < 0.9
+        assert idle.recv(1024) == b""  # dropped: EOF, no response
+    assert 0.8 < time.monotonic() - start < 3.0
+
+
+ROUTER_CONTRACT = {
+    "wedged-replica-504-and-degraded-health": _wedged_replica_times_out,
+    "malformed-json-400": _malformed_json_is_400,
+    "unknown-path-404": _unknown_path_is_404,
+    "oversized-content-length-400-unread": _oversized_body_refused_unread,
+    "idle-client-dropped-after-client-timeout": _idle_client_dropped,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUTER_CONTRACT))
+def test_router_contract(contract_router, case):
+    ROUTER_CONTRACT[case](contract_router)
+
+
+def test_proxied_job_ids_namespaced_at_every_depth(tmp_path):
+    """A proxied job reply gets exactly what ``_prefix_job_ids`` gives:
+    every string ``job_id`` at any depth prefixed, nothing else touched."""
+    reply = {
+        "job_id": "job-1",
+        "children": [{"job_id": "job-2", "note": '"job_id": "not-a-member"'}],
+        "meta": {"job_id": None, "count": 3, "ratio": 0.25},
+    }
+
+    class Replica(http.server.BaseHTTPRequestHandler):
+        def do_GET(self):
+            body = json.dumps(reply).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    replica = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Replica)
+    threading.Thread(target=replica.serve_forever, daemon=True).start()
+    router = Router(
+        [f"http://127.0.0.1:{replica.server_port}"], routes_path=tmp_path / "routes.json"
+    ).start()
+    try:
+        status, payload, _ = _timed_request(router.url + "/jobs/s0:job-1")
+    finally:
+        router.shutdown()
+        replica.shutdown()
+        replica.server_close()
+    assert status == 200
+    assert payload == router_module._prefix_job_ids(reply, 0)
+    assert payload["children"][0]["note"] == reply["children"][0]["note"]
+
+
+def test_held_upload_does_not_stall_other_requests(cluster, client, monkeypatch):
+    """Fingerprinting an upload runs off the event loop: while one is
+    held, router-local and proxied requests still answer promptly."""
+    entered, release = threading.Event(), threading.Event()
+    real_fingerprint = router_module.upload_fingerprint
+
+    def held_fingerprint(body):
+        entered.set()
+        release.wait(timeout=30.0)
+        return real_fingerprint(body)
+
+    monkeypatch.setattr(router_module, "upload_fingerprint", held_fingerprint)
+    uploaded = {}
+    uploader = threading.Thread(
+        target=lambda: uploaded.update(
+            client.upload_rows(COLUMNS, [list(r) for r in ROWS], name="city")
+        )
+    )
+    uploader.start()
+    try:
+        assert entered.wait(timeout=10.0)
+        for path in ("/cluster", "/health"):
+            status, _, elapsed = _timed_request(cluster.router.url + path, timeout=2.0)
+            assert status == 200, f"{path} stalled behind a held upload"
+            assert elapsed < 2.0
+    finally:
+        release.set()
+        uploader.join(timeout=30.0)
+    fingerprint = make_relation().fingerprint()
+    assert uploaded["fingerprint"] == fingerprint
+    shard = shard_for(fingerprint, 2)
+    assert len(cluster.services[shard].registry) == 1
+    assert len(cluster.services[1 - shard].registry) == 0
 
 
 # ----------------------------------------------------------------------
