@@ -6,6 +6,11 @@ relation keyed by their bitmask.  It seeds ``π_∅`` and every singleton
 subsets (preferring the largest cached subset so the fewest refinement
 steps run), and tracks an approximate memory footprint so benchmarks
 can report partition memory the way Table II reports process memory.
+The largest cached subset is found through an index of the cached
+multi-attribute masks bucketed by attribute count: a lookup walks the
+buckets from the widest candidate size down and stops at the first
+bucket holding a subset, so every cached entry stays reachable however
+many there are.
 
 Who uses which scope:
 
@@ -43,10 +48,6 @@ from ..relational.relation import Relation
 from ..telemetry import current_tracer
 from .stripped import StrippedPartition
 
-
-#: Upper bound on cached masks examined per subset scan; keeps
-#: ``_best_subset`` cheap even when thousands of partitions are cached.
-SUBSET_SCAN_LIMIT = 4096
 
 #: Widest attribute set the shared layer retains — the lattice base
 #: levels every ranking/redundancy pass rebuilds; deeper partitions are
@@ -128,6 +129,9 @@ class PartitionCache:
         self.relation = relation
         self._shared = shared_store(relation) if shared else None
         self._store: Dict[AttrSet, StrippedPartition] = {}
+        # Cached masks over two or more attributes, bucketed by
+        # attribute count, each bucket in insertion order.
+        self._by_count: Dict[int, List[AttrSet]] = {}
         self.hits = 0
         self.misses = 0
         self.shared_hits = 0
@@ -244,41 +248,37 @@ class PartitionCache:
             )
             self._publish(partition)
         self._store[attrs] = partition
+        width = attrset.count(attrs)
+        if width > 1:
+            self._by_count.setdefault(width, []).append(attrs)
         return partition
 
     def _best_subset(self, attrs: AttrSet) -> StrippedPartition:
-        """The cached partition over the largest subset of ``attrs``.
+        """The cached partition over the largest proper subset of ``attrs``.
 
         Checks the immediate sub-masks (``attrs`` minus one attribute)
         first — the common case when related attribute sets are queried
-        in sorted order.  Failing that, scans the cached multi-attribute
-        masks (bounded by :data:`SUBSET_SCAN_LIMIT` candidates) for the
-        largest subset of ``attrs``, so e.g. a cached ``π_AB`` seeds
+        in sorted order.  Failing that, walks the count buckets from
+        ``|attrs| - 2`` attributes down to 2 (the immediate check has
+        already ruled out ``|attrs| - 1``) and returns from the first
+        bucket that holds a subset, so e.g. a cached ``π_AB`` seeds
         ``π_ABCD`` with two refinement steps instead of three from a
-        singleton.  Only then falls back to the smallest singleton.
+        singleton.  Within a bucket the smallest ``||π||`` wins, then
+        the first inserted.  Every cached mask is reachable; there is no
+        scan cap.  Only then falls back to the smallest singleton.
         """
         for attr in attrset.iter_attrs(attrs):
             parent = self._store.get(attrset.remove(attrs, attr))
             if parent is not None:
                 return parent
-        best_mask = attrset.EMPTY
-        best_count = 1  # only beat singletons; they are handled below
-        scanned = 0
-        for mask in self._store:
-            scanned += 1
-            if scanned > SUBSET_SCAN_LIMIT:
-                break
-            if mask & (mask - 1) == 0:
-                continue  # empty or singleton mask
-            if not attrset.is_proper_subset(mask, attrs):
-                continue
-            mask_count = attrset.count(mask)
-            if mask_count > best_count or (
-                mask_count == best_count
-                and self._store[mask].size < self._store[best_mask].size
-            ):
-                best_mask = mask
-                best_count = mask_count
-        if best_mask != attrset.EMPTY:
-            return self._store[best_mask]
+        outside = ~attrs
+        for width in range(attrset.count(attrs) - 2, 1, -1):
+            best: Optional[StrippedPartition] = None
+            for mask in self._by_count.get(width, ()):
+                if mask & outside == 0:
+                    candidate = self._store[mask]
+                    if best is None or candidate.size < best.size:
+                        best = candidate
+            if best is not None:
+                return best
         return self.best_singleton(attrs)

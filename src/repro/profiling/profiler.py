@@ -8,14 +8,20 @@ contributions of the paper in one result object.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..algorithms.registry import make_algorithm
 from ..core.base import Deadline, TimeLimitExceeded
 from ..covers.canonical import CoverComparison, compare_covers
-from ..ranking.ranker import RankingResult, rank_cover
-from ..ranking.redundancy import RedundancyReport, dataset_redundancy
+from ..ranking.ranker import RankingResult, rank_cover, ranking_from_masks
+from ..ranking.redundancy import (
+    RedundancyReport,
+    dataset_redundancy,
+    lhs_row_masks,
+    report_from_masks,
+)
 from ..relational.fd import FDSet
 from ..relational.null import NullSemantics
 from ..relational.relation import Relation
@@ -95,8 +101,9 @@ def profile(
         algorithm: registry name ("dhyfd", "hyfd", "tane", "fdep", ...).
         null_semantics: re-encode the relation under this semantics
             first (None keeps the relation's current encoding).
-        rank: also compute the redundancy ranking (skippable because it
-            costs one partition pass per FD of the canonical cover).
+        rank: also compute the redundancy ranking and report (skippable
+            because they cost one partition pass per distinct LHS of the
+            canonical cover; the full ranking and the report share it).
         top_k: bound the ranking to the k highest-redundancy FDs — the
             bounded pass skips measuring FDs whose redundancy upper
             bound cannot reach the running k-th redundancy (see
@@ -142,12 +149,25 @@ def profile(
                 Deadline(remaining, "ranking") if remaining is not None else None
             )
             try:
-                ranking = rank_cover(
-                    relation, canonical, deadline=rank_deadline, top_k=top_k
-                )
-                redundancy = dataset_redundancy(
-                    relation, canonical, deadline=rank_deadline
-                )
+                if top_k is None:
+                    # One mask pass serves both the ranking and the report.
+                    fds = list(canonical)
+                    start = time.perf_counter()
+                    with active.span("ranking", fds=len(fds)):
+                        masks = lhs_row_masks(
+                            relation, (fd.lhs for fd in fds), deadline=rank_deadline
+                        )
+                        ranking = ranking_from_masks(relation, fds, masks, start)
+                    start = time.perf_counter()
+                    with active.span("redundancy", fds=len(fds)):
+                        redundancy = report_from_masks(relation, fds, masks, start)
+                else:
+                    ranking = rank_cover(
+                        relation, canonical, deadline=rank_deadline, top_k=top_k
+                    )
+                    redundancy = dataset_redundancy(
+                        relation, canonical, deadline=rank_deadline
+                    )
             except TimeLimitExceeded:
                 if not partial_ok:
                     raise

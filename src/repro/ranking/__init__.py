@@ -13,6 +13,7 @@ from .redundancy import (
     RedundancyReport,
     count_redundant,
     dataset_redundancy,
+    lhs_row_masks,
     redundancy_positions,
     redundancy_upper_bound,
     redundant_rows_for_lhs,
@@ -33,6 +34,7 @@ __all__ = [
     "count_redundant",
     "dataset_redundancy",
     "explain_redundancy",
+    "lhs_row_masks",
     "rank_cover",
     "redundancy_histogram",
     "redundancy_positions",

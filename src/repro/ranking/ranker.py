@@ -10,19 +10,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..partitions.cache import PartitionCache
 from ..relational import attrset
-from ..relational.fd import FD, FDSet
+from ..relational.attrset import AttrSet
+from ..relational.fd import FD
 from ..relational.relation import Relation
 from ..relational.schema import RelationSchema
 from ..telemetry import current_tracer
 from .redundancy import (
     NullPolicy,
-    _parallel_rows_by_lhs,
     count_redundant,
+    lhs_row_masks,
     redundancy_upper_bound,
+    redundant_rows_for_lhs,
 )
 from .topk import TopKTracker
 
@@ -113,8 +117,14 @@ def rank_cover(
     Both the null-inclusive and null-exclusive counts are computed so
     callers can flag likely-accidental FDs; ties break on the FD masks
     for determinism.  ``deadline`` (a
-    :class:`~repro.core.base.Deadline`) is polled per FD so a driver's
+    :class:`~repro.core.base.Deadline`) is polled per LHS so a driver's
     time limit bounds the ranking pass too.
+
+    The full pass takes one INCLUDE row mask per distinct LHS from
+    :func:`~repro.ranking.redundancy.lhs_row_masks` (across a worker
+    pool with ``jobs`` > 1) and derives both counts of every FD from
+    it; order and counts are identical for any worker count because the
+    final sort uses the full ``(-redundancy, lhs, rhs)`` key.
 
     With ``top_k=k`` the pass runs in bounded mode: FDs are measured in
     descending order of their :func:`redundancy_upper_bound`, and the
@@ -122,25 +132,21 @@ def rank_cover(
     running k-th redundancy — the remaining FDs cannot enter the top-k
     even via tie-breaks, so the returned list is byte-identical to the
     first k entries of the full ranking at a fraction of the partition
-    work.
-
-    With ``jobs`` > 1 the full pass computes its per-LHS redundant-row
-    masks on a worker pool (one LHS per task, OR-merged); ranking order
-    and counts are identical to the serial loop for any worker count
-    because all counts are derived from the same masks and the final
-    sort uses the full ``(-redundancy, lhs, rhs)`` key.  Bounded mode
-    measures few FDs by construction and always runs serially.
+    work.  Bounded mode measures few FDs by construction and always
+    runs serially.
     """
     start = time.perf_counter()
     fds = list(cover)
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     with current_tracer().span("ranking", fds=len(fds)):
+        if top_k is None:
+            masks = lhs_row_masks(
+                relation, (fd.lhs for fd in fds), jobs=jobs, deadline=deadline
+            )
+            return ranking_from_masks(relation, fds, masks, start)
         cache = PartitionCache(relation, shared=True)
-        if top_k is not None:
-            ranked, skipped = _rank_bounded(relation, fds, top_k, cache, deadline)
-        else:
-            ranked, skipped = _rank_full(relation, fds, cache, deadline, jobs)
+        ranked, skipped = _rank_bounded(relation, fds, top_k, cache, deadline)
         cache.record_telemetry(scope="ranking")
     return RankingResult(
         ranked=ranked,
@@ -150,43 +156,37 @@ def rank_cover(
     )
 
 
-def _rank_full(
-    relation: Relation,
-    fds: List[FD],
-    cache: PartitionCache,
-    deadline,
-    jobs: Optional[int],
-) -> Tuple[List[RankedFD], int]:
-    """The classic exhaustive pass: one exact measurement per FD."""
-    unique_lhs = list(dict.fromkeys(fd.lhs for fd in fds))
-    # One INCLUDE mask per LHS serves both counts: EXCLUDE_RHS only
-    # filters by the RHS attribute's own null mask afterwards.
-    rows_by_lhs = _parallel_rows_by_lhs(
-        relation, unique_lhs, NullPolicy.INCLUDE, jobs
+def _ranked_fd(relation: Relation, fd: FD, rows: np.ndarray) -> RankedFD:
+    """Both counts of ``fd`` from its LHS's INCLUDE row mask.
+
+    EXCLUDE_RHS only filters the same rows by each RHS attribute's own
+    null mask, so one mask serves both counts.
+    """
+    excluding = sum(
+        int((rows & ~relation.null_mask(attr)).sum())
+        for attr in attrset.iter_attrs(fd.rhs)
     )
-    ranked = []
-    for fd in fds:
-        if deadline is not None:
-            deadline.check()
-        if rows_by_lhs is not None:
-            rows = rows_by_lhs[fd.lhs]
-            redundancy = int(rows.sum()) * attrset.count(fd.rhs)
-            excluding = sum(
-                int((rows & ~relation.null_mask(attr)).sum())
-                for attr in attrset.iter_attrs(fd.rhs)
-            )
-        else:
-            redundancy = count_redundant(relation, fd, NullPolicy.INCLUDE, cache)
-            excluding = count_redundant(relation, fd, NullPolicy.EXCLUDE_RHS, cache)
-        ranked.append(
-            RankedFD(
-                fd=fd,
-                redundancy=redundancy,
-                redundancy_excluding_null=excluding,
-            )
-        )
+    return RankedFD(
+        fd=fd,
+        redundancy=int(rows.sum()) * attrset.count(fd.rhs),
+        redundancy_excluding_null=excluding,
+    )
+
+
+def ranking_from_masks(
+    relation: Relation,
+    fds: Sequence[FD],
+    masks: Dict[AttrSet, np.ndarray],
+    started: float,
+) -> RankingResult:
+    """The full ranking of ``fds`` from their LHSs' INCLUDE row masks.
+
+    ``started`` is the :func:`time.perf_counter` reading the timed pass
+    began at.
+    """
+    ranked = [_ranked_fd(relation, fd, masks[fd.lhs]) for fd in fds]
     ranked.sort(key=lambda r: (-r.redundancy, r.fd.lhs, r.fd.rhs))
-    return ranked, 0
+    return RankingResult(ranked=ranked, seconds=time.perf_counter() - started)
 
 
 def _rank_bounded(
@@ -218,14 +218,12 @@ def _rank_bounded(
             break
         tracker.add(fd, count_redundant(relation, fd, NullPolicy.INCLUDE, cache))
     ranked = [
-        RankedFD(
-            fd=fd,
-            redundancy=redundancy,
-            redundancy_excluding_null=count_redundant(
-                relation, fd, NullPolicy.EXCLUDE_RHS, cache
-            ),
+        _ranked_fd(
+            relation,
+            fd,
+            redundant_rows_for_lhs(relation, cache.get(fd.lhs), NullPolicy.INCLUDE),
         )
-        for fd, redundancy in tracker.top()
+        for fd, _ in tracker.top()
     ]
     return ranked, skipped
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from ..partitions.cache import PartitionCache
 from ..partitions.stripped import StrippedPartition
 from ..relational import attrset
 from ..relational.attrset import AttrSet
-from ..relational.fd import FD, FDSet
+from ..relational.fd import FD
 from ..relational.relation import Relation
 from ..telemetry import current_tracer
 
@@ -132,35 +132,84 @@ def redundancy_upper_bound(
     return cache.best_singleton(lhs).size
 
 
-def _parallel_rows_by_lhs(
+def lhs_row_masks(
     relation: Relation,
-    unique_lhs: Sequence[AttrSet],
-    policy: NullPolicy,
-    jobs: Optional[int],
-) -> Optional[Dict[AttrSet, np.ndarray]]:
-    """Per-LHS redundant-row masks computed across a worker pool.
+    lhs_list: Iterable[AttrSet],
+    policy: NullPolicy = NullPolicy.INCLUDE,
+    cache: Optional[PartitionCache] = None,
+    jobs: Optional[int] = None,
+    deadline=None,
+) -> Dict[AttrSet, np.ndarray]:
+    """Redundant-row mask of ``π_X`` for every distinct ``X`` in ``lhs_list``.
 
-    Returns ``None`` whenever the serial path should run instead: jobs
-    resolve to 1, the relation or FD list is below the parallel
-    thresholds, or the pool broke (the caller recomputes serially — the
-    masks merge by OR, so the result is identical either way).
+    The one source of per-LHS masks: the §VI ranking, the Table IV
+    report and :func:`redundancy_positions` are all built from it, so
+    :func:`~repro.profiling.profiler.profile`, which needs ranking and
+    report, derives each LHS partition once.
+
+    With ``jobs`` > 1 (or a process default from ``REPRO_FD_JOBS`` /
+    ``--jobs``) and a relation and LHS list above the parallel
+    thresholds, a worker pool builds the masks, one LHS per task.
+    Otherwise, or when the pool breaks, they are derived through
+    ``cache`` (a fresh shared :class:`PartitionCache` when None).  The
+    masks are identical either way.
+
+    ``deadline`` (a :class:`~repro.core.base.Deadline` or
+    :class:`~repro.core.base.RunContext`) is polled before the pool
+    pass and once per LHS derived through the cache.
     """
     from .. import parallel
     from ..parallel import config as parallel_config
 
+    if cache is None:
+        cache = PartitionCache(relation, shared=True)
+    unique_lhs = list(dict.fromkeys(lhs_list))
+    masks: Dict[AttrSet, np.ndarray] = {}
     n_jobs = parallel.resolve_jobs(jobs)
     if (
-        n_jobs <= 1
-        or relation.n_rows < parallel_config.DEFAULT_MIN_PARALLEL_ROWS
-        or len(unique_lhs) < parallel_config.DEFAULT_MIN_PARALLEL_ITEMS
+        n_jobs > 1
+        and relation.n_rows >= parallel_config.DEFAULT_MIN_PARALLEL_ROWS
+        and len(unique_lhs) >= parallel_config.DEFAULT_MIN_PARALLEL_ITEMS
     ):
-        return None
-    with parallel.ParallelExecutor(relation, jobs=n_jobs) as executor:
-        try:
-            masks = parallel.redundancy_row_masks(executor, unique_lhs, policy)
-        except parallel.PoolBrokenError:
-            return None
-    return dict(zip(unique_lhs, masks))
+        if deadline is not None:
+            deadline.check()
+        with parallel.ParallelExecutor(relation, jobs=n_jobs) as executor:
+            try:
+                masks = dict(zip(
+                    unique_lhs,
+                    parallel.redundancy_row_masks(executor, unique_lhs, policy),
+                ))
+            except parallel.PoolBrokenError:
+                pass  # the loop below derives them through the cache
+    for lhs in unique_lhs:
+        if lhs not in masks:
+            if deadline is not None:
+                deadline.check()
+            masks[lhs] = redundant_rows_for_lhs(relation, cache.get(lhs), policy)
+    cache.record_telemetry(scope="redundancy")
+    return masks
+
+
+def _positions_from_masks(
+    relation: Relation,
+    fds: Sequence[FD],
+    masks: Dict[AttrSet, np.ndarray],
+    policy: NullPolicy = NullPolicy.INCLUDE,
+) -> np.ndarray:
+    """OR-merge per-LHS row masks into the ``(n_rows, n_cols)`` matrix.
+
+    Each FD marks its LHS's rows in every RHS column; under a policy
+    other than ``INCLUDE`` a marked occurrence must also be non-null.
+    """
+    marked = np.zeros((relation.n_rows, relation.n_cols), dtype=bool)
+    for fd in fds:
+        rows = masks[fd.lhs]
+        for attr in attrset.iter_attrs(fd.rhs):
+            if policy is NullPolicy.INCLUDE:
+                marked[:, attr] |= rows
+            else:
+                marked[:, attr] |= rows & ~relation.null_mask(attr)
+    return marked
 
 
 def redundancy_positions(
@@ -175,36 +224,15 @@ def redundancy_positions(
 
     The union over the cover: a position may be redundant due to
     several FDs but is counted once (the data-set totals of Table IV).
-
-    With ``jobs`` > 1 (or a process default from ``REPRO_FD_JOBS`` /
-    ``--jobs``) the per-LHS row masks are computed by a worker pool —
-    one FD LHS per task — and OR-merged here; the result is identical
-    to the serial loop for any worker count.
-
-    ``deadline`` (a :class:`~repro.core.base.Deadline` or
-    :class:`~repro.core.base.RunContext`) is polled once per FD so a
-    driver's time limit also bounds the ranking pass.
+    The per-LHS masks come from :func:`lhs_row_masks` (``jobs`` and
+    ``deadline`` as there), so the result is identical for any worker
+    count.
     """
-    if cache is None:
-        cache = PartitionCache(relation, shared=True)
-    marked = np.zeros((relation.n_rows, relation.n_cols), dtype=bool)
     fds = list(cover)
-    unique_lhs = list(dict.fromkeys(fd.lhs for fd in fds))
-    rows_by_lhs = _parallel_rows_by_lhs(relation, unique_lhs, policy, jobs)
-    for fd in fds:
-        if deadline is not None:
-            deadline.check()
-        if rows_by_lhs is not None:
-            rows = rows_by_lhs[fd.lhs]
-        else:
-            partition = cache.get(fd.lhs)
-            rows = redundant_rows_for_lhs(relation, partition, policy)
-        for attr in attrset.iter_attrs(fd.rhs):
-            if policy is NullPolicy.INCLUDE:
-                marked[:, attr] |= rows
-            else:
-                marked[:, attr] |= rows & ~relation.null_mask(attr)
-    return marked
+    masks = lhs_row_masks(
+        relation, (fd.lhs for fd in fds), policy, cache, jobs, deadline
+    )
+    return _positions_from_masks(relation, fds, masks, policy)
 
 
 @dataclass(frozen=True)
@@ -231,29 +259,40 @@ class RedundancyReport:
         return 100.0 * self.red_including_null / self.n_values
 
 
+def report_from_masks(
+    relation: Relation,
+    fds: Sequence[FD],
+    masks: Dict[AttrSet, np.ndarray],
+    started: float,
+) -> RedundancyReport:
+    """The Table IV row of ``fds`` from their :func:`lhs_row_masks`.
+
+    ``started`` is the :func:`time.perf_counter` reading the timed pass
+    began at.
+    """
+    including = _positions_from_masks(relation, fds, masks)
+    null_matrix = np.column_stack(
+        [relation.null_mask(attr) for attr in range(relation.n_cols)]
+    ) if relation.n_cols else np.zeros((relation.n_rows, 0), dtype=bool)
+    return RedundancyReport(
+        n_values=relation.n_values,
+        red_excluding_null=int((including & ~null_matrix).sum()),
+        red_including_null=int(including.sum()),
+        seconds=time.perf_counter() - started,
+    )
+
+
 def dataset_redundancy(
     relation: Relation,
-    cover: FDSet,
+    cover: Iterable[FD],
     jobs: Optional[int] = None,
     deadline=None,
 ) -> RedundancyReport:
     """Compute #values / #red / #red+0 for a relation and cover (timed)."""
     start = time.perf_counter()
-    with current_tracer().span("redundancy", fds=len(cover)):
-        cache = PartitionCache(relation, shared=True)
-        including = redundancy_positions(
-            relation, cover, NullPolicy.INCLUDE, cache, jobs=jobs,
-            deadline=deadline,
+    fds = list(cover)
+    with current_tracer().span("redundancy", fds=len(fds)):
+        masks = lhs_row_masks(
+            relation, (fd.lhs for fd in fds), jobs=jobs, deadline=deadline
         )
-        null_matrix = np.column_stack(
-            [relation.null_mask(attr) for attr in range(relation.n_cols)]
-        ) if relation.n_cols else np.zeros((relation.n_rows, 0), dtype=bool)
-        excluding = including & ~null_matrix
-        cache.record_telemetry(scope="redundancy")
-    elapsed = time.perf_counter() - start
-    return RedundancyReport(
-        n_values=relation.n_values,
-        red_excluding_null=int(excluding.sum()),
-        red_including_null=int(including.sum()),
-        seconds=elapsed,
-    )
+        return report_from_masks(relation, fds, masks, start)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
+
 from repro.datasets.synthetic import random_relation
 from repro.partitions.cache import PartitionCache
 from repro.partitions.stripped import StrippedPartition
@@ -113,3 +117,73 @@ class TestCache:
         base = cache._best_subset(target)
         assert attrset.is_proper_subset(base.attrs, target)
         assert attrset.count(base.attrs) <= 1
+
+
+def _clusters(partition):
+    return {frozenset(c) for c in partition.clusters}
+
+
+def _brute_best_subset(cache, attrs):
+    """The subset rule, spelled out over every cached entry."""
+    for attr in attrset.iter_attrs(attrs):
+        parent = cache.peek(attrset.remove(attrs, attr))
+        if parent is not None:
+            return parent
+    best = None
+    for mask, partition in cache._store.items():  # insertion order
+        if attrset.count(mask) < 2 or not attrset.is_proper_subset(mask, attrs):
+            continue
+        if best is None or (attrset.count(mask), -partition.size) > (
+            attrset.count(best.attrs), -best.size
+        ):
+            best = partition  # strictly better: earlier entries win ties
+    return best if best is not None else cache.best_singleton(attrs)
+
+
+class TestBestSubsetIndex:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force_on_random_caches(self, seed):
+        rng = random.Random(seed)
+        n_cols = 9
+        rel = random_relation(
+            30, n_cols, domain_sizes=[rng.choice([1, 2, 3]) for _ in range(n_cols)],
+            seed=seed,
+        )
+        cache = PartitionCache(rel)
+        full = attrset.full_set(n_cols)
+        for _ in range(40):
+            cache.get(rng.randrange(1, full + 1))
+        for _ in range(80):
+            attrs = rng.randrange(1, full + 1)
+            assert cache._best_subset(attrs) is _brute_best_subset(cache, attrs)
+            assert _clusters(cache.get(attrs)) == _clusters(
+                StrippedPartition.for_attrs(rel, attrs)
+            )
+
+    def test_finds_subsets_cached_after_thousands_of_entries(self):
+        # Over 4,096 non-subset entries are cached before the subsets of
+        # the target; every cached entry must stay reachable.
+        n_cols = 14
+        rel = random_relation(
+            24, n_cols, domain_sizes=[2, 2, 3, 2, 3, 2] + [3] * 8, seed=3
+        )
+        cache = PartitionCache(rel)
+        target = attrset.from_attrs(range(6))
+        fillers = [
+            mask for mask in range(1 << n_cols)
+            if attrset.count(mask) > 1 and mask & ~target
+        ][:4200]
+        for mask in fillers:
+            cache.get(mask)
+        cache.get(attrset.from_attrs([0, 1]))
+        late = [
+            cache.get(attrset.from_attrs(members))
+            for members in ([0, 1, 2], [3, 4, 5], [1, 3, 5])
+        ]
+        best = cache._best_subset(target)
+        assert best is _brute_best_subset(cache, target)
+        assert attrset.count(best.attrs) == 3
+        assert best.size == min(p.size for p in late)
+        assert _clusters(cache.get(target)) == _clusters(
+            StrippedPartition.for_attrs(rel, target)
+        )

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import profile
+from repro.datasets.armstrong import armstrong_relation
+from repro.datasets.benchmarks import load_benchmark
 from repro.datasets.synthetic import random_relation
+from repro.parallel import config as parallel_config
+from repro.parallel.config import use_jobs
 from repro.partitions.cache import PartitionCache
+from repro.ranking.ranker import rank_cover
 from repro.ranking.redundancy import (
     NullPolicy,
     count_redundant,
@@ -17,7 +24,7 @@ from repro.ranking.redundancy import (
 )
 from repro.relational import attrset
 from repro.relational.fd import FD, FDSet
-from repro.relational.null import NULL
+from repro.relational.null import NULL, NullSemantics
 from repro.relational.relation import Relation
 
 
@@ -168,3 +175,61 @@ class TestBruteForceEquivalence:
             ):
                 expected += 1
         assert count_redundant(rel, fd, NullPolicy.INCLUDE) == expected
+
+
+class TestSinglePass:
+    """``profile()`` builds ranking and report from one mask pass."""
+
+    @staticmethod
+    def _relations():
+        fd = lambda lhs, rhs: FD(A(*lhs), A(rhs))  # noqa: E731
+        yield armstrong_relation(4, [fd([0], 1), fd([1, 2], 3)])
+        yield armstrong_relation(5, [fd([0, 1], 2), fd([2], 3), fd([3, 4], 0)])
+        yield armstrong_relation(6, [fd([0], 1), fd([1], 2), fd([2, 3], 4)])
+        for seed in range(3):
+            yield random_relation(
+                60, 5, domain_sizes=[2, 3, 4, 3, 2], null_rate=0.2, seed=seed
+            )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("semantics", list(NullSemantics))
+    def test_profile_matches_standalone_passes(self, monkeypatch, jobs, semantics):
+        # let the jobs=2 leg reach the worker pool on these small inputs
+        monkeypatch.setattr(parallel_config, "DEFAULT_MIN_PARALLEL_ROWS", 0)
+        monkeypatch.setattr(parallel_config, "DEFAULT_MIN_PARALLEL_ITEMS", 1)
+        for relation in self._relations():
+            with use_jobs(jobs):  # the REPRO_FD_JOBS default, pinned
+                outcome = profile(relation, null_semantics=semantics, trace=True)
+                encoded, cover = outcome.relation, outcome.canonical
+                ranking = rank_cover(encoded, cover)
+                report = dataset_redundancy(encoded, cover)
+            pooled = {
+                span.attrs["kind"]
+                for span in outcome.tracer.find_spans("parallel.batch")
+            }
+            assert ("redundancy" in pooled) == (jobs == 2 and len(cover) > 0)
+            assert outcome.ranking.ranked == ranking.ranked
+            assert (
+                outcome.redundancy.n_values,
+                outcome.redundancy.red_excluding_null,
+                outcome.redundancy.red_including_null,
+            ) == (
+                report.n_values,
+                report.red_excluding_null,
+                report.red_including_null,
+            )
+
+    def test_profile_derives_each_lhs_partition_once(self):
+        hepatitis = load_benchmark("hepatitis")
+        relation = hepatitis.project_columns(
+            [c for c in range(hepatitis.n_cols) if c not in (1, 2)]
+        )
+        assert (relation.n_rows, relation.n_cols) == (70, 18)
+        outcome = profile(relation, trace=True)
+        misses = sum(
+            event.attrs["misses"]
+            for event in outcome.tracer.find_events("partition_cache")
+            if event.attrs["scope"] in ("ranking", "redundancy")
+        )
+        unique_lhs = {fd.lhs for fd in outcome.canonical}
+        assert 0 < misses <= len(unique_lhs)

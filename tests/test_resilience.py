@@ -551,10 +551,10 @@ class TestProfilePartial:
     def test_ranking_timeout_skips_under_partial(self, monkeypatch, city_relation):
         from repro.profiling import profiler
 
-        def exploding_rank(relation, cover, deadline=None, top_k=None):
+        def exploding_masks(*args, **kwargs):
             raise TimeLimitExceeded("ranking", 0.0)
 
-        monkeypatch.setattr(profiler, "rank_cover", exploding_rank)
+        monkeypatch.setattr(profiler, "lhs_row_masks", exploding_masks)
         outcome = profiler.profile(
             city_relation, algorithm="dhyfd", on_limit="partial"
         )
@@ -567,10 +567,10 @@ class TestProfilePartial:
     ):
         from repro.profiling import profiler
 
-        def exploding_rank(relation, cover, deadline=None, top_k=None):
+        def exploding_masks(*args, **kwargs):
             raise TimeLimitExceeded("ranking", 0.0)
 
-        monkeypatch.setattr(profiler, "rank_cover", exploding_rank)
+        monkeypatch.setattr(profiler, "lhs_row_masks", exploding_masks)
         with pytest.raises(TimeLimitExceeded):
             profiler.profile(city_relation, algorithm="dhyfd")
 
