@@ -47,15 +47,7 @@ def package_version() -> str:
 
 
 def _load_input(args: argparse.Namespace) -> Relation:
-    """Resolve --csv / --benchmark inputs into a relation.
-
-    Also applies ``--jobs`` (when the subcommand has it) as the
-    process-wide default, so every algorithm and ranking pass in the
-    invocation uses the chosen worker count.
-    """
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        parallel.set_default_jobs(jobs)
+    """Resolve --csv / --benchmark inputs into a relation."""
     semantics = NullSemantics.parse(args.null_semantics)
     if args.csv:
         return read_csv(
@@ -386,8 +378,6 @@ def _cmd_multitable(args: argparse.Namespace) -> int:
 
     from .multitable import MultitableError, SchemaGraph, discover_join_fds
 
-    if args.jobs is not None:
-        parallel.set_default_jobs(args.jobs)
     try:
         if args.star or not args.table:
             # Demo mode: the reddit_star workload (docs/multitable.md).
@@ -948,7 +938,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    jobs = getattr(args, "jobs", None)
+    if jobs is None:
+        return args.handler(args)
+    # --jobs is the default worker count of every algorithm and ranking
+    # pass in this invocation, and of nothing after it returns.
+    with parallel.use_jobs(jobs):
+        return args.handler(args)
 
 
 if __name__ == "__main__":

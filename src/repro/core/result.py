@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..covers.canonical import canonical_cover
 from ..relational.fd import FD, FDSet
 from ..relational.fd_io import cover_from_payload, cover_payload
 from ..relational.relation import Relation
@@ -92,6 +93,20 @@ class DiscoveryResult:
     unverified: FDSet = field(default_factory=FDSet)
     limit_reason: Optional[str] = None
     top_k: Optional[int] = None
+    _canonical: Optional[FDSet] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def canonical_cover(self) -> FDSet:
+        """The canonical cover of ``fds``, computed on first use.
+
+        Nothing mutates a result after construction, so the service
+        ranks a stored cover version again without recomputing it.  Two
+        threads asking at once may both compute it; the answers agree.
+        """
+        if self._canonical is None:
+            self._canonical = canonical_cover(self.fds)
+        return self._canonical
 
     @property
     def fd_count(self) -> int:

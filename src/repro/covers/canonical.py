@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, Iterable, List, Tuple
 
 from ..relational import attrset
 from ..relational.attrset import AttrSet
@@ -53,6 +55,67 @@ def is_left_reduced(fds: Iterable[FD]) -> bool:
     return True
 
 
+def _singleton_pairs(fds: Iterable[FD]) -> List[Tuple[AttrSet, AttrSet]]:
+    """The distinct ``(lhs, A)`` pairs of the singleton-RHS expansion.
+
+    Sorted in the greedy order of :func:`non_redundant_cover`: larger
+    LHS first, then by LHS, then by RHS — so FDs sharing a LHS are
+    adjacent.
+    """
+    keyed = {
+        (-attrset.count(fd.lhs), fd.lhs, attrset.singleton(attr))
+        for fd in fds
+        for attr in attrset.iter_attrs(fd.rhs)
+    }
+    return [(lhs, rhs) for _, lhs, rhs in sorted(keyed)]
+
+
+def _non_redundant_groups(
+    pairs: List[Tuple[AttrSet, AttrSet]],
+) -> List[Tuple[AttrSet, AttrSet]]:
+    """The greedy non-redundancy pass, one LHS group at a time.
+
+    Returns ``(X, kept RHS)`` per LHS group of ``pairs`` (from
+    :func:`_singleton_pairs`), in order; the kept RHS may be empty.  The
+    output equals that of removing each ``X -> A`` in turn and keeping
+    it removed iff the rest still imply it.
+
+    A group's FDs are removed together and ``D = X⁺`` is computed once
+    under the rest.  ``X -> A`` with ``A ∈ D`` is redundant: fewer FDs
+    derived it than the one-at-a-time pass would see.  For any other
+    member the one-at-a-time closure of ``X`` fires the group's other
+    active FDs at its first step, so it is the closure of ``D`` plus the
+    RHSs kept so far and those of later members, under the rest.
+    """
+    engine = ImplicationEngine.from_sides(
+        [lhs for lhs, _ in pairs], [rhs for _, rhs in pairs]
+    )
+    closure = engine.closure
+    groups: List[Tuple[AttrSet, AttrSet]] = []
+    stop = 0
+    for lhs, members in groupby(pairs, key=itemgetter(0)):
+        rhss = [rhs for _, rhs in members]
+        start, stop = stop, stop + len(rhss)
+        engine.remove_range(start, stop)
+        # the RHSs are distinct single bits, so their sum is their union
+        group_rhs = sum(rhss)
+        derived = closure(lhs, until=group_rhs)
+        # When D misses part of the group it is the full closure, so a
+        # member with no other pending or kept RHS is decided by D.
+        pending = group_rhs & ~derived
+        kept = attrset.EMPTY
+        for index, rhs in enumerate(rhss, start):
+            if not rhs & pending:
+                continue
+            pending ^= rhs
+            if pending | kept and rhs & closure(derived | pending | kept, until=rhs):
+                continue
+            kept |= rhs
+            engine.restore(index)
+        groups.append((lhs, kept))
+    return groups
+
+
 def non_redundant_cover(fds: Iterable[FD]) -> FDSet:
     """Drop every FD implied by the remaining ones.
 
@@ -61,16 +124,11 @@ def non_redundant_cover(fds: Iterable[FD]) -> FDSet:
     general ones).  The result depends on the order but is always a
     non-redundant cover.
     """
-    singletons = sorted(
-        {part for fd in fds for part in fd.split()},
-        key=lambda fd: (-fd.lhs_size, fd.lhs, fd.rhs),
+    return FDSet(
+        FD(lhs, attrset.singleton(attr))
+        for lhs, kept in _non_redundant_groups(_singleton_pairs(fds))
+        for attr in attrset.iter_attrs(kept)
     )
-    engine = ImplicationEngine(singletons)
-    for index, fd in enumerate(singletons):
-        engine.remove(index)
-        if not engine.implies(fd):
-            engine.restore(index)
-    return FDSet(singletons[i] for i in engine.active_indices())
 
 
 def is_non_redundant(fds: Iterable[FD]) -> bool:
@@ -103,7 +161,12 @@ def canonical_cover(fds: Iterable[FD], assume_left_reduced: bool = True) -> FDSe
     current: Iterable[FD] = fds
     if not assume_left_reduced:
         current = left_reduce(current)
-    return merge_same_lhs(non_redundant_cover(current))
+    return _canonical(_singleton_pairs(current))
+
+
+def _canonical(pairs: List[Tuple[AttrSet, AttrSet]]) -> FDSet:
+    """The non-redundant pass over ``pairs``, each group's kept RHS merged."""
+    return FDSet(FD(lhs, kept) for lhs, kept in _non_redundant_groups(pairs) if kept)
 
 
 @dataclass(frozen=True)
@@ -133,13 +196,13 @@ class CoverComparison:
 
 def compare_covers(left_reduced: FDSet) -> Tuple[FDSet, CoverComparison]:
     """Canonical cover plus the paper's Table III metrics (timed)."""
-    singleton_input = left_reduced.split()
     start = time.perf_counter()
-    canonical = canonical_cover(left_reduced)
+    pairs = _singleton_pairs(left_reduced)
+    canonical = _canonical(pairs)
     elapsed = time.perf_counter() - start
     comparison = CoverComparison(
-        left_reduced_count=len(singleton_input),
-        left_reduced_occurrences=singleton_input.attribute_occurrences,
+        left_reduced_count=len(pairs),
+        left_reduced_occurrences=sum(attrset.count(lhs) + 1 for lhs, _ in pairs),
         canonical_count=len(canonical),
         canonical_occurrences=canonical.attribute_occurrences,
         seconds=elapsed,

@@ -78,11 +78,16 @@ def get_default_jobs() -> int:
     return _parse_jobs(env, ENV_JOBS)
 
 
-def set_default_jobs(jobs: Union[int, str]) -> int:
-    """Set the process-wide default job count; returns the previous one."""
+def set_default_jobs(jobs: Optional[Union[int, str]]) -> Optional[int]:
+    """Set the process-wide default job count; ``None`` clears it, so
+    ``REPRO_FD_JOBS`` applies again.
+
+    Returns the previous setting (``None`` when there was none), so
+    passing it back restores the previous state exactly.
+    """
     global _default_jobs
-    previous = get_default_jobs()
-    _default_jobs = _parse_jobs(jobs, "jobs")
+    previous = _default_jobs
+    _default_jobs = None if jobs is None else _parse_jobs(jobs, "jobs")
     return previous
 
 
@@ -106,5 +111,4 @@ class use_jobs:
         return self.jobs
 
     def __exit__(self, *exc_info) -> None:
-        assert self._previous is not None
         set_default_jobs(self._previous)

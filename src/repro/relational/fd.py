@@ -9,6 +9,7 @@ multi-attribute RHSs for canonical covers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Union
 
 from . import attrset
@@ -94,6 +95,9 @@ class FD:
         return f"{lhs} -> {rhs}"
 
 
+_fd_sort_key = attrgetter("lhs", "rhs")
+
+
 class FDSet:
     """A mutable collection of FDs with convenience metrics.
 
@@ -121,7 +125,8 @@ class FDSet:
         return len(self._fds)
 
     def __iter__(self) -> Iterator[FD]:
-        return iter(sorted(self._fds))
+        # the order of ``FD.__lt__``, without its per-comparison tuples
+        return iter(sorted(self._fds, key=_fd_sort_key))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FDSet):

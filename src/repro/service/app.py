@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from .. import __version__, memplane
 from ..algorithms.registry import make_algorithm
 from ..core.result import DiscoveryResult, DiscoveryStats
-from ..covers.canonical import canonical_cover
 from ..ranking.ranker import rank_cover
 from ..relational.fd import FDSet
 from ..relational.io import read_csv_text
@@ -321,7 +320,7 @@ class FDService:
                 job.result = result
                 if job.kind == "rank":
                     with tracer.span("covers", fds=result.fd_count):
-                        canonical = canonical_cover(result.fds)
+                        canonical = result.canonical_cover()
                     ranking = rank_cover(
                         entry.relation,
                         canonical,
@@ -368,7 +367,7 @@ class FDService:
                 provenance = provider.provenance
                 owners = attribute_tables(entry.graph, provenance.tables)
                 with tracer.span("covers", fds=result.fd_count):
-                    canonical = canonical_cover(result.fds)
+                    canonical = result.canonical_cover()
                 ranking = rank_cover(
                     relation,
                     canonical,

@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.result import DiscoveryResult
 from ..incremental.maintainer import IncrementalFDMaintainer
+from ..relational.fd import FDSet
 from ..relational.relation import Relation
 from .config import JobConfig
 from .keyed import KeyedStore, _noop_count
@@ -137,6 +138,10 @@ class ResultStore:
                 **config.algorithm_kwargs(),
             )
             cover = maintainer.append_rows(rows)
+            # The store keeps every version's cover: let the new one
+            # share the FD objects the append left standing.
+            standing = {fd: fd for fd in result.fds.as_frozenset()}
+            cover = FDSet(standing.get(fd, fd) for fd in cover.as_frozenset())
             updated = DiscoveryResult(
                 algorithm=result.algorithm,
                 schema=result.schema,

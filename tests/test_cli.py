@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro import parallel
+from repro.algorithms import DHyFD
 from repro.cli import build_parser, main
 from repro.relational.io import write_csv
 
@@ -185,6 +187,22 @@ class TestDiscover:
     def test_algorithm_option(self, csv_path, capsys):
         main(["discover", "--csv", csv_path, "--algorithm", "tane"])
         assert "tane" in capsys.readouterr().out
+
+    def test_jobs_option_applies_to_one_invocation(self, csv_path, monkeypatch):
+        monkeypatch.setattr(parallel.config, "_default_jobs", None)
+        monkeypatch.delenv(parallel.ENV_JOBS, raising=False)
+        seen = []
+        discover = DHyFD.discover
+
+        def spy(self, relation):
+            seen.append(parallel.resolve_jobs())
+            return discover(self, relation)
+
+        monkeypatch.setattr(DHyFD, "discover", spy)
+        assert main(["discover", "--csv", csv_path, "--jobs", "3"]) == 0
+        assert seen == [3]
+        monkeypatch.setenv(parallel.ENV_JOBS, "2")
+        assert parallel.resolve_jobs() == 2
 
     def test_null_semantics_option(self, csv_path):
         assert main(

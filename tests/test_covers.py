@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +123,33 @@ class TestCanonicalCover:
         assert comparison.left_reduced_occurrences == 6
         assert comparison.canonical_count == 2
         assert comparison.seconds >= 0
+        # counted on the singleton expansion of a merged RHS
+        _, comparison = compare_covers(FDSet([FD(A(0), A(1, 2)), FD(A(0), A(1))]))
+        assert comparison.left_reduced_count == 2
+        assert comparison.left_reduced_occurrences == 4
+        assert comparison.canonical_occurrences == 3
+
+    def test_result_memo_under_concurrent_readers(self):
+        rel = random_relation(40, 6, domain_sizes=3, seed=13)
+        result = DHyFD().discover(rel)
+        expected = canonical_cover(result.fds)
+        covers = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda: covers.append(result.canonical_cover()))
+                for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert covers == [expected] * 8
+        assert result.canonical_cover() is result.canonical_cover()
 
     def test_empty_cover(self):
         canonical, comparison = compare_covers(FDSet())

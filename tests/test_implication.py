@@ -5,15 +5,18 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.covers.canonical import non_redundant_cover
+from repro.algorithms import DHyFD
+from repro.covers.canonical import canonical_cover, merge_same_lhs, non_redundant_cover
 from repro.covers.implication import (
     ImplicationEngine,
     closure,
     equivalent,
     implies,
 )
+from repro.datasets.armstrong import armstrong_relation
+from repro.datasets.benchmarks import load_benchmark
 from repro.relational import attrset
-from repro.relational.fd import FD
+from repro.relational.fd import FD, FDSet
 
 
 def A(*attrs):
@@ -202,3 +205,110 @@ def brute_force_non_redundant(fds):
 def test_non_redundant_cover_matches_brute_force_greedy(cover):
     _, fds = cover
     assert list(non_redundant_cover(fds)) == brute_force_non_redundant(fds)
+
+
+# ----------------------------------------------------------------------
+# The grouped non-redundancy pass against the one-at-a-time greedy
+# ----------------------------------------------------------------------
+
+
+def reference_non_redundant_cover(fds):
+    """The greedy pass one FD at a time: remove ``X -> A``, restore it
+    unless the remaining FDs still imply it."""
+    singletons = sorted(
+        {part for fd in fds for part in fd.split()},
+        key=lambda fd: (-fd.lhs_size, fd.lhs, fd.rhs),
+    )
+    engine = ImplicationEngine(singletons)
+    for index, fd in enumerate(singletons):
+        engine.remove(index)
+        if not engine.implies(fd):
+            engine.restore(index)
+    return FDSet(singletons[i] for i in engine.active_indices())
+
+
+def assert_matches_reference(fds):
+    reference = reference_non_redundant_cover(fds)
+    assert list(non_redundant_cover(fds)) == list(reference)
+    assert canonical_cover(fds) == merge_same_lhs(reference)
+
+
+@st.composite
+def grouped_cover(draw):
+    """FDs in LHS groups of 2–6 members, some derivable through others.
+
+    Columns come from a small pool straddling one 64-bit word.  One
+    group may have the empty LHS.  Chain FDs ``{A} ∪ Y -> B`` (``A`` a
+    group member's RHS, ``Y`` part of the group's LHS) make ``X -> B``
+    derivable through ``X -> A``; a few random FDs mix the groups.
+    """
+    pool = draw(st.lists(st.integers(0, 69), min_size=3, max_size=10, unique=True))
+    attrs = st.sampled_from(pool)
+    fds = []
+    lhss = [attrset.from_attrs(draw(st.lists(attrs, max_size=3)))
+            for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        lhss.append(attrset.EMPTY)
+    for lhs in lhss:
+        free = [a for a in pool if not attrset.contains(lhs, a)]
+        if len(free) < 2:
+            continue
+        members = draw(st.lists(
+            st.sampled_from(free), min_size=2, max_size=min(6, len(free)), unique=True
+        ))
+        fds.extend(FD(lhs, attrset.singleton(a)) for a in members)
+        for source, target in zip(members, members[1:]):
+            if draw(st.booleans()):
+                extra = lhs & attrset.from_attrs(draw(st.lists(attrs, max_size=2)))
+                fds.append(FD(attrset.singleton(source) | extra, attrset.singleton(target)))
+    for _ in range(draw(st.integers(0, 8))):
+        rhs = attrset.singleton(draw(attrs))
+        lhs = attrset.from_attrs(draw(st.lists(attrs, max_size=3))) & ~rhs
+        fds.append(FD(lhs, rhs))
+    return fds
+
+
+@settings(deadline=None, max_examples=200)
+@given(fds=grouped_cover())
+def test_grouped_pass_matches_reference_on_shared_lhss(fds):
+    assert_matches_reference(fds)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    n_cols=st.integers(3, 7),
+    raw=st.lists(st.tuples(st.integers(0, 127), st.integers(0, 6)), max_size=6),
+)
+def test_grouped_pass_matches_reference_on_armstrong_covers(n_cols, raw):
+    """Left-reduced covers discovered from Armstrong relations of random Σ."""
+    sigma = []
+    for lhs_bits, rhs_attr in raw:
+        rhs_attr %= n_cols
+        lhs = lhs_bits & attrset.full_set(n_cols) & ~attrset.singleton(rhs_attr)
+        sigma.append(FD(lhs, attrset.singleton(rhs_attr)))
+    cover = DHyFD().discover(armstrong_relation(n_cols, sigma)).fds
+    assert_matches_reference(cover)
+
+
+def test_grouped_pass_bounds_closures_on_hepatitis(monkeypatch):
+    """hepatitis 70×18: 7,985 FDs over 2,929 LHSs take at most 4,958
+    closures (one per FD in the one-at-a-time pass)."""
+    hepatitis = load_benchmark("hepatitis")
+    relation = hepatitis.project_columns(
+        [c for c in range(hepatitis.n_cols) if c not in (1, 2)]
+    )
+    fds = DHyFD().discover(relation).fds
+    assert len(fds) == 7985
+    calls = []
+    closure = ImplicationEngine.closure
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return closure(self, *args, **kwargs)
+
+    monkeypatch.setattr(ImplicationEngine, "closure", counting)
+    canonical = canonical_cover(fds)
+    assert len(calls) <= 4958
+    monkeypatch.undo()
+    assert canonical == merge_same_lhs(reference_non_redundant_cover(fds))
+    assert len(canonical) == 1247

@@ -21,6 +21,7 @@ from repro.parallel import config as parallel_config
 from repro.parallel.pool import chunk_items
 from repro.memplane.arena import DatasetArena, get_arena
 from repro.parallel.shm import SharedRelationView
+from repro.partitions.cache import PartitionCache
 from repro.partitions.stripped import StrippedPartition
 from repro.ranking.redundancy import (
     NullPolicy,
@@ -87,13 +88,25 @@ class TestJobsResolution:
             parallel.resolve_jobs("many")
 
     def test_set_default_jobs_round_trip(self, monkeypatch):
+        monkeypatch.setattr(parallel_config, "_default_jobs", None)
         monkeypatch.delenv(parallel.ENV_JOBS, raising=False)
         previous = parallel.set_default_jobs(4)
         try:
             assert parallel.resolve_jobs() == 4
         finally:
             parallel.set_default_jobs(previous)
-        assert parallel.resolve_jobs() == previous
+        assert previous is None
+        # restored to unset, not pinned to the value it resolved to
+        monkeypatch.setenv(parallel.ENV_JOBS, "2")
+        assert parallel.resolve_jobs() == 2
+
+    def test_set_default_jobs_none_clears_the_pin(self, monkeypatch):
+        monkeypatch.setattr(parallel_config, "_default_jobs", None)
+        monkeypatch.setenv(parallel.ENV_JOBS, "2")
+        parallel.set_default_jobs(5)
+        assert parallel.resolve_jobs() == 5
+        assert parallel.set_default_jobs(None) == 5
+        assert parallel.resolve_jobs() == 2
 
     def test_use_jobs_context(self, monkeypatch):
         monkeypatch.delenv(parallel.ENV_JOBS, raising=False)
@@ -101,6 +114,14 @@ class TestJobsResolution:
         with parallel.use_jobs(2):
             assert parallel.resolve_jobs() == 2
         assert parallel.get_default_jobs() == before
+
+    def test_use_jobs_leaves_the_environment_in_charge(self, monkeypatch):
+        monkeypatch.setattr(parallel_config, "_default_jobs", None)
+        monkeypatch.delenv(parallel.ENV_JOBS, raising=False)
+        with parallel.use_jobs(3):
+            assert parallel.resolve_jobs() == 3
+        monkeypatch.setenv(parallel.ENV_JOBS, "2")
+        assert parallel.resolve_jobs() == 2
 
 
 # ----------------------------------------------------------------------
@@ -338,17 +359,26 @@ class TestTelemetryReplay:
 
     def test_worker_kernel_counters_are_replayed(self, monkeypatch):
         _force_thresholds(monkeypatch)
-        relation = make_random_relation(7)
+        relation = make_random_relation(11)
         cover = list(canonical_cover(DHyFD().discover(relation).fds))
+        lhss = {fd.lhs for fd in cover}
+        assert all(attrset.count(lhs) > 1 for lhs in lhss)
+
+        def parent_derives(*_args):
+            raise AssertionError("the parent derived an LHS partition")
+
+        # Workers build each LHS partition with one refine; the parent
+        # only seeds singletons (group kernels) and must derive none.
+        monkeypatch.setattr(PartitionCache, "get", parent_derives)
         tracer = Tracer()
         with use_tracer(tracer):
             redundancy_positions(relation, cover, NullPolicy.INCLUDE, jobs=2)
-        kernel_counters = [
-            name
+        refine_calls = sum(
+            counter.value
             for name, counter in tracer.metrics.counters.items()
-            if name.startswith("kernels.") and counter.value > 0
-        ]
-        assert kernel_counters
+            if name.startswith("kernels.refine.")
+        )
+        assert refine_calls == len(lhss)
 
     def test_record_completed_nests_under_open_span(self):
         tracer = Tracer()

@@ -17,6 +17,9 @@ import pytest
 
 from repro.algorithms.registry import make_algorithm
 from repro.core.result import DiscoveryResult
+from repro.covers.canonical import canonical_cover
+from repro.datasets.benchmarks import load_benchmark
+from repro.ranking.ranker import rank_cover
 from repro.relational.fd_io import cover_to_json
 from repro.service import (
     ConfigError,
@@ -261,6 +264,10 @@ class TestAppendMigration:
         assert cover_to_json(
             job2.result.fds, new_entry.relation.schema
         ) == direct_cover_json(new_entry.relation)
+        # FDs the append left standing are shared with the old version
+        old = {fd: fd for fd in job.result.fds}
+        standing = [fd for fd in job2.result.fds if fd in old]
+        assert standing and all(fd is old[fd] for fd in standing)
 
     def test_append_migrates_every_cached_config(self, service, city_relation):
         service.register_relation(city_relation, name="city")
@@ -488,6 +495,34 @@ class TestFDService:
         )
         # the canonical cover a rank job ranks shows up in its trace
         assert job.trace["spans"]["covers"]["count"] == 1
+
+    def test_repeat_rank_reuses_the_canonical_cover(self, service, monkeypatch):
+        from repro.core import result as result_module
+
+        relation = load_benchmark("bridges", n_rows=80)
+        service.register_relation(relation, name="bridges")
+        computed = []
+
+        def counting(fds):
+            computed.append(len(fds))
+            return canonical_cover(fds)
+
+        monkeypatch.setattr(result_module, "canonical_cover", counting)
+        first = service.rank("bridges", config={"top_k": 10})
+        second = service.rank("bridges", config={"top_k": 10})
+        assert first.status == second.status == "done"
+        assert len(computed) == 1
+        fds = make_algorithm("dhyfd").discover(relation).fds
+        expected = [
+            {
+                "fd": ranked.fd.format(relation.schema),
+                "redundancy": ranked.redundancy,
+                "redundancy_excluding_null": ranked.redundancy_excluding_null,
+            }
+            for ranked in rank_cover(relation, canonical_cover(fds), top_k=10).ranked
+        ]
+        assert expected
+        assert first.ranking == second.ranking == expected
 
     def test_job_trace_summary_attached(self, service, city_relation):
         service.register_relation(city_relation, name="city")
