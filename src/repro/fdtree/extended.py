@@ -18,11 +18,23 @@ Algorithm 1 keeps ids consistent while inserting FDs mid-discovery, and
 keeps the running list of validation-level nodes up to date so DHyFD
 never loses paths that induction creates at the current level
 (Example 2 of the paper).
+
+Beside the nodes, the tree keeps a flat index of its FD-nodes
+(:class:`FDNodeIndex`): one slot per FD-node holding its LHS as
+``uint64`` words, ``ceil(n_cols / 64)`` of them for every schema
+width.  :meth:`add_fd` appends a slot when a node becomes an FD-node
+and :meth:`strip_rhs` swap-removes it once the node's RHS empties, so
+every update costs O(1) in the number of FD-nodes.  Synergized
+induction's minimality test asks it one vectorized question per
+invalidated FD (:meth:`FDNodeIndex.covered_extensions`) instead of
+walking the tree once per candidate specialization.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..relational import attrset
 from ..relational.attrset import AttrSet
@@ -38,7 +50,9 @@ class ExtFDNode:
     ``path(self) -> rhs`` is a member of the represented FD set.
     """
 
-    __slots__ = ("attr", "parent", "children", "rhs", "id", "depth", "deleted")
+    __slots__ = (
+        "attr", "parent", "children", "rhs", "id", "depth", "deleted", "slot"
+    )
 
     def __init__(self, attr: int, parent: Optional["ExtFDNode"], node_id: int):
         self.attr = attr
@@ -48,6 +62,8 @@ class ExtFDNode:
         self.id = node_id
         self.depth = 0 if parent is None else parent.depth + 1
         self.deleted = False
+        #: Position in the tree's :class:`FDNodeIndex`; -1 off the index.
+        self.slot = -1
 
     @property
     def is_fd_node(self) -> bool:
@@ -72,6 +88,94 @@ class ExtFDNode:
         return f"ExtFDNode(attr={self.attr}, depth={self.depth}, rhs={bin(self.rhs)})"
 
 
+_ONE = np.uint64(1)
+_WORD = (1 << 64) - 1
+
+
+class FDNodeIndex:
+    """The FD-nodes of a tree, their LHSs as ``uint64`` words.
+
+    Slot ``i`` holds ``nodes[i]``; ``lhs[w][i]`` is word ``w`` of its
+    LHS (the node's path), carrying attributes ``64w .. 64w + 63``.  The
+    RHS is read off the node itself.  Slots are dense; removing one
+    moves the last slot into its place.
+    """
+
+    def __init__(self, n_cols: int):
+        self.n_cols = n_cols
+        self.nodes: List[ExtFDNode] = []
+        self.lhs = [np.zeros(64, dtype=np.uint64) for _ in range((n_cols + 63) // 64)]
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def masks(self, rows: np.ndarray) -> List[AttrSet]:
+        """The LHSs of the given slots as attribute sets."""
+        values = self.lhs[0][rows].tolist()
+        for word in range(1, len(self.lhs)):
+            shift = 64 * word
+            values = [
+                low | high << shift
+                for low, high in zip(values, self.lhs[word][rows].tolist())
+            ]
+        return values
+
+    def insert(self, node: ExtFDNode, lhs: AttrSet) -> None:
+        slot = len(self.nodes)
+        if slot == len(self.lhs[0]):
+            self.lhs = [
+                np.concatenate([words, np.zeros_like(words)]) for words in self.lhs
+            ]
+        for word, words in enumerate(self.lhs):
+            words[slot] = lhs >> 64 * word & _WORD
+        self.nodes.append(node)
+        node.slot = slot
+
+    def remove(self, node: ExtFDNode) -> None:
+        slot, last = node.slot, len(self.nodes) - 1
+        moved = self.nodes.pop()
+        if moved is not node:
+            for words in self.lhs:
+                words[slot] = words[last]
+            self.nodes[slot] = moved
+            moved.slot = slot
+        node.slot = -1
+
+    def covered_extensions(
+        self, base: AttrSet, candidates: AttrSet
+    ) -> Dict[int, AttrSet]:
+        """The minimality test of synergized induction, for every extension.
+
+        Maps each attribute ``e`` outside ``base`` to the candidate
+        attrs ``B`` with some FD-node ``Z -> B``, ``Z ⊆ base ∪ {e}`` and
+        ``e ∈ Z`` (``Z - base == {e}``): the specialization
+        ``base ∪ {e} -> B`` is implied by a generalization through
+        ``e``.  (While the tree is minimal, a generalization that skips
+        ``e`` would lie inside ``base`` and have made the FD being
+        specialized non-minimal already.)  Empty entries are left out.
+        """
+        n = len(self.nodes)
+        outside = attrset.complement(base, self.n_cols)
+        # Slots whose words of Z - base, ORed together, hold one bit:
+        # every slot with |Z - base| == 1, plus (only when there are
+        # several words) slots whose words repeat one bit position; the
+        # exact test on the gathered ints below drops those.
+        spill = self.lhs[0][:n] & (outside & _WORD)
+        for word in range(1, len(self.lhs)):
+            spill = spill | (self.lhs[word][:n] & (outside >> 64 * word & _WORD))
+        below = spill - _ONE
+        rows = ((spill ^ below) > below).nonzero()[0]
+        covered: Dict[int, AttrSet] = {}
+        nodes = self.nodes
+        for slot, path in zip(rows.tolist(), self.masks(rows)):
+            rhs = nodes[slot].rhs & candidates
+            diff = path & outside
+            if rhs and not diff & (diff - 1):
+                extra = diff.bit_length() - 1
+                covered[extra] = covered.get(extra, 0) | rhs
+        return covered
+
+
 class ExtendedFDTree:
     """An extended FD-tree over a schema of ``n_cols`` attributes."""
 
@@ -82,6 +186,7 @@ class ExtendedFDTree:
         self.root = ExtFDNode(ROOT_ATTR, None, n_cols)  # root id is never used
         #: Running total of FDs in the tree (Σ |rhs(n)|), the paper's |tree|.
         self.fd_count = 0
+        self.index = FDNodeIndex(n_cols)
 
     # ------------------------------------------------------------------
     # Insertion — Algorithm 1
@@ -119,78 +224,16 @@ class ExtendedFDTree:
                     vl_nodes.append(child)
             current = child
         added = attrset.difference(rhs, current.rhs)
-        current.rhs |= rhs
-        self.fd_count += attrset.count(added)
+        if added:
+            current.rhs |= added
+            self.fd_count += attrset.count(added)
+            if current.slot < 0:
+                self.index.insert(current, lhs)
         return current
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-
-    def find_covered(self, lhs: AttrSet, candidates: AttrSet) -> AttrSet:
-        """Return the candidate attrs ``B`` with some ``Z -> B``, ``Z ⊆ lhs``.
-
-        This is the minimal-RHS test of synergized induction: an FD
-        ``lhs -> B`` would be redundant iff ``B`` is in the returned set.
-        """
-        covered = attrset.EMPTY
-
-        def descend(node: ExtFDNode) -> None:
-            # Iterate the node's children (few) rather than the LHS
-            # attrs (possibly many); paths are strictly increasing so
-            # every path inside ``lhs`` is visited exactly once.
-            nonlocal covered
-            if node.rhs:
-                covered |= node.rhs & candidates
-            if covered == candidates:
-                return
-            for attr, child in node.children.items():
-                if lhs >> attr & 1:
-                    descend(child)
-                    if covered == candidates:
-                        return
-
-        descend(self.root)
-        return covered
-
-    def find_covered_requiring(
-        self, lhs: AttrSet, candidates: AttrSet, required: int
-    ) -> AttrSet:
-        """Like :meth:`find_covered`, restricted to paths through one attr.
-
-        Synergized induction checks whether the specialization
-        ``X'A' -> B`` is implied by a generalization ``Z -> B`` with
-        ``Z ⊆ X'A'``.  While the tree is minimal, any such ``Z`` must
-        contain ``A'`` (otherwise ``Z ⊆ X'`` would have made the FD
-        being specialized non-minimal already), so paths that cannot
-        pass through ``A'`` are pruned: attributes are ascending along
-        paths, so once the current attribute exceeds ``required``
-        without having met it, the whole subtree is skipped.
-        """
-        covered = attrset.EMPTY
-
-        def descend(node: ExtFDNode, has_required: bool) -> bool:
-            nonlocal covered
-            if has_required and node.rhs:
-                covered |= node.rhs & candidates
-                if covered == candidates:
-                    return True
-            for attr, child in node.children.items():
-                if not (lhs >> attr & 1):
-                    continue
-                if not has_required and attr > required:
-                    continue
-                if descend(child, has_required or attr == required):
-                    return True
-            return False
-
-        descend(self.root, False)
-        return covered
-
-    def contains_generalization(self, lhs: AttrSet, attr: int) -> bool:
-        """True iff some FD ``Z -> attr`` with ``Z ⊆ lhs`` is in the tree."""
-        mask = attrset.singleton(attr)
-        return self.find_covered(lhs, mask) == mask
 
     def nodes_at_level(self, level: int) -> List[ExtFDNode]:
         """All live nodes at depth ``level`` (DFS; root is level 0)."""
@@ -229,13 +272,10 @@ class ExtendedFDTree:
         return total
 
     def iter_fds(self) -> Iterator[FD]:
-        """Yield all FDs currently represented by the tree."""
-        stack: List[ExtFDNode] = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.rhs:
-                yield FD(node.path(), node.rhs)
-            stack.extend(node.children.values())
+        """Yield all FDs currently represented by the tree, in slot order."""
+        paths = self.index.masks(np.arange(len(self.index)))
+        for node, path in zip(self.index.nodes, paths):
+            yield FD(path, node.rhs)
 
     def iter_fd_nodes(self) -> Iterator[ExtFDNode]:
         """Yield all FD-nodes (nodes with non-empty RHS)."""
@@ -253,8 +293,12 @@ class ExtendedFDTree:
     def strip_rhs(self, node: ExtFDNode, removed: AttrSet) -> None:
         """Remove ``removed`` from a node's RHS, updating the FD count."""
         actually_removed = node.rhs & removed
+        if not actually_removed:
+            return
         node.rhs = attrset.difference(node.rhs, removed)
         self.fd_count -= attrset.count(actually_removed)
+        if not node.rhs:
+            self.index.remove(node)
 
     def prune_dead_path(self, node: ExtFDNode) -> None:
         """Detach ``node`` and any ancestors left childless and FD-less.

@@ -47,7 +47,9 @@ def synergized_induct(
     rhs = attrset.difference(rhs & all_attrs, lhs)
     if not rhs:
         return
-    visited = _induct_recursive(tree, tree.root, lhs, rhs, cl, vl, vl_nodes, tally)
+    visited = _induct_recursive(
+        tree, tree.root, attrset.EMPTY, lhs, rhs, cl, vl, vl_nodes, tally
+    )
     if tally is not None:
         tally.induction_nodes_visited += visited
 
@@ -55,6 +57,7 @@ def synergized_induct(
 def _induct_recursive(
     tree: ExtendedFDTree,
     node: ExtFDNode,
+    path: AttrSet,
     full_lhs: AttrSet,
     rhs: AttrSet,
     cl: int,
@@ -64,14 +67,16 @@ def _induct_recursive(
 ) -> int:
     """Visit every path ``⊆ full_lhs``; strip and specialize FD-nodes.
 
-    Returns the number of nodes visited in this subtree (accumulated in
-    locals so the untraced hot path pays no per-node attribute writes).
+    ``path`` is ``node``'s root-to-here attribute set, carried down the
+    recursion instead of stored on every node.  Returns the number of
+    nodes visited in this subtree (accumulated in locals so the
+    untraced hot path pays no per-node attribute writes).
     """
     visited = 1
     removed = node.rhs & rhs
     if removed:
         tree.strip_rhs(node, rhs)
-        _specialize(tree, node.path(), full_lhs, removed, cl, vl, vl_nodes, tally)
+        _specialize(tree, path, full_lhs, removed, cl, vl, vl_nodes, tally)
 
     # Iterate children (few) rather than LHS attrs (possibly many);
     # paths are strictly increasing so each node is visited once.
@@ -81,7 +86,8 @@ def _induct_recursive(
     for attr, child in list(node.children.items()):
         if full_lhs >> attr & 1:
             visited += _induct_recursive(
-                tree, child, full_lhs, rhs, cl, vl, vl_nodes, tally
+                tree, child, path | 1 << attr, full_lhs, rhs, cl, vl, vl_nodes,
+                tally,
             )
 
     if node is not tree.root and not node.children and not node.rhs:
@@ -106,15 +112,15 @@ def _specialize(
     the non-FD's LHS), and attributes drawn from ``removed`` itself
     (which then leave the RHS).
     """
-    # Minimality checks only need generalizations *through* the added
-    # attribute (see find_covered_requiring) — a large prune on FD-rich
-    # trees where find_covered dominates the induction cost.
+    # One index query answers the minimality test of every extension
+    # (see FDNodeIndex.covered_extensions).  It stays exact while
+    # the loops below insert: each insert has LHS base ∪ {e'}, which
+    # lies inside no other extension's base ∪ {e}.
+    covered = tree.index.covered_extensions(base_lhs, removed)
     outside = attrset.complement(full_lhs | removed | base_lhs, tree.n_cols)
     for extra in attrset.iter_attrs(outside):
         new_lhs = attrset.add(base_lhs, extra)
-        new_rhs = attrset.difference(
-            removed, tree.find_covered_requiring(new_lhs, removed, extra)
-        )
+        new_rhs = attrset.difference(removed, covered.get(extra, 0))
         if new_rhs:
             tree.add_fd(new_lhs, new_rhs, cl, vl, vl_nodes)
             if tally is not None:
@@ -124,9 +130,7 @@ def _specialize(
         for extra in attrset.iter_attrs(removed):
             rest = attrset.remove(removed, extra)
             new_lhs = attrset.add(base_lhs, extra)
-            new_rhs = attrset.difference(
-                rest, tree.find_covered_requiring(new_lhs, rest, extra)
-            )
+            new_rhs = attrset.difference(rest, covered.get(extra, 0))
             if new_rhs:
                 tree.add_fd(new_lhs, new_rhs, cl, vl, vl_nodes)
                 if tally is not None:

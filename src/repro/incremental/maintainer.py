@@ -19,13 +19,12 @@ falls back to rediscovery (documented, correct, and still convenient).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
-
-import numpy as np
+from typing import Optional, Sequence, Set
 
 from ..algorithms.registry import make_algorithm
 from ..fdtree.extended import ExtendedFDTree
 from ..fdtree.induction import synergized_induct
+from ..partitions.kernels import pack_bool_rows
 from ..relational import attrset
 from ..relational.attrset import AttrSet
 from ..relational.fd import FDSet, normalize_singleton_cover
@@ -114,19 +113,15 @@ class IncrementalFDMaintainer:
         return tree
 
     def _new_pair_agree_sets(self, old_count: int) -> Set[AttrSet]:
-        """Agree sets of every pair that involves an appended row."""
+        """Agree sets of every pair that involves an appended row.
+
+        One broadcast compare per appended row against every row before
+        it; the full-schema masks of duplicate rows are dropped.
+        """
         matrix = self.relation.matrix()
-        n_rows = self.relation.n_rows
-        full = attrset.full_set(self.relation.n_cols)
         agree_sets: Set[AttrSet] = set()
-        for new_row in range(old_count, n_rows):
-            row_codes = matrix[new_row]
-            for other in range(new_row):
-                self.pair_comparisons += 1
-                equal = row_codes == matrix[other]
-                mask = attrset.EMPTY
-                for col in np.nonzero(equal)[0]:
-                    mask = attrset.add(mask, int(col))
-                if mask != full:
-                    agree_sets.add(mask)
+        for new_row in range(old_count, self.relation.n_rows):
+            self.pair_comparisons += new_row
+            agree_sets.update(pack_bool_rows(matrix[:new_row] == matrix[new_row]))
+        agree_sets.discard(attrset.full_set(self.relation.n_cols))
         return agree_sets

@@ -320,7 +320,7 @@ def _agree_masks_python(
     return masks
 
 
-def _pack_bool_rows(equal: np.ndarray) -> List[AttrSet]:
+def pack_bool_rows(equal: np.ndarray) -> List[AttrSet]:
     """Turn an ``(n, n_cols)`` bool array into per-row bitmask ints."""
     if equal.shape[0] == 0:
         return []
@@ -338,7 +338,7 @@ def _agree_masks_numpy(
 ) -> List[AttrSet]:
     rows_a = np.asarray(rows_a, dtype=np.int64)
     rows_b = np.asarray(rows_b, dtype=np.int64)
-    return _pack_bool_rows(matrix[rows_a] == matrix[rows_b])
+    return pack_bool_rows(matrix[rows_a] == matrix[rows_b])
 
 
 def pairwise_agree_sets(matrix: np.ndarray) -> Set[AttrSet]:
@@ -368,5 +368,5 @@ def _pairwise_agree_sets_numpy(matrix: np.ndarray) -> Set[AttrSet]:
     n_rows = matrix.shape[0]
     agree_sets: Set[AttrSet] = set()
     for i in range(n_rows - 1):
-        agree_sets.update(_pack_bool_rows(matrix[i + 1:] == matrix[i]))
+        agree_sets.update(pack_bool_rows(matrix[i + 1:] == matrix[i]))
     return agree_sets

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.algorithms import (
@@ -150,6 +152,30 @@ class TestDHyFDSpecifics:
         result = DHyFD().discover(rel)
         assert result.stats.levels_processed >= 1
         assert len(result.stats.level_log) == result.stats.levels_processed
+
+
+    def test_wider_than_one_word_matches_tane(self):
+        """70 columns: FD-tree LHSs span two 64-bit words of the index.
+
+        Ten 3-valued columns (63 and 64 among them) vary; the last column
+        is a function of three of them, and every other column is
+        constant.  TANE builds no FD-tree, so it is an independent answer.
+        """
+        rng = random.Random(0)
+        n_cols = 70
+        varying = sorted(set(rng.sample(range(n_cols - 1), 10)) | {63, 64})
+        rows = []
+        for _ in range(40):
+            row = ["k"] * n_cols
+            for col in varying:
+                row[col] = rng.randrange(3)
+            row[-1] = (row[63] + row[64] + row[varying[0]]) % 3
+            rows.append(row)
+        rel = Relation.from_rows(rows, [f"c{i}" for i in range(n_cols)])
+        fds = DHyFD().discover(rel).fds
+        low_word = attrset.full_set(64)
+        assert any(fd.lhs & low_word and fd.lhs >> 64 for fd in fds)
+        assert fds == TANE().discover(rel).fds
 
 
 class TestHyFDSpecifics:

@@ -222,21 +222,41 @@ def test_matches_reference_with_long_clusters(seed, semantics, first_batch):
 # ----------------------------------------------------------------------
 
 #: ``DiscoveryStats`` of ``DHyFD().discover`` on the seed-0 replicas,
-#: recorded before validation was batched.  Validation changes how the
-#: work is done, never which rows are compared, so these must not move.
+#: recorded before validation was batched (and, for the induction
+#: counters and hepatitis, before induction queried the FD-node index).
+#: Validation and the index change how the work is done, never which
+#: rows are compared or which tree nodes Algorithm 2 visits and fills,
+#: so these must not move.
 PINNED_COUNTERS = {
-    "ncvoter": dict(validations=664, comparisons=6648, levels=7, refreshes=4),
-    "letter": dict(validations=706, comparisons=6482, levels=12, refreshes=1),
-    "adult": dict(validations=316, comparisons=27151, levels=9, refreshes=1),
+    "ncvoter": dict(validations=664, comparisons=6648, levels=7, refreshes=4,
+                    nodes_visited=21532, fds_inserted=4021),
+    "letter": dict(validations=706, comparisons=6482, levels=12, refreshes=1,
+                   nodes_visited=19208, fds_inserted=6729),
+    "adult": dict(validations=316, comparisons=27151, levels=9, refreshes=1,
+                  nodes_visited=11075, fds_inserted=2117),
+    # 70 x 18: the replica without its columns 1 and 2 (perfbench's lib-wide)
+    "hepatitis": dict(validations=3487, comparisons=7787, levels=10,
+                      refreshes=6, nodes_visited=66838, fds_inserted=20494),
 }
+
+
+def _pinned_input(name):
+    relation = load_benchmark(name)
+    if name == "hepatitis":
+        relation = relation.project_columns(
+            [c for c in range(relation.n_cols) if c not in (1, 2)]
+        )
+    return relation
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_COUNTERS))
 def test_dhyfd_counters_pinned(name):
-    stats = DHyFD().discover(load_benchmark(name)).stats
+    stats = DHyFD().discover(_pinned_input(name)).stats
     assert dict(
         validations=stats.validations,
         comparisons=stats.comparisons,
         levels=stats.levels_processed,
         refreshes=stats.partition_refreshes,
+        nodes_visited=stats.induction_nodes_visited,
+        fds_inserted=stats.induction_fds_inserted,
     ) == PINNED_COUNTERS[name]
