@@ -1,12 +1,11 @@
 #!/usr/bin/env python
-"""Open/closed-loop load generator for repro.service and repro.cluster.
+"""Open/closed-loop load generator for repro.service.
 
 The missing perf trajectory starts here: this harness drives
-configurable concurrent query streams against either a single
-``repro-fd serve`` process or a ``repro-fd cluster`` and writes
-``BENCH_load.json`` — throughput, p50/p95/p99 latency, error rates and
-the measured saturation point — so every later scaling PR has a
-baseline number to beat.
+configurable concurrent query streams against one ``repro-fd serve``
+process and writes ``BENCH_load.json`` — throughput, p50/p95/p99
+latency, error rates and the measured saturation point — so every
+later scaling change has a baseline number to beat.
 
 Modes:
 
@@ -19,11 +18,10 @@ Modes:
   second) regardless of completions — measures latency under a target
   load, queueing included.
 
-The workload uploads ``--datasets`` distinct relations (spread across
-shards by content fingerprint), warms each one (so steady-state
-measures request-serving capacity, not repeated discovery), then
-issues ``discover`` requests round-robin with a sprinkle of
-``metrics`` reads.
+The workload uploads ``--datasets`` distinct relations, warms each
+one (so steady-state measures request-serving capacity, not repeated
+discovery), then issues ``discover`` requests round-robin with a
+sprinkle of ``metrics`` reads.
 
 ``--cold`` loads the discovery path instead.  Each concurrency stage
 uploads its own fresh copies of the datasets (rows rotated by the
@@ -35,9 +33,9 @@ p50/p95 job latency; ``--duration`` does not apply.
 
 Examples::
 
-    # spawn a 2-replica cluster, sweep concurrency, write BENCH_load.json
+    # spawn a serve, sweep concurrency, write BENCH_load.json
     PYTHONPATH=src python benchmarks/load_service.py \
-        --spawn cluster --replicas 2 --concurrency 1,2,4 --duration 5
+        --concurrency 1,2,4 --duration 5
 
     # closed loop against an already-running server
     PYTHONPATH=src python benchmarks/load_service.py \
@@ -81,7 +79,7 @@ METRICS_MIX = 0.1
 
 
 def _spawn(command: List[str]) -> Tuple[subprocess.Popen, str]:
-    """Start a server/cluster subprocess and parse its announced URL."""
+    """Start a server subprocess and parse its announced URL."""
     proc = subprocess.Popen(
         command,
         stdout=subprocess.PIPE,
@@ -110,21 +108,6 @@ def spawn_target(args: argparse.Namespace) -> Tuple[Optional[subprocess.Popen], 
     """Resolve --server / --spawn into (process-or-None, url, kind)."""
     if args.server:
         return None, args.server, "external"
-    if args.spawn == "cluster":
-        command = [
-            sys.executable,
-            "-m",
-            "repro",
-            "cluster",
-            "--replicas",
-            str(args.replicas),
-            "--router-port",
-            "0",
-            "--max-workers",
-            str(args.max_workers),
-        ]
-        proc, url = _spawn(command)
-        return proc, url, "cluster"
     command = [
         sys.executable,
         "-m",
@@ -150,7 +133,7 @@ def upload_datasets(
     """Upload ``--datasets`` distinct relations; returns fingerprints.
 
     Each dataset is the benchmark replica at a different row count, so
-    contents (and therefore fingerprints — and shard placement) differ.
+    contents (and therefore fingerprints) differ.
     ``rotate`` moves that many leading rows to the end: the same rows
     under a new fingerprint, which the store has never seen.
     """
@@ -398,13 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--server", default=None, help="base URL of a running target")
     target.add_argument(
         "--spawn",
-        default="cluster",
-        choices=["single", "cluster"],
-        help="boot the target as a subprocess (default: cluster)",
+        default="single",
+        choices=["single"],
+        help="boot a `repro serve` subprocess as the target (the default)",
     )
-    parser.add_argument("--replicas", type=int, default=2, help="cluster shard count")
     parser.add_argument(
-        "--max-workers", type=int, default=2, help="scheduler workers per replica"
+        "--max-workers", type=int, default=2, help="scheduler workers of the server"
     )
     parser.add_argument("--mode", default="closed", choices=["closed", "open"])
     parser.add_argument(
@@ -421,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--benchmark", default="iris", help="benchmark replica to serve")
     parser.add_argument("--rows", type=int, default=60, help="base rows per dataset")
     parser.add_argument(
-        "--datasets", type=int, default=4, help="distinct datasets spread over shards"
+        "--datasets", type=int, default=4, help="distinct datasets to serve"
     )
     parser.add_argument(
         "--algorithm", default="dhyfd", help="discovery algorithm under load"
@@ -501,7 +483,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "target": {
                 "kind": kind,
                 "url": url,
-                "replicas": args.replicas if kind == "cluster" else 1,
                 "max_workers": args.max_workers,
             },
             "workload": {

@@ -13,6 +13,14 @@ discovers, then SIGTERMs and reboots it: the name must still resolve,
 the schema must still be listed, and a repeat discover must be a store
 hit with a byte-identical cover.
 
+A third phase SIGKILLs a persisted ``serve`` mid-discovery, after the
+job's first checkpoint reaches its journal, and reboots it on the same
+directories with ``--recover``: the job id never 404s, the job resumes
+past its completed levels, and its cover is byte-identical to a direct
+run (docs/durability.md).  The killed server's arena segments are
+swept by owner, and the smoke fails if any ``reprofd-*`` segment it
+made is left in ``/dev/shm``.
+
 Run directly (CI runs this as a dedicated leg)::
 
     PYTHONPATH=src python benchmarks/smoke_service.py
@@ -20,28 +28,42 @@ Run directly (CI runs this as a dedicated leg)::
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import signal
+import struct
 import subprocess
 import sys
 import tempfile
 import time
+import zlib
 
+from repro import memplane
 from repro.algorithms.registry import make_algorithm
 from repro.datasets import load_benchmark
+from repro.datasets.synthetic import random_relation
 from repro.relational.fd_io import cover_to_json
-from repro.service import ServiceClient
+from repro.service import ServiceClient, ServiceError
 
 DATASET = "iris"
 ROWS = 60
 CONFIG = {"algorithm": "dhyfd", "jobs": 2, "memory_budget": "256m"}
+#: Serial configuration for the kill-mid-job phase; with its 16-column
+#: input the run is a multi-second lattice walk, so there is a wide
+#: window to SIGKILL the server between checkpoints.
+SLOW_CONFIG = {"algorithm": "dhyfd", "jobs": 1}
+SHM_DIR = "/dev/shm"
 
 
-def boot_server(*extra):
+def boot_server(*extra, env=None):
     """Start ``repro serve --port 0 [extra...]`` and parse the bound URL."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0", "--max-workers", "2", *extra],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        env=env,
     )
     deadline = time.monotonic() + 30.0
     while time.monotonic() < deadline:
@@ -55,7 +77,17 @@ def boot_server(*extra):
     raise SystemExit("server did not announce its URL within 30s")
 
 
+def arena_segments() -> set:
+    """Names of the ``reprofd-*`` arena segments now in ``/dev/shm``."""
+    try:
+        names = os.listdir(SHM_DIR)
+    except OSError:
+        return set()
+    return {name for name in names if name.startswith(memplane.SEGMENT_PREFIX + "-")}
+
+
 def main() -> int:
+    segments_before = arena_segments()
     relation = load_benchmark(DATASET, n_rows=ROWS)
     expected = cover_to_json(
         make_algorithm("dhyfd", jobs=2).discover(relation).fds, relation.schema
@@ -88,6 +120,9 @@ def main() -> int:
     finally:
         stop_server(proc)
     restart_phase(relation, expected)
+    kill_mid_job_phase()
+    leaked = arena_segments() - segments_before
+    assert not leaked, f"arena segments left in {SHM_DIR}: {sorted(leaked)}"
     print("service smoke test passed")
     return 0
 
@@ -139,6 +174,131 @@ def restart_phase(relation, expected: str) -> None:
         finally:
             stop_server(proc)
         print("restart: name resolves, schema listed, repeat discover is a store hit")
+
+
+def wal_checkpointed_jobs(path: pathlib.Path) -> set:
+    """Job ids with a checkpoint frame in the server's ``jobs.wal``.
+
+    Read-only frame walk (crc32 + length header, see
+    repro/service/journal.py) that simply stops at any torn tail — the
+    server is appending to this file while we poll it.
+    """
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return set()
+    jobs = set()
+    offset = 0
+    while offset + 8 <= len(raw):
+        crc, length = struct.unpack_from("<II", raw, offset)
+        start = offset + 8
+        end = start + length
+        if end > len(raw):
+            break
+        payload = raw[start:end]
+        if zlib.crc32(payload) != crc:
+            break
+        record = json.loads(payload.decode("utf-8"))
+        if record.get("type") == "checkpoint":
+            jobs.add(record.get("job_id"))
+        offset = end
+    return jobs
+
+
+def kill_mid_job_phase() -> None:
+    """SIGKILL a persisted ``serve`` mid-discovery; the job must still finish.
+
+    The acceptance bar of the durable job plane: after the crash the
+    same job id keeps resolving (never a 404), the rebooted server
+    resumes from the journaled checkpoint (skipping completed levels),
+    and the final cover is byte-identical to a direct run.
+    """
+    relation = random_relation(
+        2000, 16, domain_sizes=[3] * 16, null_rate=0.0, seed=5
+    )
+    expected = cover_to_json(
+        make_algorithm("dhyfd").discover(relation).fds, relation.schema
+    )
+    owner = f"smoke-kill-{os.getpid()}"
+    env = dict(os.environ)
+    # Checkpoint at every level boundary so a mid-job SIGKILL always
+    # has a recent snapshot to resume from.
+    env["REPRO_FD_CHECKPOINT_INTERVAL"] = "0"
+    # A known segment owner, so the killed server's leftovers can be
+    # swept, as a supervisor does before a restart.
+    env[memplane.ENV_ARENA_OWNER] = owner
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = ("--store-dir", f"{tmp}/store", "--dataset-dir", f"{tmp}/datasets")
+        wal = pathlib.Path(tmp) / "store" / "jobs.wal"
+        proc, url = boot_server(*dirs, env=env)
+        try:
+            client = ServiceClient(url, timeout=120.0)
+            info = client.upload_rows(
+                relation.schema.names, list(relation.iter_rows()), name="slow-kill"
+            )
+            job_id = client.submit(info["fingerprint"], config=dict(SLOW_CONFIG))
+
+            # Wait until the running job has journaled at least one
+            # checkpoint, then pull the plug on the server.
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                if job_id in wal_checkpointed_jobs(wal):
+                    break
+                time.sleep(0.05)
+            else:
+                raise SystemExit(f"no checkpoint for {job_id} appeared in {wal}")
+            status = client.status(job_id)
+            assert status["status"] in ("queued", "running"), (
+                f"job finished before the kill ({status['status']}) — "
+                "SLOW_CONFIG is not slow enough for this host"
+            )
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=30.0)
+        except BaseException:
+            proc.kill()
+            proc.wait(timeout=30.0)
+            raise
+        swept = memplane.sweep_orphans(owner)
+        print(f"killed serve (pid {proc.pid}) mid-job {job_id}; swept {len(swept)} segments")
+
+        proc, url = boot_server(*dirs, "--recover", env=env)
+        try:
+            # Poll the job id on the rebooted server; a 404 means the
+            # job plane lost the job.
+            poller = ServiceClient(url, timeout=30.0, retries=0)
+            deadline = time.monotonic() + 120.0
+            while time.monotonic() < deadline:
+                try:
+                    status = poller.status(job_id)
+                except ServiceError as exc:
+                    assert exc.status != 404, (
+                        f"{job_id} 404ed after the crash — recovery lost the job"
+                    )
+                    time.sleep(0.3)
+                    continue
+                if status["status"] in ("done", "failed", "cancelled", "lost"):
+                    break
+                time.sleep(0.2)
+            else:
+                raise SystemExit(f"{job_id} did not finish within 120s of the reboot")
+
+            assert status["status"] == "done", status
+            assert status.get("recovered") is True, "job not rebuilt from the journal"
+            assert status.get("resumed") is True, "job restarted cold, not resumed"
+            result = ServiceClient.result_from_status(status)
+            resumed_levels = status["result"]["stats"]["resumed_levels"]
+            assert resumed_levels > 0, "resume did not skip any completed levels"
+            assert cover_to_json(result.fds, result.schema) == expected, (
+                "resumed cover differs from direct discover()"
+            )
+            counters = poller.metrics()["counters"]
+            assert counters.get("service.jobs.resumed", 0) >= 1, counters
+        finally:
+            stop_server(proc)
+        print(
+            f"durability: {job_id} survived SIGKILL, resumed past "
+            f"{resumed_levels} completed levels, cover byte-identical"
+        )
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ Subcommands::
     datasets   list the built-in benchmark replicas
     generate   write a benchmark replica to a CSV file
     serve      run the repro.service discovery server (HTTP)
-    cluster    run N sharded service replicas behind a routed front-end
     submit     upload a dataset to a server and run discover/rank there
 """
 
@@ -490,9 +489,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flush=True,
     )
 
-    # SIGTERM = graceful drain (the cluster's replica manager relies on
-    # this for clean restarts): stop accepting, let in-flight jobs
-    # finish up to --drain-timeout, sync the result store, exit 0.
+    # SIGTERM = graceful drain (a supervisor's clean restart): stop
+    # accepting, let in-flight jobs finish up to --drain-timeout, sync
+    # the result store, exit 0.
     draining = threading.Event()
 
     def _on_sigterm(signum, frame):  # noqa: ARG001 — signal signature
@@ -517,50 +516,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
         service.close()
-        # Unlink this replica's arena segments now rather than at
-        # atexit — the manager's orphan sweep then only ever has
-        # SIGKILL leftovers to deal with.
+        # Unlink this server's arena segments now rather than at
+        # atexit — memplane.sweep_orphans then only ever has SIGKILL
+        # leftovers to deal with.
         memplane.reset_arena()
-    return 0
-
-
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    import signal
-    import threading
-
-    from .cluster import Cluster
-
-    cluster = Cluster(
-        replicas=args.replicas,
-        data_dir=args.data_dir,
-        host=args.host,
-        router_port=args.router_port,
-        max_workers=args.max_workers,
-        drain_timeout=args.drain_timeout,
-        verbose=args.verbose,
-    )
-    cluster.start()
-    host, port = cluster.router.address
-    print(
-        f"repro.cluster router listening on http://{host}:{port} "
-        f"(replicas={args.replicas}, workers={args.max_workers}/replica"
-        + (f", data={args.data_dir})" if args.data_dir else ")"),
-        flush=True,
-    )
-    stop = threading.Event()
-
-    def _on_signal(signum, frame):  # noqa: ARG001 — signal signature
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    try:
-        while not stop.wait(0.5):
-            pass
-    except KeyboardInterrupt:
-        pass
-    finally:
-        print("stopping cluster (draining replicas)...", flush=True)
-        cluster.stop()
     return 0
 
 
@@ -841,8 +800,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--dataset-dir",
         default=None,
-        help="persist registered datasets here so a restarted replica "
-        "still owns its shard (see docs/cluster.md)",
+        help="persist registered datasets here so a restarted server "
+        "still knows them (see docs/durability.md)",
     )
     serve.add_argument(
         "--drain-timeout",
@@ -860,46 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--verbose", action="store_true", help="log every request")
     serve.set_defaults(handler=_cmd_serve)
-
-    cluster = sub.add_parser(
-        "cluster",
-        help="run a sharded cluster: N service replicas + routed front-end",
-        description="Boot N repro-fd serve replicas (one dataset shard "
-        "each, restarted on crash) behind a fingerprint-routed async "
-        "HTTP front-end speaking the same protocol as a single server "
-        "(docs/cluster.md). `repro-fd submit --server` works unchanged.",
-    )
-    cluster.add_argument(
-        "--replicas", type=int, default=2, help="service worker processes / shards"
-    )
-    cluster.add_argument(
-        "--router-port",
-        type=int,
-        default=8900,
-        help="router bind port; 0 picks a free port (printed)",
-    )
-    cluster.add_argument("--host", default="127.0.0.1")
-    cluster.add_argument(
-        "--max-workers",
-        type=int,
-        default=2,
-        help="concurrent discovery jobs per replica",
-    )
-    cluster.add_argument(
-        "--data-dir",
-        default=None,
-        help="persist per-replica result stores, the replicas table and "
-        "the routing table here",
-    )
-    cluster.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="graceful-drain window per replica on stop/restart",
-    )
-    cluster.add_argument("--verbose", action="store_true", help="log every request")
-    cluster.set_defaults(handler=_cmd_cluster)
 
     submit = sub.add_parser(
         "submit",

@@ -4,7 +4,7 @@ Two pieces (see ``docs/memplane.md``):
 
 * :mod:`repro.memplane.arena` — the :class:`DatasetArena`, a
   fingerprint-keyed shared-memory store of relation columns that
-  worker pools, service jobs and replicas lease zero-copy (refcounted
+  worker pools and service jobs lease zero-copy (refcounted
   pins, LRU eviction under ``REPRO_FD_ARENA_BUDGET``, append versions
   sharing their parent's pages);
 * the shared partition layer of :mod:`repro.partitions.cache` — a

@@ -24,10 +24,11 @@ copy:
   remapped onto the child's segment — the old parent copy is unlinked.
 
 Segment names are ``reprofd-<owner>-<fp16>-{m,n}`` where ``owner``
-defaults to ``p<pid>`` (override with ``REPRO_FD_ARENA_OWNER`` — the
-cluster manager sets one per replica).  The owner prefix is what makes
-:func:`sweep_orphans` safe: after a replica is SIGKILLed, the manager
-unlinks exactly that replica's leftovers before respawning it.
+defaults to ``p<pid>`` (override with ``REPRO_FD_ARENA_OWNER`` — a
+supervisor sets one per server it starts).  The owner prefix is what
+makes :func:`sweep_orphans` safe: after a server is SIGKILLed, its
+supervisor unlinks exactly that server's leftovers before restarting
+it.
 
 The arena is always on and is the only shared-memory transport: a
 worker pool whose lease fails retries, then runs its work serially
@@ -49,7 +50,7 @@ from ..parallel.shm import ShmSpec, relation_arrays
 from ..resilience import faults
 from ..resilience.budget import arena_budget_from_env
 
-#: Segment-name owner token (defaults to ``p<pid>``); one per replica.
+#: Segment-name owner token (defaults to ``p<pid>``); one per server.
 ENV_ARENA_OWNER = "REPRO_FD_ARENA_OWNER"
 
 #: Leading token of every arena segment name (and /dev/shm file).
@@ -490,10 +491,10 @@ def reset_arena() -> None:
 def sweep_orphans(owner: str, shm_dir: str = "/dev/shm") -> List[str]:
     """Unlink every leftover arena segment of ``owner``; returns names.
 
-    The crash-recovery path: a SIGKILLed replica cannot run its atexit
-    unlink, so whoever respawns it (the cluster manager) sweeps the
-    dead process's ``reprofd-<owner>-*`` files first.  Scoped strictly
-    by the owner token — segments of live replicas are never touched.
+    The crash-recovery path: a SIGKILLed server cannot run its atexit
+    unlink, so whoever restarts it sweeps the dead process's
+    ``reprofd-<owner>-*`` files first.  Scoped strictly by the owner
+    token — segments of other live processes are never touched.
     """
     owner = _OWNER_SANITIZER.sub("-", owner.strip())[:48]
     if not owner:

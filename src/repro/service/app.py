@@ -101,8 +101,8 @@ class FDService:
                 and write-ahead log job transitions to ``jobs.wal``
                 under it (see ``docs/durability.md``).
             dataset_dir: persist registered datasets here too, so a
-                restarted replica still owns its shard (see
-                :mod:`repro.cluster`).
+                restarted server still knows them (see
+                ``docs/durability.md``).
             recover: replay the journal on startup — requeue jobs that
                 never started, resume checkpointed ones, mark
                 unrecoverable ones ``lost``.

@@ -47,7 +47,7 @@ class ServiceError(RuntimeError):
 
 
 #: Socket-level failures worth retrying: the server went away mid-flight
-#: (replica restart) or was not yet accepting (replica still booting).
+#: (restart) or was not yet accepting (still booting).
 _RETRYABLE_ERRNOS = ("refused", "reset", "broken pipe", "aborted")
 
 
@@ -60,11 +60,11 @@ def _is_retryable_reason(reason: object) -> bool:
 
 
 class ServiceClient:
-    """JSON-over-HTTP client for one discovery server (or cluster router).
+    """JSON-over-HTTP client for one discovery server.
 
-    Transient transport failures — connection refused/reset while a
-    replica restarts, or a 503 + ``Retry-After`` from a draining shard
-    — are retried with exponential backoff, so replica restarts are
+    Transient transport failures — connection refused/reset while the
+    server restarts, or a 503 + ``Retry-After`` from a draining server
+    — are retried with exponential backoff, so server restarts are
     invisible to callers.  Most requests are safe to repeat: uploads
     are idempotent by fingerprint and job submissions coalesce through
     the service's single-flight dedup.  :meth:`append` is the
@@ -205,20 +205,11 @@ class ServiceClient:
         csv_text: str,
         name: Optional[str] = None,
         semantics: str = "eq",
-        colocate_with: Optional[str] = None,
     ) -> Dict[str, object]:
-        """Upload CSV text; returns the dataset description (fingerprint...).
-
-        ``colocate_with`` names a dataset whose shard this upload should
-        land on (cluster routing hint; replicas ignore it) — required
-        when the tables of one multi-table schema would otherwise hash
-        to different shards.
-        """
+        """Upload CSV text; returns the dataset description (fingerprint...)."""
         payload: Dict[str, object] = {
             "csv": csv_text, "name": name, "semantics": semantics,
         }
-        if colocate_with is not None:
-            payload["colocate_with"] = colocate_with
         return self._request("POST", "/datasets", payload)
 
     def upload_rows(
@@ -227,13 +218,8 @@ class ServiceClient:
         rows: Sequence[Sequence[object]],
         name: Optional[str] = None,
         semantics: str = "eq",
-        colocate_with: Optional[str] = None,
     ) -> Dict[str, object]:
-        """Upload a relation as columns + row tuples (nulls become None).
-
-        ``colocate_with`` is the same cluster routing hint as on
-        :meth:`upload_csv`.
-        """
+        """Upload a relation as columns + row tuples (nulls become None)."""
         encoded = [
             [None if is_null(value) else value for value in row] for row in rows
         ]
@@ -243,8 +229,6 @@ class ServiceClient:
             "name": name,
             "semantics": semantics,
         }
-        if colocate_with is not None:
-            payload["colocate_with"] = colocate_with
         return self._request("POST", "/datasets", payload)
 
     def append(self, dataset: str, rows: Sequence[Sequence[object]]) -> Dict[str, object]:
@@ -252,7 +236,7 @@ class ServiceClient:
 
         Not idempotent — repeating a delivered append applies the rows
         twice — so connection-level failures are *not* retried (see
-        :meth:`_request`); a 503 from a draining replica still is.
+        :meth:`_request`); a 503 from a draining server still is.
         """
         encoded = [
             [None if is_null(value) else value for value in row] for row in rows

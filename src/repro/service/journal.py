@@ -1,11 +1,11 @@
 """Write-ahead job journal — the durable half of the job plane.
 
-The scheduler's queue and job table live in memory; a replica crash
+The scheduler's queue and job table live in memory; a server crash
 (SIGKILL, OOM, power cut) forgets every queued and in-flight job, and
 clients polling the job id get a 404 after the restart.  The
 :class:`JobJournal` fixes that: every job transition is appended to
 ``jobs.wal`` under ``--store-dir`` *before* it becomes externally
-visible, so a restarted replica can replay the log and rebuild the job
+visible, so a restarted server can replay the log and rebuild the job
 table — see :meth:`repro.service.scheduler.JobScheduler.recover` and
 ``docs/durability.md``.
 

@@ -76,8 +76,8 @@ class DatasetRegistry(NamedView):
             count: metrics hook ``count(name, amount=1)``.
             persist_dir: mirror every registered dataset to one JSON
                 file here and reload on construction, so a restarted
-                replica still owns its shard's datasets (None keeps
-                the registry in-memory — the single-process default).
+                server still knows its datasets (None keeps the
+                registry in-memory — the default).
         """
         self._store = store
         self._count = count
@@ -134,7 +134,7 @@ class DatasetRegistry(NamedView):
 
         A new entry is materialized in the memplane (best-effort).
         Registration is the natural ingest point: every later job on
-        this replica — and every worker pool it spawns — attaches to
+        this server — and every worker pool it spawns — attaches to
         the one arena copy instead of paying per-job copy-in.  Appends
         pass their parent so both versions can share one segment.  Any
         arena failure is swallowed: the registry must work with the
@@ -152,7 +152,7 @@ class DatasetRegistry(NamedView):
 
 
 # ----------------------------------------------------------------------
-# Persisted form (replica restarts — see repro.cluster)
+# Persisted form (server restarts — see docs/durability.md)
 # ----------------------------------------------------------------------
 
 

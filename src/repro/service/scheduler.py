@@ -60,9 +60,8 @@ class UnknownJobError(KeyError):
 class SchedulerDraining(RuntimeError):
     """Raised when a job is submitted to a draining scheduler.
 
-    The HTTP layer maps this to 503 + ``Retry-After`` so clients (and
-    the cluster router) know the replica is shutting down gracefully
-    rather than broken.
+    The HTTP layer maps this to 503 + ``Retry-After`` so clients know
+    the server is shutting down gracefully rather than broken.
     """
 
 
@@ -315,8 +314,8 @@ class JobScheduler:
 
         ``queue_depth`` and ``in_flight`` are instantaneous occupancy;
         ``worker_utilization`` is ``in_flight / workers`` in ``[0, 1]``
-        — the load harness and the cluster router read these to observe
-        saturation as it happens, not just counters after the fact.
+        — the load harness reads these to observe saturation as it
+        happens, not just counters after the fact.
         """
         with self._cond:
             queued = sum(1 for _, _, job in self._heap if job.status == QUEUED)

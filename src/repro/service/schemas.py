@@ -11,8 +11,8 @@ with human-friendly names as aliases, mirroring the dataset registry.
 
 With a ``persist_dir`` the index mirrors every schema to one JSON file
 holding dataset *fingerprints* (not rows) and rebuilds the graphs from
-the co-persisted dataset registry on restart, so a recovered replica
-still answers ``/multitable`` jobs for its shard.
+the co-persisted dataset registry on restart, so a recovered server
+still answers ``/multitable`` jobs.
 """
 
 from __future__ import annotations

@@ -233,8 +233,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     ) -> None:
         """Fold ``?top_k=`` into the config, overriding any body value.
 
-        The query param is the outermost request, proxied verbatim by
-        the cluster router.
+        The query param is the outermost request, so it wins.
         """
         if query and "top_k" in query:
             raw = query["top_k"][-1]

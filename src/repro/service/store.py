@@ -160,7 +160,7 @@ class ResultStore:
         """Re-mirror every entry to ``persist_dir`` (drain/shutdown hook).
 
         Entries are already persisted on :meth:`put`; this is the
-        belt-and-braces pass the graceful-drain path runs so a replica
+        belt-and-braces pass the graceful-drain path runs so a server
         restart is guaranteed to reload the full cache even if an
         earlier mirror write raced a crash.  Returns the number of
         entries written (0 for in-memory stores).

@@ -390,7 +390,7 @@ class TestServiceDurability:
         )
 
         # Forge the crash aftermath: a submitted-but-never-started job
-        # and one against a dataset this replica never had.
+        # and one against a dataset this server never had.
         journal = JobJournal(store_dir / WAL_FILENAME)
         journal.record_submit("job-7", fingerprint, "discover", {}, submitted_at=1.0)
         journal.record_submit("job-8", "fp-gone", "discover", {}, submitted_at=2.0)

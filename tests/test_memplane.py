@@ -585,8 +585,8 @@ class TestOrphanSweep:
             assert len(_arena_files(owner)) == 2
             os.kill(proc.pid, signal.SIGKILL)
             proc.wait(timeout=30)
-            # The replica-restart path: whoever respawns the dead
-            # process sweeps its segments first.  The dead process's
+            # The restart path: whoever restarts the dead process
+            # sweeps its segments first.  The dead process's
             # resource tracker may race us to some of them; either way
             # zero must remain.
             deadline = time.monotonic() + 10

@@ -8,7 +8,7 @@ per-row/vectorized code x jobs=1/2, while the virtual path never builds
 a joined row (asserted via the ``multitable.materialize`` telemetry
 counter).  Inclusion testing treats nulls identically under both
 semantics, dangling rows follow the pad/drop/raise policies, and the
-service, router and CLI layers surface all of it.
+service and CLI layers surface all of it.
 """
 
 from __future__ import annotations
@@ -703,7 +703,7 @@ def register_star(target, n_posts=60, seed=0, name="star"):
         for table_name, relation in tables.items():
             target.register_relation(relation, name=f"ds_{table_name}")
         register = target.register_schema
-    else:  # ServiceClient (possibly via a router)
+    else:  # ServiceClient
         for table_name, relation in tables.items():
             rows = [
                 [
@@ -713,10 +713,7 @@ def register_star(target, n_posts=60, seed=0, name="star"):
                 ]
                 for r in range(relation.n_rows)
             ]
-            target.upload_rows(
-                relation.schema.names, rows, name=f"ds_{table_name}",
-                colocate_with="ds_posts" if table_name != "posts" else None,
-            )
+            target.upload_rows(relation.schema.names, rows, name=f"ds_{table_name}")
         register = target.register_schema
     return register(
         name,
@@ -1016,106 +1013,6 @@ class TestHTTPMultitable:
         with pytest.raises(ServiceError) as excinfo:
             client._request("GET", "/multitable/schemas/ghost")
         assert excinfo.value.status == 404
-
-
-# ----------------------------------------------------------------------
-# Cluster router: colocation, schema routing, proxied jobs
-# ----------------------------------------------------------------------
-
-
-class TestRouterMultitable:
-    @pytest.fixture
-    def cluster(self, tmp_path):
-        from .test_cluster import InThreadCluster
-
-        cluster = InThreadCluster(tmp_path)
-        yield cluster
-        cluster.close()
-
-    @pytest.fixture
-    def client(self, cluster):
-        return ServiceClient(
-            cluster.router.url, timeout=30.0, retries=1, backoff=0.05
-        )
-
-    def shard_of(self, client, dataset_name):
-        for entry in client.datasets():
-            if entry.get("name") == dataset_name:
-                return entry["replica"]
-        raise AssertionError(f"dataset {dataset_name!r} not in listing")
-
-    def test_colocate_with_routes_to_named_shard(self, client):
-        register_star(client, n_posts=40, seed=0)
-        posts_shard = self.shard_of(client, "ds_posts")
-        for name in ("ds_authors", "ds_subreddits"):
-            assert self.shard_of(client, name) == posts_shard
-
-    def test_split_schema_409_then_colocated_succeeds(self, client):
-        # Find two tiny datasets that hash to different shards.
-        from repro.cluster import shard_for, upload_fingerprint
-
-        a_rows = [["k0", "v0"], ["k1", "v1"]]
-        columns = ["k", "v"]
-        a_fp = upload_fingerprint({"columns": columns, "rows": a_rows})
-        b_rows = None
-        for i in range(64):
-            candidate = [["k0", f"w{i}"], ["k1", "v1"]]
-            fp = upload_fingerprint({"columns": columns, "rows": candidate})
-            if shard_for(fp, 2) != shard_for(a_fp, 2):
-                b_rows = candidate
-                break
-        assert b_rows is not None
-
-        client.upload_rows(columns, a_rows, name="ta")
-        client.upload_rows(columns, b_rows, name="tb")
-        with pytest.raises(ServiceError) as excinfo:
-            client.register_schema("split", {"a": "ta", "b": "tb"})
-        assert excinfo.value.status == 409
-        assert "colocate_with" in str(excinfo.value)
-
-        client.upload_rows(columns, b_rows, name="tb2", colocate_with="ta")
-        described = client.register_schema(
-            "joined",
-            {"a": "ta", "b": "tb2"},
-            keys={"a": ["k"], "b": ["k"]},
-            foreign_keys=[
-                {
-                    "child": "b",
-                    "child_columns": ["k"],
-                    "parent": "a",
-                    "parent_columns": ["k"],
-                }
-            ],
-        )
-        assert described["name"] == "joined"
-
-    def test_multitable_job_through_router_matches_direct(self, client):
-        register_star(client, n_posts=50, seed=1)
-        status = client.multitable(
-            "star", STAR_PATH, on_dangling="pad", timeout=30.0
-        )
-        assert status["status"] == "done"
-        # job ids carry the shard namespace and are re-routable
-        assert status["job_id"].startswith("s")
-        again = client.status(status["job_id"])
-        assert again["status"] == "done"
-
-        graph = reddit_star_graph(n_posts=50, seed=1)
-        direct = discover_join_fds(graph, STAR_PATH, on_dangling="pad")
-        result = ServiceClient.result_from_status(status)
-        assert cover_to_json(
-            result.fds, direct.relation.schema
-        ) == cover_to_json(direct.discovery.fds, direct.relation.schema)
-
-    def test_schema_listing_fans_out_with_replica_tags(self, client):
-        register_star(client, n_posts=40, seed=0)
-        listing = client.schemas()
-        assert len(listing) == 1
-        assert listing[0]["replica"].startswith("replica-")
-        detail = client._request(
-            "GET", f"/multitable/schemas/{listing[0]['fingerprint']}"
-        )
-        assert detail["fingerprint"] == listing[0]["fingerprint"]
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib
 
+import pytest
+
 import repro
 
 
@@ -21,8 +23,7 @@ class TestExports:
             "repro.core", "repro.algorithms", "repro.covers",
             "repro.ranking", "repro.datasets", "repro.normalize",
             "repro.incremental", "repro.ucc", "repro.profiling",
-            "repro.bench", "repro.cli", "repro.service", "repro.cluster",
-            "repro.memplane",
+            "repro.bench", "repro.cli", "repro.service", "repro.memplane",
         ]:
             importlib.import_module(module)
 
@@ -41,9 +42,11 @@ class TestCliSurface:
         )
         expected = {
             "discover", "rank", "covers", "report", "normalize",
-            "keys", "datasets", "generate", "serve", "submit", "cluster",
+            "keys", "datasets", "generate", "serve", "submit",
         }
         assert expected <= set(subparsers.choices)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["cluster"])
 
     def test_every_algorithm_has_a_registry_name(self):
         from repro.algorithms import algorithm_names, make_algorithm

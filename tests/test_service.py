@@ -7,11 +7,21 @@ from the result store without extra discovery runs (asserted via
 metrics); appends migrate cached covers via synergized induction; and
 a budget-tripped job surfaces ``completed=False`` + ``limit_reason``
 through the HTTP status endpoint.
+
+The client retries transient transport failures with backoff (never
+replaying an append after a connection failure); a draining scheduler
+refuses new jobs with 503 + ``Retry-After`` while finishing accepted
+ones; and ``/metrics`` carries the scheduler gauges.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import threading
+import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -27,6 +37,7 @@ from repro.service import (
     JobConfig,
     JobScheduler,
     ResultStore,
+    SchedulerDraining,
     ServiceClient,
     ServiceError,
     UnknownDatasetError,
@@ -35,17 +46,16 @@ from repro.service import (
 
 from .conftest import make_random_relation
 
-CITY_CSV = "\n".join(
-    [
-        "name,zip,city,state",
-        "ann,z1,c1,nc",
-        "bob,z1,c1,nc",
-        "cat,z2,c1,nc",
-        "dan,z3,c2,nc",
-        "eve,z3,c2,nc",
-        "fay,z4,c3,nc",
-    ]
-)
+COLUMNS = ["name", "zip", "city", "state"]
+ROWS = [
+    ("ann", "z1", "c1", "nc"),
+    ("bob", "z1", "c1", "nc"),
+    ("cat", "z2", "c1", "nc"),
+    ("dan", "z3", "c2", "nc"),
+    ("eve", "z3", "c2", "nc"),
+    ("fay", "z4", "c3", "nc"),
+]
+CITY_CSV = "\n".join(",".join(row) for row in [COLUMNS, *ROWS])
 
 
 def direct_cover_json(relation, algorithm="dhyfd", **kwargs):
@@ -792,3 +802,246 @@ class TestAcceptance:
         first = client.discover(info["fingerprint"], config=dict(config))
         second = client.discover(info["fingerprint"], config=dict(config))
         assert second["cached"] is False
+
+
+# ----------------------------------------------------------------------
+# Client retries
+# ----------------------------------------------------------------------
+
+
+class TestClientRetries:
+    def _ok_response(self, payload):
+        # BytesIO is already a context manager; the client only read()s.
+        return io.BytesIO(json.dumps(payload).encode())
+
+    def test_connection_refused_retried_then_succeeds(self, monkeypatch):
+        calls = []
+
+        def fake_urlopen(request, timeout=None):
+            calls.append(time.monotonic())
+            if len(calls) < 3:
+                raise urllib.error.URLError(ConnectionRefusedError(111, "refused"))
+            return self._ok_response({"status": "ok"})
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        client = ServiceClient("http://127.0.0.1:9", retries=3, backoff=0.01)
+        assert client.health() == {"status": "ok"}
+        assert len(calls) == 3
+        # Exponential backoff: the second gap is at least as long.
+        assert calls[2] - calls[1] >= (calls[1] - calls[0]) * 0.5
+
+    def test_retries_exhausted_raises_retryable_error(self, monkeypatch):
+        def fake_urlopen(request, timeout=None):
+            raise urllib.error.URLError(ConnectionResetError(104, "reset"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        client = ServiceClient("http://127.0.0.1:9", retries=2, backoff=0.01)
+        with pytest.raises(ServiceError) as err:
+            client.health()
+        assert err.value.retryable is True
+
+    def test_non_retryable_http_error_fails_fast(self, monkeypatch):
+        calls = []
+
+        def fake_urlopen(request, timeout=None):
+            calls.append(1)
+            raise urllib.error.HTTPError(
+                request.full_url, 404, "not found", {}, io.BytesIO(b"{}")
+            )
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        client = ServiceClient("http://127.0.0.1:9", retries=3, backoff=0.01)
+        with pytest.raises(ServiceError) as err:
+            client.health()
+        assert err.value.status == 404
+        assert calls == [1]
+
+    def test_503_retried_honoring_retry_after(self, monkeypatch):
+        calls = []
+
+        def fake_urlopen(request, timeout=None):
+            calls.append(time.monotonic())
+            if len(calls) == 1:
+                raise urllib.error.HTTPError(
+                    request.full_url,
+                    503,
+                    "draining",
+                    {"Retry-After": "0.05"},
+                    io.BytesIO(b'{"error": "draining"}'),
+                )
+            return self._ok_response({"status": "ok"})
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        client = ServiceClient("http://127.0.0.1:9", retries=2, backoff=0.0)
+        assert client.health() == {"status": "ok"}
+        assert calls[1] - calls[0] >= 0.04
+
+    def test_append_never_retries_connection_errors(self, monkeypatch):
+        """Append is not idempotent: a connection reset after delivery
+        is ambiguous, and replaying would apply the rows twice."""
+        calls = []
+
+        def fake_urlopen(request, timeout=None):
+            calls.append(1)
+            raise urllib.error.URLError(ConnectionResetError(104, "reset"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        client = ServiceClient("http://127.0.0.1:9", retries=3, backoff=0.01)
+        with pytest.raises(ServiceError) as err:
+            client.append("city", [["gus", "z1", "c9", "nc"]])
+        assert err.value.retryable is True
+        assert calls == [1]
+
+    def test_append_still_retries_503(self, monkeypatch):
+        """A 503 is pre-execution by contract (a draining server refused
+        the job), so retrying an append after one is safe."""
+        calls = []
+
+        def fake_urlopen(request, timeout=None):
+            calls.append(1)
+            if len(calls) == 1:
+                raise urllib.error.HTTPError(
+                    request.full_url,
+                    503,
+                    "draining",
+                    {"Retry-After": "0.01"},
+                    io.BytesIO(b'{"error": "draining"}'),
+                )
+            return self._ok_response({"fingerprint": "fp", "n_rows": 7})
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        client = ServiceClient("http://127.0.0.1:9", retries=2, backoff=0.0)
+        info = client.append("city", [["gus", "z1", "c9", "nc"]])
+        assert info["n_rows"] == 7
+        assert len(calls) == 2
+
+    def test_idempotent_post_still_retries_connection_errors(self, monkeypatch):
+        """Discover/rank submissions stay retryable: they are idempotent
+        by cache key, so a replay cannot corrupt state."""
+        calls = []
+
+        def fake_urlopen(request, timeout=None):
+            calls.append(1)
+            if len(calls) == 1:
+                raise urllib.error.URLError(ConnectionRefusedError(111, "refused"))
+            return self._ok_response({"status": "done", "job_id": "s0:1"})
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        client = ServiceClient("http://127.0.0.1:9", retries=2, backoff=0.01)
+        assert client.discover("city")["status"] == "done"
+        assert len(calls) == 2
+
+    def test_zero_retries_disables_looping(self, monkeypatch):
+        calls = []
+
+        def fake_urlopen(request, timeout=None):
+            calls.append(1)
+            raise urllib.error.URLError(ConnectionRefusedError(111, "refused"))
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        client = ServiceClient("http://127.0.0.1:9", retries=0)
+        with pytest.raises(ServiceError):
+            client.health()
+        assert calls == [1]
+
+
+# ----------------------------------------------------------------------
+# Graceful drain + scheduler gauges
+# ----------------------------------------------------------------------
+
+
+class TestDrainAndGauges:
+    def test_drain_refuses_new_finishes_inflight(self):
+        service = FDService(max_workers=1)
+        try:
+            service.register_rows(COLUMNS, [list(r) for r in ROWS], name="city")
+            release = threading.Event()
+            entered = threading.Event()
+
+            original = service._execute
+
+            def slow_execute(job):
+                entered.set()
+                release.wait(timeout=10.0)
+                original(job)
+
+            service.scheduler._executor = slow_execute
+            job = service.submit("city")
+            assert entered.wait(timeout=5.0)
+
+            done = {}
+            drainer = threading.Thread(
+                target=lambda: done.setdefault("ok", service.drain(timeout=10.0))
+            )
+            drainer.start()
+            time.sleep(0.05)
+            with pytest.raises(SchedulerDraining):
+                service.submit("city", config={"algorithm": "fastfds"})
+            release.set()
+            drainer.join(timeout=10.0)
+            assert done["ok"] is True
+            assert service.scheduler.wait(job.job_id, timeout=5.0).status == "done"
+        finally:
+            release.set()
+            service.close()
+
+    def test_drain_times_out_on_stuck_job(self):
+        service = FDService(max_workers=1)
+        try:
+            service.register_rows(COLUMNS, [list(r) for r in ROWS], name="city")
+            release = threading.Event()
+
+            def stuck_execute(job):
+                release.wait(timeout=30.0)
+
+            service.scheduler._executor = stuck_execute
+            service.submit("city")
+            assert service.drain(timeout=0.2) is False
+        finally:
+            release.set()
+            service.close()
+
+    def test_draining_maps_to_http_503_with_retry_after(self, tmp_path):
+        service = FDService(max_workers=1)
+        server, _ = start_in_thread(service)
+        try:
+            client = ServiceClient(
+                f"http://127.0.0.1:{server.server_port}", retries=0
+            )
+            client.upload_rows(COLUMNS, [list(r) for r in ROWS], name="city")
+            service.scheduler.drain(timeout=0.1)
+            with pytest.raises(ServiceError) as err:
+                client.discover("city", config={})
+            assert err.value.status == 503
+            assert err.value.retry_after is not None
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+
+    def test_gauges_in_metrics_payload(self):
+        with FDService(max_workers=2) as service:
+            gauges = service.metrics_payload()["gauges"]
+            assert gauges["queue_depth"] == 0
+            assert gauges["in_flight"] == 0
+            assert gauges["worker_utilization"] == 0.0
+            # Gauges are numeric so a metrics scraper can sum them.
+            assert gauges["draining"] == 0
+
+    def test_utilization_reflects_running_jobs(self):
+        with FDService(max_workers=2) as service:
+            service.register_rows(COLUMNS, [list(r) for r in ROWS], name="city")
+            release = threading.Event()
+            entered = threading.Event()
+
+            def slow_execute(job):
+                entered.set()
+                release.wait(timeout=10.0)
+
+            service.scheduler._executor = slow_execute
+            service.submit("city")
+            assert entered.wait(timeout=5.0)
+            gauges = service.scheduler.gauges()
+            assert gauges["in_flight"] == 1
+            assert gauges["worker_utilization"] == 0.5
+            release.set()
