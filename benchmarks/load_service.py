@@ -46,7 +46,7 @@ Examples::
         --spawn single --mode open --rate 50 --duration 10
 
     # cold discovery: 8 letter datasets per stage, one discover each
-    REPRO_FD_JOBS=2 PYTHONPATH=src python benchmarks/load_service.py \
+    PYTHONPATH=src python benchmarks/load_service.py \
         --spawn single --cold --benchmark letter --rows 2000 --datasets 8 \
         --concurrency 1,2,4
 """

@@ -2,8 +2,8 @@
 """End-to-end smoke test for the discovery service (docs/service.md).
 
 Boots ``python -m repro serve`` as a real subprocess on a free port,
-uploads a benchmark replica over HTTP, runs discover + rank with
-``jobs=2`` and a memory budget, and asserts the served cover is
+uploads a benchmark replica over HTTP, runs discover + rank with a
+memory budget, and asserts the served cover is
 byte-identical to a direct in-process ``discover()`` — plus that the
 repeat request was served from the result store.
 
@@ -17,9 +17,7 @@ A third phase SIGKILLs a persisted ``serve`` mid-discovery, after the
 job's first checkpoint reaches its journal, and reboots it on the same
 directories with ``--recover``: the job id never 404s, the job resumes
 past its completed levels, and its cover is byte-identical to a direct
-run (docs/durability.md).  The killed server's arena segments are
-swept by owner, and the smoke fails if any ``reprofd-*`` segment it
-made is left in ``/dev/shm``.
+run (docs/durability.md).
 
 Run directly (CI runs this as a dedicated leg)::
 
@@ -39,7 +37,6 @@ import tempfile
 import time
 import zlib
 
-from repro import memplane
 from repro.algorithms.registry import make_algorithm
 from repro.datasets import load_benchmark
 from repro.datasets.synthetic import random_relation
@@ -48,12 +45,11 @@ from repro.service import ServiceClient, ServiceError
 
 DATASET = "iris"
 ROWS = 60
-CONFIG = {"algorithm": "dhyfd", "jobs": 2, "memory_budget": "256m"}
-#: Serial configuration for the kill-mid-job phase; with its 16-column
-#: input the run is a multi-second lattice walk, so there is a wide
-#: window to SIGKILL the server between checkpoints.
-SLOW_CONFIG = {"algorithm": "dhyfd", "jobs": 1}
-SHM_DIR = "/dev/shm"
+CONFIG = {"algorithm": "dhyfd", "memory_budget": "256m"}
+#: Configuration for the kill-mid-job phase; with its 16-column input
+#: the run is a multi-second lattice walk, so there is a wide window to
+#: SIGKILL the server between checkpoints.
+SLOW_CONFIG = {"algorithm": "dhyfd"}
 
 
 def boot_server(*extra, env=None):
@@ -77,20 +73,10 @@ def boot_server(*extra, env=None):
     raise SystemExit("server did not announce its URL within 30s")
 
 
-def arena_segments() -> set:
-    """Names of the ``reprofd-*`` arena segments now in ``/dev/shm``."""
-    try:
-        names = os.listdir(SHM_DIR)
-    except OSError:
-        return set()
-    return {name for name in names if name.startswith(memplane.SEGMENT_PREFIX + "-")}
-
-
 def main() -> int:
-    segments_before = arena_segments()
     relation = load_benchmark(DATASET, n_rows=ROWS)
     expected = cover_to_json(
-        make_algorithm("dhyfd", jobs=2).discover(relation).fds, relation.schema
+        make_algorithm("dhyfd").discover(relation).fds, relation.schema
     )
 
     proc, url = boot_server()
@@ -121,8 +107,6 @@ def main() -> int:
         stop_server(proc)
     restart_phase(relation, expected)
     kill_mid_job_phase()
-    leaked = arena_segments() - segments_before
-    assert not leaked, f"arena segments left in {SHM_DIR}: {sorted(leaked)}"
     print("service smoke test passed")
     return 0
 
@@ -219,14 +203,10 @@ def kill_mid_job_phase() -> None:
     expected = cover_to_json(
         make_algorithm("dhyfd").discover(relation).fds, relation.schema
     )
-    owner = f"smoke-kill-{os.getpid()}"
     env = dict(os.environ)
     # Checkpoint at every level boundary so a mid-job SIGKILL always
     # has a recent snapshot to resume from.
     env["REPRO_FD_CHECKPOINT_INTERVAL"] = "0"
-    # A known segment owner, so the killed server's leftovers can be
-    # swept, as a supervisor does before a restart.
-    env[memplane.ENV_ARENA_OWNER] = owner
     with tempfile.TemporaryDirectory() as tmp:
         dirs = ("--store-dir", f"{tmp}/store", "--dataset-dir", f"{tmp}/datasets")
         wal = pathlib.Path(tmp) / "store" / "jobs.wal"
@@ -258,8 +238,7 @@ def kill_mid_job_phase() -> None:
             proc.kill()
             proc.wait(timeout=30.0)
             raise
-        swept = memplane.sweep_orphans(owner)
-        print(f"killed serve (pid {proc.pid}) mid-job {job_id}; swept {len(swept)} segments")
+        print(f"killed serve (pid {proc.pid}) mid-job {job_id}")
 
         proc, url = boot_server(*dirs, "--recover", env=env)
         try:

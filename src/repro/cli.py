@@ -19,12 +19,10 @@ import contextlib
 import sys
 from typing import List, Optional
 
-from . import memplane
 from .algorithms.registry import algorithm_names, make_algorithm
 from .bench.tables import format_table
 from .covers.canonical import compare_covers
 from .datasets.benchmarks import benchmark_names, get_spec, load_benchmark
-from . import parallel
 from .profiling.profiler import profile
 from .relational.io import ON_BAD_ROW_POLICIES, read_csv, write_csv
 from .relational.null import NullSemantics
@@ -61,14 +59,6 @@ def _load_input(args: argparse.Namespace) -> Relation:
     return relation
 
 
-def _parse_jobs_arg(value: str) -> int:
-    """argparse type for --jobs: int or 'auto' (0), clean error otherwise."""
-    try:
-        return parallel.config._parse_jobs(value, "--jobs")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--csv", help="path to a CSV file with a header row")
@@ -84,14 +74,6 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
         default="eq",
         choices=["eq", "neq"],
         help="null=null (eq, default) or null!=null (neq)",
-    )
-    parser.add_argument(
-        "--jobs",
-        default=None,
-        metavar="N",
-        type=_parse_jobs_arg,
-        help="worker processes for validation/ranking: a count, 0 or "
-        "'auto' for one per core (default: serial, or $REPRO_FD_JOBS)",
     )
     parser.add_argument(
         "--on-bad-row",
@@ -434,7 +416,6 @@ def _cmd_multitable(args: argparse.Namespace) -> int:
             algorithm=args.algorithm,
             on_dangling=args.on_dangling,
             top_k=args.top_k,
-            jobs=args.jobs,
             time_limit=args.time_limit,
         )
     except MultitableError as exc:
@@ -516,10 +497,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 flush=True,
             )
         service.close()
-        # Unlink this server's arena segments now rather than at
-        # atexit — memplane.sweep_orphans then only ever has SIGKILL
-        # leftovers to deal with.
-        memplane.reset_arena()
     return 0
 
 
@@ -539,8 +516,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         f"({info['n_rows']} rows x {info['n_cols']} cols)"
     )
     config = {"algorithm": args.algorithm, "on_limit": getattr(args, "on_limit", "raise")}
-    if args.jobs is not None:
-        config["jobs"] = args.jobs
     if args.time_limit is not None:
         config["time_limit"] = args.time_limit
     if getattr(args, "memory_budget", None) is not None:
@@ -763,10 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=25, help="ranked FDs to print (default 25)"
     )
     multitable.add_argument(
-        "--jobs", default=None, metavar="N", type=_parse_jobs_arg,
-        help="worker processes for validation/ranking",
-    )
-    multitable.add_argument(
         "--json", action="store_true", help="print the full JSON payload"
     )
     multitable.set_defaults(handler=_cmd_multitable)
@@ -790,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-workers",
         type=int,
         default=2,
-        help="concurrent discovery jobs (each may still use --jobs workers)",
+        help="concurrent discovery jobs, each run serially in its own thread",
     )
     serve.add_argument(
         "--store-dir",
@@ -857,13 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        return args.handler(args)
-    # --jobs is the default worker count of every algorithm and ranking
-    # pass in this invocation, and of nothing after it returns.
-    with parallel.use_jobs(jobs):
-        return args.handler(args)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -28,11 +28,6 @@ from typing import List, Optional, Set, Tuple
 
 from ..fdtree.extended import ExtendedFDTree, ExtFDNode
 from ..fdtree.induction import synergized_induct
-from ..memplane.arena import current_arena
-from ..parallel import ParallelExecutor, PoolBrokenError, resolve_jobs
-from ..parallel import config as parallel_config
-from ..parallel import merge_validation_outcomes
-from ..parallel import validate_level as parallel_validate_level
 from ..partitions.cache import PartitionCache
 from ..ranking.redundancy import redundancy_upper_bound
 from ..ranking.topk import TopKTracker
@@ -53,7 +48,7 @@ from .ddm import DynamicDataManager
 from .ratio import DEFAULT_RATIO_THRESHOLD, LevelDecision
 from .result import DiscoveryStats
 from .sampling import initial_sample
-from .validation import ValidationResult, validate_fd
+from .validation import merge_validation_outcomes, validate_fd
 
 
 class _DegradationState:
@@ -68,12 +63,6 @@ class _DegradationState:
         """Pin the ratio decision to "don't spend"; frees nothing itself."""
         self.no_refine = True
         return 0
-
-
-def _shed_arena() -> int:
-    """Ladder rung: evict the dataset arena's unpinned entries."""
-    arena = current_arena()
-    return arena.shed() if arena is not None else 0
 
 
 def _checkpoint_payload(
@@ -148,9 +137,6 @@ class DHyFD(DiscoveryAlgorithm):
         time_limit: Optional[float] = None,
         enable_ddm_updates: bool = True,
         enable_initial_sampling: bool = True,
-        jobs: Optional[int] = None,
-        parallel_min_rows: Optional[int] = None,
-        parallel_min_candidates: Optional[int] = None,
         budget: Optional[RunBudget] = None,
         on_limit: str = "raise",
     ):
@@ -164,19 +150,9 @@ class DHyFD(DiscoveryAlgorithm):
                 one-shot sorted-neighborhood sample, so the first
                 FD-tree approximation comes from root validation alone
                 and every refinement burden falls on validation.
-            jobs: worker-process count for level validation and the
-                initial sample; ``0``/``"auto"`` means one per core,
-                ``None`` uses the process default (``REPRO_FD_JOBS`` /
-                the CLI's ``--jobs``).  Covers and stats are identical
-                for every value — see :mod:`repro.parallel`.
-            parallel_min_rows: don't go parallel below this many rows
-                (``None`` uses the :mod:`repro.parallel.config` default).
-            parallel_min_candidates: don't dispatch a level with fewer
-                validated candidates than this.
             budget: optional :class:`~repro.resilience.RunBudget`
                 (memory/RSS ceilings enforced via a degradation ladder:
-                evict refined partitions → pin no-refinement → shrink
-                the worker pool → abort).
+                evict refined partitions → pin no-refinement → abort).
             on_limit: ``"raise"`` (default) or ``"partial"`` — see
                 :meth:`DiscoveryAlgorithm.discover`.
         """
@@ -184,31 +160,11 @@ class DHyFD(DiscoveryAlgorithm):
         self.ratio_threshold = ratio_threshold
         self.enable_ddm_updates = enable_ddm_updates
         self.enable_initial_sampling = enable_initial_sampling
-        self.jobs = jobs
-        self.parallel_min_rows = parallel_min_rows
-        self.parallel_min_candidates = parallel_min_candidates
-
-    def _make_executor(self, relation: Relation) -> Optional[ParallelExecutor]:
-        """An executor for this run, or None when the serial path wins."""
-        jobs = resolve_jobs(self.jobs)
-        min_rows = (
-            parallel_config.DEFAULT_MIN_PARALLEL_ROWS
-            if self.parallel_min_rows is None
-            else self.parallel_min_rows
-        )
-        if jobs <= 1 or relation.n_rows < min_rows:
-            return None
-        return ParallelExecutor(relation, jobs=jobs)
 
     def _find_fds(
         self, relation: Relation, deadline: Deadline
     ) -> Tuple[FDSet, DiscoveryStats]:
-        executor = self._make_executor(relation)
-        try:
-            return self._find_fds_impl(relation, deadline, executor)
-        finally:
-            if executor is not None:
-                executor.close()
+        return self._find_fds_impl(relation, deadline)
 
     def _find_top_k(
         self, relation: Relation, k: int, deadline: Deadline
@@ -217,14 +173,7 @@ class DHyFD(DiscoveryAlgorithm):
         cannot reach the running k-th redundancy (see ``tracker`` in
         :meth:`_find_fds_impl`)."""
         tracker = TopKTracker(k)
-        executor = self._make_executor(relation)
-        try:
-            fds, stats = self._find_fds_impl(
-                relation, deadline, executor, tracker=tracker
-            )
-        finally:
-            if executor is not None:
-                executor.close()
+        fds, stats = self._find_fds_impl(relation, deadline, tracker=tracker)
         stats.pruned_candidates += tracker.pruned_candidates
         return fds, stats
 
@@ -232,7 +181,6 @@ class DHyFD(DiscoveryAlgorithm):
         self,
         relation: Relation,
         deadline: Deadline,
-        executor: Optional[ParallelExecutor],
         tracker: Optional[TopKTracker] = None,
     ) -> Tuple[FDSet, DiscoveryStats]:
         stats = DiscoveryStats()
@@ -310,14 +258,6 @@ class DHyFD(DiscoveryAlgorithm):
                 sentinel.add_stage(
                     "disable_refinement", degraded.disable_refinement
                 )
-                sentinel.add_stage(
-                    "shrink_worker_pool",
-                    (lambda: executor.disable()) if executor is not None else (lambda: 0),
-                )
-                # Last resort before aborting: give back the host-wide
-                # arena's unpinned datasets (this run's own lease stays
-                # pinned, so its shared view survives the shed).
-                sentinel.add_stage("evict_arena_datasets", _shed_arena)
 
         # --- checkpoint/resume: a journal snapshot replaces sampling +
         # root validation with the rebuilt tree and validated-level
@@ -353,9 +293,7 @@ class DHyFD(DiscoveryAlgorithm):
             violations: Set[AttrSet] = set()
             if self.enable_initial_sampling:
                 with tracer.span("sampling") as span:
-                    violations |= initial_sample(
-                        relation, ddm.singletons, executor=executor
-                    )
+                    violations |= initial_sample(relation, ddm.singletons)
                     span.annotate(non_fds=len(violations))
             stats.sampled_non_fds = len(violations)
             with tracer.span("validation", level=0) as span:
@@ -415,7 +353,7 @@ class DHyFD(DiscoveryAlgorithm):
                 "validation", level=validation_level, candidates=total
             ) as span:
                 violations, level_comparisons = self._validate_level(
-                    relation, todo, ddm, executor, deadline
+                    relation, todo, ddm, deadline
                 )
                 stats.validations += len(todo)
                 stats.comparisons += level_comparisons
@@ -552,44 +490,22 @@ class DHyFD(DiscoveryAlgorithm):
             return tracker.cover(), stats
         return normalize_singleton_cover(tree.iter_fds()), stats
 
+    @staticmethod
     def _validate_level(
-        self,
         relation: Relation,
         todo: List[ExtFDNode],
         ddm: DynamicDataManager,
-        executor: Optional[ParallelExecutor],
         deadline: Deadline,
     ) -> Tuple[Set[AttrSet], int]:
-        """Validate one level's candidates; returns (non-FDs, comparisons).
-
-        Partitions are resolved through the DDM up front (so its cache
-        counters are identical on every path), then validated either
-        across the pool or serially.  A broken pool falls back to the
-        serial loop over the *same* resolved items — results and stats
-        never depend on which path ran.
-        """
+        """Validate one level's candidates; returns (non-FDs, comparisons)."""
         items = [
             (node.path(), node.rhs, ddm.partition_for_node(node)) for node in todo
         ]
-        min_items = (
-            parallel_config.DEFAULT_MIN_PARALLEL_ITEMS
-            if self.parallel_min_candidates is None
-            else self.parallel_min_candidates
-        )
-        if executor is not None and executor.active and len(items) >= min_items:
-            try:
-                outcomes = parallel_validate_level(executor, items)
-                deadline.check()
-                return merge_validation_outcomes(outcomes)
-            except PoolBrokenError:
-                pass  # rerun the already-resolved items serially
-        outcomes_serial: List[ValidationResult] = []
+        outcomes = []
         for lhs, rhs, partition in items:
-            outcomes_serial.append(
-                validate_fd(relation, lhs, rhs, partition)
-            )
+            outcomes.append(validate_fd(relation, lhs, rhs, partition))
             deadline.check()
-        return merge_validation_outcomes(outcomes_serial)
+        return merge_validation_outcomes(outcomes)
 
     @staticmethod
     def _induct_all(

@@ -39,8 +39,7 @@ def row_sort_ranks(matrix: np.ndarray) -> np.ndarray:
 
     Rows are ordered by their byte content, ties by row index.  Sorting
     cluster rows by content is what makes neighbours likely to share
-    long agree sets (the sorted-neighborhood method).  Shared between
-    the in-process sampler and pool workers so both sort identically.
+    long agree sets (the sorted-neighborhood method).
     """
     keys = [row.tobytes() for row in matrix]
     order = sorted(range(len(keys)), key=keys.__getitem__)
@@ -157,24 +156,8 @@ class AgreeSetSampler:
 def initial_sample(
     relation: Relation,
     partitions: Sequence[StrippedPartition],
-    executor=None,
 ) -> Set[AttrSet]:
-    """DHyFD's one-shot wide sample: a single window-1 round.
-
-    When an active :class:`~repro.parallel.ParallelExecutor` is passed,
-    the per-attribute windows are split across pool workers; the merged
-    agree-set union equals the serial round exactly (per-attribute work
-    is independent and the union deduplicates).  Any pool failure falls
-    back to the serial sampler.
-    """
-    if executor is not None and executor.active:
-        from ..parallel import PoolBrokenError, sample_initial
-
-        try:
-            agree_sets, _comparisons = sample_initial(executor, partitions)
-            return agree_sets
-        except PoolBrokenError:
-            pass
+    """DHyFD's one-shot wide sample: a single window-1 round."""
     sampler = AgreeSetSampler(relation, partitions)
     agree_sets, _ = sampler.sample_round()
     return agree_sets

@@ -46,8 +46,8 @@ class IncrementalFDMaintainer:
             algorithm: registry name used for (re)discovery.
             cover: a known-correct cover of ``relation`` (skips the
                 initial discovery when provided).
-            **algorithm_kwargs: constructor kwargs (``jobs``,
-                ``ratio_threshold``, ...) forwarded to *every* (re)discovery
+            **algorithm_kwargs: constructor kwargs (``ratio_threshold``,
+                ``time_limit``, ...) forwarded to *every* (re)discovery
                 this maintainer performs — the initial one and the
                 :meth:`remove_rows` fallback alike.
         """

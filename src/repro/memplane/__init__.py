@@ -1,72 +1,49 @@
-"""repro.memplane — the one-copy-per-host memory plane.
+"""Shared-memory leftovers: :func:`sweep_orphans`, plus ``reset_tiers``.
 
-Two pieces (see ``docs/memplane.md``):
-
-* :mod:`repro.memplane.arena` — the :class:`DatasetArena`, a
-  fingerprint-keyed shared-memory store of relation columns that
-  worker pools and service jobs lease zero-copy (refcounted
-  pins, LRU eviction under ``REPRO_FD_ARENA_BUDGET``, append versions
-  sharing their parent's pages);
-* the shared partition layer of :mod:`repro.partitions.cache` — a
-  per-dataset store of low-level stripped partitions reused by every
-  ``PartitionCache(relation, shared=True)``; its ``reset_tiers`` and
-  ``tier_gauges`` are re-exported here.
-
-Both are always on.  The arena is the only shared-memory transport
-for worker pools; the partition layer is a cache, so covers and
-rankings are byte-identical whether a job finds it cold or warm.
+Nothing in the library creates shared-memory segments.  A supervisor
+that restarts a server still sweeps the ``reprofd-<owner>-*`` files an
+older release may have left under ``/dev/shm``.  The shared partition
+layer lives in :mod:`repro.partitions.cache`; its ``reset_tiers`` is
+re-exported here for callers that import it from this package.
 """
 
-from typing import Dict
+from __future__ import annotations
 
-from ..partitions.cache import reset_tiers, tier_gauges
-from .arena import (
-    ArenaLease,
-    DatasetArena,
-    ENV_ARENA_OWNER,
-    SEGMENT_PREFIX,
-    current_arena,
-    default_owner,
-    get_arena,
-    reset_arena,
-    sweep_orphans,
-)
+import os
+import re
+from typing import List
 
-__all__ = [
-    "ArenaLease",
-    "DatasetArena",
-    "ENV_ARENA_OWNER",
-    "SEGMENT_PREFIX",
-    "current_arena",
-    "default_owner",
-    "gauges",
-    "get_arena",
-    "reset_arena",
-    "reset_tiers",
-    "sweep_orphans",
-    "tier_gauges",
-]
+from ..partitions.cache import reset_tiers
+
+__all__ = ["SEGMENT_PREFIX", "reset_tiers", "sweep_orphans"]
+
+#: Leading token of every segment name (and ``/dev/shm`` file).
+SEGMENT_PREFIX = "reprofd"
+
+_OWNER_SANITIZER = re.compile(r"[^A-Za-z0-9_.-]+")
 
 
-def gauges() -> Dict[str, float]:
-    """Combined ``memplane.*`` gauges (arena + partition layer) for ``/metrics``.
+def sweep_orphans(owner: str, shm_dir: str = "/dev/shm") -> List[str]:
+    """Unlink every leftover segment of ``owner``; returns the names.
 
-    Never *creates* an arena: a process that registered no dataset
-    reports zeros instead of allocating segments for a metrics scrape.
+    Scoped strictly by the owner token: segments of other processes are
+    never touched.
     """
-    arena = current_arena()
-    out: Dict[str, float] = (
-        arena.gauges()
-        if arena is not None
-        else {
-            "memplane.datasets": 0.0,
-            "memplane.pinned_datasets": 0.0,
-            "memplane.arena_bytes": 0.0,
-            "memplane.attach_hits": 0.0,
-            "memplane.attach_misses": 0.0,
-            "memplane.evictions": 0.0,
-            "memplane.prefix_shared": 0.0,
-        }
-    )
-    out.update(tier_gauges())
-    return out
+    owner = _OWNER_SANITIZER.sub("-", owner.strip())[:48]
+    if not owner:
+        return []
+    prefix = f"{SEGMENT_PREFIX}-{owner}-"
+    removed: List[str] = []
+    try:
+        names = os.listdir(shm_dir)
+    except OSError:
+        return removed
+    for name in names:
+        if not name.startswith(prefix):
+            continue
+        try:
+            os.unlink(os.path.join(shm_dir, name))
+            removed.append(name)
+        except OSError:
+            pass
+    return removed

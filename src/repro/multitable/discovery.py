@@ -149,7 +149,6 @@ def discover_join_fds(
     algorithm: str = "dhyfd",
     on_dangling: str = "raise",
     top_k: Optional[int] = None,
-    jobs: Optional[int] = None,
     time_limit: Optional[float] = None,
     **kwargs,
 ) -> JoinFDResult:
@@ -172,12 +171,9 @@ def discover_join_fds(
         algorithm=algorithm,
         n_rows=lifted.n_rows,
     ):
-        algo_kwargs = dict(kwargs)
-        if jobs is not None:
-            algo_kwargs["jobs"] = jobs
-        algo = make_algorithm(algorithm, time_limit=time_limit, **algo_kwargs)
+        algo = make_algorithm(algorithm, time_limit=time_limit, **kwargs)
         discovery = algo.discover(lifted)
-        ranking = rank_cover(lifted, discovery.fds, top_k=top_k, jobs=jobs)
+        ranking = rank_cover(lifted, discovery.fds, top_k=top_k)
     return JoinFDResult(
         graph_fingerprint=graph.fingerprint(),
         path=provenance.tables,

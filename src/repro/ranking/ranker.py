@@ -110,7 +110,6 @@ def rank_cover(
     cover: Iterable[FD],
     deadline=None,
     top_k: Optional[int] = None,
-    jobs: Optional[int] = None,
 ) -> RankingResult:
     """Rank every FD of a cover by descending redundancy.
 
@@ -121,10 +120,10 @@ def rank_cover(
     time limit bounds the ranking pass too.
 
     The full pass takes one INCLUDE row mask per distinct LHS from
-    :func:`~repro.ranking.redundancy.lhs_row_masks` (across a worker
-    pool with ``jobs`` > 1) and derives both counts of every FD from
-    it; order and counts are identical for any worker count because the
-    final sort uses the full ``(-redundancy, lhs, rhs)`` key.
+    :func:`~repro.ranking.redundancy.lhs_row_masks` and derives both
+    counts of every FD from it; the final sort uses the full
+    ``(-redundancy, lhs, rhs)`` key, so ties never depend on cover
+    order.
 
     With ``top_k=k`` the pass runs in bounded mode: FDs are measured in
     descending order of their :func:`redundancy_upper_bound`, and the
@@ -132,8 +131,7 @@ def rank_cover(
     running k-th redundancy — the remaining FDs cannot enter the top-k
     even via tie-breaks, so the returned list is byte-identical to the
     first k entries of the full ranking at a fraction of the partition
-    work.  Bounded mode measures few FDs by construction and always
-    runs serially.
+    work.
     """
     start = time.perf_counter()
     fds = list(cover)
@@ -142,7 +140,7 @@ def rank_cover(
     with current_tracer().span("ranking", fds=len(fds)):
         if top_k is None:
             masks = lhs_row_masks(
-                relation, (fd.lhs for fd in fds), jobs=jobs, deadline=deadline
+                relation, (fd.lhs for fd in fds), deadline=deadline
             )
             return ranking_from_masks(relation, fds, masks, start)
         cache = PartitionCache(relation, shared=True)

@@ -137,7 +137,6 @@ def lhs_row_masks(
     lhs_list: Iterable[AttrSet],
     policy: NullPolicy = NullPolicy.INCLUDE,
     cache: Optional[PartitionCache] = None,
-    jobs: Optional[int] = None,
     deadline=None,
 ) -> Dict[AttrSet, np.ndarray]:
     """Redundant-row mask of ``π_X`` for every distinct ``X`` in ``lhs_list``.
@@ -145,47 +144,19 @@ def lhs_row_masks(
     The one source of per-LHS masks: the §VI ranking, the Table IV
     report and :func:`redundancy_positions` are all built from it, so
     :func:`~repro.profiling.profiler.profile`, which needs ranking and
-    report, derives each LHS partition once.
-
-    With ``jobs`` > 1 (or a process default from ``REPRO_FD_JOBS`` /
-    ``--jobs``) and a relation and LHS list above the parallel
-    thresholds, a worker pool builds the masks, one LHS per task.
-    Otherwise, or when the pool breaks, they are derived through
-    ``cache`` (a fresh shared :class:`PartitionCache` when None).  The
-    masks are identical either way.
+    report, derives each LHS partition once.  Partitions come from
+    ``cache`` (a fresh shared :class:`PartitionCache` when None).
 
     ``deadline`` (a :class:`~repro.core.base.Deadline` or
-    :class:`~repro.core.base.RunContext`) is polled before the pool
-    pass and once per LHS derived through the cache.
+    :class:`~repro.core.base.RunContext`) is polled once per LHS.
     """
-    from .. import parallel
-    from ..parallel import config as parallel_config
-
     if cache is None:
         cache = PartitionCache(relation, shared=True)
-    unique_lhs = list(dict.fromkeys(lhs_list))
     masks: Dict[AttrSet, np.ndarray] = {}
-    n_jobs = parallel.resolve_jobs(jobs)
-    if (
-        n_jobs > 1
-        and relation.n_rows >= parallel_config.DEFAULT_MIN_PARALLEL_ROWS
-        and len(unique_lhs) >= parallel_config.DEFAULT_MIN_PARALLEL_ITEMS
-    ):
+    for lhs in dict.fromkeys(lhs_list):
         if deadline is not None:
             deadline.check()
-        with parallel.ParallelExecutor(relation, jobs=n_jobs) as executor:
-            try:
-                masks = dict(zip(
-                    unique_lhs,
-                    parallel.redundancy_row_masks(executor, unique_lhs, policy),
-                ))
-            except parallel.PoolBrokenError:
-                pass  # the loop below derives them through the cache
-    for lhs in unique_lhs:
-        if lhs not in masks:
-            if deadline is not None:
-                deadline.check()
-            masks[lhs] = redundant_rows_for_lhs(relation, cache.get(lhs), policy)
+        masks[lhs] = redundant_rows_for_lhs(relation, cache.get(lhs), policy)
     cache.record_telemetry(scope="redundancy")
     return masks
 
@@ -217,21 +188,17 @@ def redundancy_positions(
     cover: Iterable[FD],
     policy: NullPolicy = NullPolicy.INCLUDE,
     cache: Optional[PartitionCache] = None,
-    jobs: Optional[int] = None,
     deadline=None,
 ) -> np.ndarray:
     """Boolean ``(n_rows, n_cols)`` matrix of redundant positions.
 
     The union over the cover: a position may be redundant due to
     several FDs but is counted once (the data-set totals of Table IV).
-    The per-LHS masks come from :func:`lhs_row_masks` (``jobs`` and
-    ``deadline`` as there), so the result is identical for any worker
-    count.
+    The per-LHS masks come from :func:`lhs_row_masks` (``deadline`` as
+    there).
     """
     fds = list(cover)
-    masks = lhs_row_masks(
-        relation, (fd.lhs for fd in fds), policy, cache, jobs, deadline
-    )
+    masks = lhs_row_masks(relation, (fd.lhs for fd in fds), policy, cache, deadline)
     return _positions_from_masks(relation, fds, masks, policy)
 
 
@@ -285,14 +252,11 @@ def report_from_masks(
 def dataset_redundancy(
     relation: Relation,
     cover: Iterable[FD],
-    jobs: Optional[int] = None,
     deadline=None,
 ) -> RedundancyReport:
     """Compute #values / #red / #red+0 for a relation and cover (timed)."""
     start = time.perf_counter()
     fds = list(cover)
     with current_tracer().span("redundancy", fds=len(fds)):
-        masks = lhs_row_masks(
-            relation, (fd.lhs for fd in fds), jobs=jobs, deadline=deadline
-        )
+        masks = lhs_row_masks(relation, (fd.lhs for fd in fds), deadline=deadline)
         return report_from_masks(relation, fds, masks, start)

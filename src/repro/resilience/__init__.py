@@ -18,12 +18,10 @@ Three pillars (see ``docs/resilience.md``):
 from .budget import (
     BudgetExceeded,
     DegradationStage,
-    ENV_ARENA_BUDGET,
     ENV_MEMORY_BUDGET,
     ENV_RSS_LIMIT,
     MemorySentinel,
     RunBudget,
-    arena_budget_from_env,
     parse_bytes,
     process_rss_bytes,
 )
@@ -32,12 +30,10 @@ from . import faults
 __all__ = [
     "BudgetExceeded",
     "DegradationStage",
-    "ENV_ARENA_BUDGET",
     "ENV_MEMORY_BUDGET",
     "ENV_RSS_LIMIT",
     "MemorySentinel",
     "RunBudget",
-    "arena_budget_from_env",
     "faults",
     "parse_bytes",
     "process_rss_bytes",

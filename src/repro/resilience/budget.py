@@ -7,8 +7,7 @@ with two new ceilings — a partition-memory byte budget and an optional
 process-RSS ceiling.  A :class:`MemorySentinel`, polled at the same
 sites as the deadline, reacts to pressure by walking an ordered
 *degradation ladder* installed by the algorithm (evict refined
-partitions, pin the DDM to no-refinement mode, shrink the worker pool)
-— each stage emitting a ``degradation`` telemetry event — before the
+partitions, then pin the DDM to no-refinement mode) — each stage emitting a ``degradation`` telemetry event — before the
 last resort of aborting with :class:`BudgetExceeded`.
 
 The sentinel never aborts a run whose usage has fallen to the
@@ -34,9 +33,6 @@ ENV_MEMORY_BUDGET = "REPRO_FD_MEMORY_BUDGET"
 
 #: Default process-RSS ceiling (same syntax).
 ENV_RSS_LIMIT = "REPRO_FD_RSS_LIMIT"
-
-#: Byte budget for the host-wide dataset arena (see :mod:`repro.memplane`).
-ENV_ARENA_BUDGET = "REPRO_FD_ARENA_BUDGET"
 
 _UNITS = {
     "": 1,
@@ -68,19 +64,6 @@ def parse_bytes(value: Union[int, str]) -> int:
     if result <= 0:
         raise ValueError(f"byte budget must be positive, got {value!r}")
     return result
-
-
-def arena_budget_from_env() -> Optional[int]:
-    """The dataset-arena byte budget from ``REPRO_FD_ARENA_BUDGET``.
-
-    Returns None (unlimited) when unset; malformed values raise the
-    same :class:`ValueError` as :func:`parse_bytes` so a bad deployment
-    fails loudly at arena construction, not mid-eviction.
-    """
-    raw = os.environ.get(ENV_ARENA_BUDGET)
-    if raw is None or not raw.strip():
-        return None
-    return parse_bytes(raw)
 
 
 class BudgetExceeded(Exception):

@@ -9,15 +9,11 @@ Fault points
 ------------
 
 ====================== ====================================================
-``worker.crash``           a pool worker hard-exits before doing any work
-``shm.attach``             attaching a shared-memory segment fails
 ``partition.build.memory`` ``MemoryError`` while building a partition
 ``partition.refine.memory`` ``MemoryError`` while refining a partition
 ``csv.corrupt_row``        a CSV record loses its last field while parsed
 ``ddm.stale``              a dynamic DDM lookup is forced stale
 ``limit.deadline``         a deadline poll trips deterministically
-``pool.broken``            the process pool reports itself broken mid-run
-``arena.attach``           attaching a dataset-arena segment fails
 ``journal.torn_write``     a WAL append crashes after half the frame
 ``journal.replay``         WAL replay aborts mid-file (treated as torn)
 ``scheduler.recover``      scheduler recovery crashes mid-replay
@@ -26,18 +22,18 @@ Fault points
 Arming
 ------
 
-In-process (same interpreter, inherited by fork-started workers)::
+In-process (same interpreter)::
 
     faults.activate("ddm.stale")                 # every firing
     faults.activate("limit.deadline", after=30)  # skip 30 calls, then fire
-    faults.activate("worker.crash", times=1)     # fire once, then disarm
+    faults.activate("ddm.stale", times=1)        # fire once, then disarm
 
 Across processes, via the ``REPRO_FD_FAULTS`` environment variable — a
 comma-separated list of entries, each either a bare point name (always
 fires) or ``name:once=<token-path>`` (fires exactly once *across all
 processes*: whichever process unlinks the token file first wins)::
 
-    REPRO_FD_FAULTS="ddm.stale,worker.crash:once=/tmp/tok" pytest ...
+    REPRO_FD_FAULTS="ddm.stale,journal.torn_write:once=/tmp/tok" pytest ...
 
 :func:`arm_once` creates the token file and appends the entry for you.
 """
@@ -55,15 +51,11 @@ ENV_FAULTS = "REPRO_FD_FAULTS"
 #: Every failure point the stack instruments.
 FAULT_POINTS = frozenset(
     {
-        "worker.crash",
-        "shm.attach",
         "partition.build.memory",
         "partition.refine.memory",
         "csv.corrupt_row",
         "ddm.stale",
         "limit.deadline",
-        "pool.broken",
-        "arena.attach",
         "journal.torn_write",
         "journal.replay",
         "scheduler.recover",

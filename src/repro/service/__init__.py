@@ -17,7 +17,7 @@ In process::
 
     with FDService(max_workers=2) as service:
         entry = service.register_relation(relation, name="orders")
-        job = service.discover(entry.fingerprint, config={"jobs": 2})
+        job = service.discover(entry.fingerprint, config={"time_limit": 60})
         print(job.result.format_fds())
 
 Over HTTP (see ``repro-fd serve`` / ``repro-fd submit``)::

@@ -20,7 +20,7 @@ discovery service:
 Covers produced through the service are byte-identical to direct
 in-process discovery — the service calls the exact same
 :func:`~repro.algorithms.make_algorithm` path, and the determinism
-guarantees of the parallel/kernel layers carry over.
+guarantees of the kernel layer carry over.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from .. import __version__, memplane
+from .. import __version__
 from ..algorithms.registry import make_algorithm
 from ..core.result import DiscoveryResult, DiscoveryStats
+from ..partitions.cache import tier_gauges
 from ..ranking.ranker import rank_cover
 from ..relational.fd import FDSet
 from ..relational.io import read_csv_text
@@ -368,12 +369,7 @@ class FDService:
                 owners = attribute_tables(entry.graph, provenance.tables)
                 with tracer.span("covers", fds=result.fd_count):
                     canonical = result.canonical_cover()
-                ranking = rank_cover(
-                    relation,
-                    canonical,
-                    top_k=config.top_k,
-                    jobs=config.jobs,
-                )
+                ranking = rank_cover(relation, canonical, top_k=config.top_k)
                 job.ranking = [
                     {
                         "fd": ranked.fd.format(relation.schema),
@@ -519,7 +515,7 @@ class FDService:
                 for name, counter in sorted(self.metrics.counters.items())
             }
         gauges = dict(self.scheduler.gauges())
-        gauges.update(memplane.gauges())
+        gauges.update(tier_gauges())
         payload = {
             "counters": counters,
             "gauges": gauges,

@@ -6,7 +6,7 @@ server in a few lines::
 
     client = ServiceClient("http://127.0.0.1:8765")
     info = client.upload_csv(csv_text, name="orders")
-    status = client.discover(info["fingerprint"], config={"jobs": 2})
+    status = client.discover(info["fingerprint"], config={"time_limit": 60})
     result = ServiceClient.result_from_status(status)   # DiscoveryResult
 
 Results come back as the same JSON documents

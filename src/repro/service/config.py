@@ -55,7 +55,6 @@ class JobConfig:
     """
 
     algorithm: str = "dhyfd"
-    jobs: Optional[int] = None
     time_limit: Optional[float] = None
     memory_budget: Optional[int] = None
     on_limit: str = "raise"
@@ -99,11 +98,13 @@ class JobConfig:
 
         ``memory_budget`` accepts plain bytes or ``"64m"``-style
         strings; other keys become algorithm ``extra`` kwargs and must
-        name constructor parameters of the algorithm.
+        name constructor parameters of the algorithm.  A ``jobs`` key
+        (the worker count of older clients, journals and stored
+        entries) is accepted and dropped: every job runs serially.
         """
         data = dict(data or {})
         algorithm = str(data.pop("algorithm", "dhyfd")).lower()
-        jobs = data.pop("jobs", None)
+        data.pop("jobs", None)
         time_limit = data.pop("time_limit", None)
         memory_budget = data.pop("memory_budget", None)
         on_limit = str(data.pop("on_limit", "raise"))
@@ -122,7 +123,6 @@ class JobConfig:
         on_dangling = data.pop("on_dangling", None)
         return cls(
             algorithm=algorithm,
-            jobs=int(jobs) if jobs is not None else None,
             time_limit=float(time_limit) if time_limit is not None else None,
             memory_budget=parse_bytes(memory_budget) if memory_budget is not None else None,
             on_limit=on_limit,
@@ -135,7 +135,7 @@ class JobConfig:
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly dict; ``from_dict`` of it rebuilds this config."""
         payload: Dict[str, object] = {"algorithm": self.algorithm, "on_limit": self.on_limit}
-        for name in ("jobs", "time_limit", "memory_budget", "top_k"):
+        for name in ("time_limit", "memory_budget", "top_k"):
             value = getattr(self, name)
             if value is not None:
                 payload[name] = value
@@ -165,8 +165,6 @@ class JobConfig:
         partial results keep working.
         """
         kwargs: Dict[str, object] = dict(self.extra)
-        if self.jobs is not None:
-            kwargs["jobs"] = self.jobs
         if self.time_limit is not None:
             kwargs["time_limit"] = self.time_limit
         if self.memory_budget is not None:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
-from ..memplane import arena
 from ..relational.null import is_null
 from ..relational.relation import Relation
 from .keyed import KeyedStore, NamedView, _noop_count
@@ -130,24 +129,10 @@ class DatasetRegistry(NamedView):
 
     def _add(self, entry: DatasetEntry, counter: str) -> Tuple[DatasetEntry, bool]:
         """Register ``entry`` unless its content is known; returns the
-        registered entry and whether it is new.
-
-        A new entry is materialized in the memplane (best-effort).
-        Registration is the natural ingest point: every later job on
-        this server — and every worker pool it spawns — attaches to
-        the one arena copy instead of paying per-job copy-in.  Appends
-        pass their parent so both versions can share one segment.  Any
-        arena failure is swallowed: the registry must work with the
-        arena broken.
-        """
+        registered entry and whether it is new."""
         entry, created = self._entries.register(entry.fingerprint, entry, entry.name)
         if created:
             self._count(counter)
-            try:
-                if arena.get_arena().ingest(entry.relation, parent_fingerprint=entry.parent):
-                    self._count("service.registry.arena_ingests")
-            except Exception:
-                self._count("service.registry.arena_errors")
         return entry, created
 
 

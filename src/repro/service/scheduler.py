@@ -1,9 +1,8 @@
 """Bounded-concurrency job scheduler with priorities and cancellation.
 
 The scheduler owns a fixed pool of worker threads (the concurrency
-bound — each running job may itself fan out over the shared
-:mod:`repro.parallel` process pool, so a handful of workers saturates
-the machine) and a priority queue of :class:`Job` records.  Higher
+bound — each running job runs serially on its thread) and a priority
+queue of :class:`Job` records.  Higher
 ``priority`` runs first; ties run in submission order.  The executor —
 supplied by :class:`~repro.service.app.FDService` — does the actual
 cache lookup / discovery / ranking; the scheduler only sequences it,

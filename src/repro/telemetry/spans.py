@@ -153,24 +153,6 @@ class Tracer:
             self._stack[-1].events.append(record)
         return record
 
-    def record_completed(self, name: str, duration: float, **attrs: object) -> Span:
-        """Append an already-finished span under the current stack top.
-
-        Used to replay spans measured elsewhere — e.g. summaries coming
-        back from pool workers, whose tracers cannot share this one's
-        context.  The span's start is back-dated so ``start + duration``
-        lands at the current clock reading (clamped at the origin).
-        """
-        span = Span(name, dict(attrs))
-        now = self._clock() - self._origin
-        span.start = max(0.0, now - duration)
-        span.duration = duration
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-        return span
-
     def counter(self, name: str):
         """Shorthand for ``tracer.metrics.counter(name)``."""
         return self.metrics.counter(name)
@@ -285,9 +267,6 @@ class NoopTracer:
     __slots__ = ()
 
     def span(self, name: str, **attrs: object) -> _NoopSpan:
-        return _NOOP_SPAN
-
-    def record_completed(self, name: str, duration: float, **attrs: object) -> _NoopSpan:
         return _NOOP_SPAN
 
     def event(self, name: str, **attrs: object) -> None:

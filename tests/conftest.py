@@ -8,8 +8,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro import memplane
 from repro.datasets.synthetic import random_relation
+from repro.partitions import cache as partition_cache
 from repro.partitions import kernels
 from repro.relational.null import NULL, NullSemantics
 from repro.relational.relation import Relation
@@ -66,17 +66,15 @@ def in_both_kernel_modes(fn):
 
 
 @pytest.fixture(autouse=True)
-def _memplane_isolation():
+def _partition_tier_isolation():
     """Drop shared partition tiers between tests.
 
     Fixture relations are seeded, so the same content fingerprint
     recurs across tests — without this, one test's warm tier changes
-    another test's kernel-call and cache-counter observations.  The
-    arena is left alone: leases are scoped to executors and identical
-    bytes are identical bytes.
+    another test's kernel-call and cache-counter observations.
     """
     yield
-    memplane.reset_tiers()
+    partition_cache.reset_tiers()
 
 
 @pytest.fixture

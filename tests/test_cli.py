@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import parallel
-from repro.algorithms import DHyFD
 from repro.cli import build_parser, main
 from repro.relational.io import write_csv
 
@@ -42,6 +40,7 @@ class TestParser:
                 option for action in sub._actions for option in action.option_strings
             ]
             assert not [o for o in options if "memplane" in o], name
+            assert not [o for o in options if "jobs" in o], name
 
     def test_input_subcommand_options_pinned(self):
         """Every input subcommand keeps each flag's spelling, default,
@@ -62,7 +61,6 @@ class TestParser:
             "--rows": spec(type="int"),
             "--seed": spec(default=0, type="int"),
             "--null-semantics": spec(default="eq", choices=("eq", "neq")),
-            "--jobs": spec(type="_parse_jobs_arg"),
             "--on-bad-row": spec(default="raise", choices=("raise", "skip", "pad")),
             "--algorithm": spec(default="dhyfd", choices=tuple(algorithm_names())),
             "--time-limit": spec(type="float"),
@@ -187,22 +185,6 @@ class TestDiscover:
     def test_algorithm_option(self, csv_path, capsys):
         main(["discover", "--csv", csv_path, "--algorithm", "tane"])
         assert "tane" in capsys.readouterr().out
-
-    def test_jobs_option_applies_to_one_invocation(self, csv_path, monkeypatch):
-        monkeypatch.setattr(parallel.config, "_default_jobs", None)
-        monkeypatch.delenv(parallel.ENV_JOBS, raising=False)
-        seen = []
-        discover = DHyFD.discover
-
-        def spy(self, relation):
-            seen.append(parallel.resolve_jobs())
-            return discover(self, relation)
-
-        monkeypatch.setattr(DHyFD, "discover", spy)
-        assert main(["discover", "--csv", csv_path, "--jobs", "3"]) == 0
-        assert seen == [3]
-        monkeypatch.setenv(parallel.ENV_JOBS, "2")
-        assert parallel.resolve_jobs() == 2
 
     def test_null_semantics_option(self, csv_path):
         assert main(

@@ -313,17 +313,16 @@ class TestSchedulerRecover:
 
 class TestCheckpointResume:
     @pytest.mark.parametrize("semantics", [NullSemantics.EQ, NullSemantics.NEQ])
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_resumed_covers_are_byte_identical(self, semantics, jobs):
+    def test_resumed_covers_are_byte_identical(self, semantics):
         for seed in (3, 11, 27):
             relation = make_random_relation(seed, semantics=semantics)
 
-            cold = make_algorithm("dhyfd", jobs=jobs).discover(relation)
+            cold = make_algorithm("dhyfd").discover(relation)
 
             # Checkpointing on (every level boundary) must not change
             # the answer.
             states = []
-            checkpointing = make_algorithm("dhyfd", jobs=jobs)
+            checkpointing = make_algorithm("dhyfd")
             checkpointing.checkpoint_interval = 0.0
             checkpointing.checkpoint_sink = states.append
             with_ckpt = checkpointing.discover(relation)
@@ -334,7 +333,7 @@ class TestCheckpointResume:
             for state in states:
                 assert state["format"] == CHECKPOINT_FORMAT
                 assert state["version"] == CHECKPOINT_VERSION
-                resumed_algo = make_algorithm("dhyfd", jobs=jobs)
+                resumed_algo = make_algorithm("dhyfd")
                 resumed_algo.resume_from = state
                 resumed = resumed_algo.discover(relation)
                 # The resumed run skips completed levels yet lands on

@@ -97,7 +97,7 @@ class TestRemoveRows:
 
     def test_rediscovery_reuses_algorithm_kwargs(self, monkeypatch, city_relation):
         """Regression: remove_rows used to rediscover with default kwargs,
-        dropping the maintainer's configured jobs/ratio_threshold."""
+        dropping the maintainer's configured ratio_threshold/time_limit."""
         from repro.incremental import maintainer as maintainer_mod
 
         calls = []
@@ -111,14 +111,14 @@ class TestRemoveRows:
             maintainer_mod, "make_algorithm", spying_make_algorithm
         )
         maintainer = IncrementalFDMaintainer(
-            city_relation, algorithm="dhyfd", ratio_threshold=2.0, jobs=1
+            city_relation, algorithm="dhyfd", ratio_threshold=2.0, time_limit=60.0
         )
         maintainer.remove_rows([0])
         assert len(calls) == 2  # initial discovery + rediscovery
         for name, kwargs in calls:
             assert name == "dhyfd"
             assert kwargs.get("ratio_threshold") == 2.0
-            assert kwargs.get("jobs") == 1
+            assert kwargs.get("time_limit") == 60.0
         assert maintainer.cover == fresh_discovery(maintainer.relation)
 
     def test_kwargs_with_precomputed_cover(self, city_relation):

@@ -4,7 +4,7 @@ The acceptance bar (ISSUE 10): ``discover_join_fds`` over the virtual
 join is byte-identical — cover, relation fingerprint, ranked order and
 any ``top_k`` cut — to running the same algorithm on the materialized
 join, across small random schemas x EQ/NEQ null semantics x
-per-row/vectorized code x jobs=1/2, while the virtual path never builds
+per-row/vectorized code, while the virtual path never builds
 a joined row (asserted via the ``multitable.materialize`` telemetry
 counter).  Inclusion testing treats nulls identically under both
 semantics, dangling rows follow the pad/drop/raise policies, and the
@@ -554,7 +554,7 @@ class TestDiscoveryDifferential:
         """Covers, ranked order and top_k: virtual vs materialized.
 
         One materialized reference per (seed, semantics, policy, path);
-        every (code mode, jobs) virtual run must match it byte for byte.
+        every code mode's virtual run must match it byte for byte.
         """
         graph = random_star(seed, semantics=semantics)
         for policy in ("drop", "pad"):
@@ -566,25 +566,21 @@ class TestDiscoveryDifferential:
                     rank_cover(mat, reference.fds)
                 )
                 for mode in ("python", "numpy"):
-                    for jobs in (1, 2):
-                        with code_mode(mode):
-                            result = discover_join_fds(
-                                graph, path, on_dangling=policy, jobs=jobs
-                            )
-                        tag = (seed, policy, path, mode, jobs)
-                        assert (
-                            result.relation.fingerprint()
-                            == mat.fingerprint()
-                        ), tag
-                        assert (
-                            cover_to_json(
-                                result.discovery.fds, result.relation.schema
-                            )
-                            == ref_cover
-                        ), tag
-                        assert (
-                            ranked_snapshot(result.ranking) == ref_rank
-                        ), tag
+                    with code_mode(mode):
+                        result = discover_join_fds(
+                            graph, path, on_dangling=policy
+                        )
+                    tag = (seed, policy, path, mode)
+                    assert (
+                        result.relation.fingerprint() == mat.fingerprint()
+                    ), tag
+                    assert (
+                        cover_to_json(
+                            result.discovery.fds, result.relation.schema
+                        )
+                        == ref_cover
+                    ), tag
+                    assert ranked_snapshot(result.ranking) == ref_rank, tag
 
     def test_top_k_cut_matches_materialized_prefix(self):
         graph = random_star(2)

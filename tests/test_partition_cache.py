@@ -1,15 +1,26 @@
-"""Unit tests for the partition cache."""
+"""Unit tests for the partition cache and its shared partition tier."""
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
+from repro.algorithms.naive import NaiveFDDiscovery
+from repro.core.dhyfd import DHyFD
 from repro.datasets.synthetic import random_relation
-from repro.partitions.cache import PartitionCache
+from repro.partitions import cache as partition_cache
+from repro.partitions.cache import MAX_SHARED_ATTRS, PartitionCache
 from repro.partitions.stripped import StrippedPartition
+from repro.ranking.ranker import rank_cover
 from repro.relational import attrset
+from tests.conftest import make_random_relation
+
+
+def _fd_tuples(fds):
+    return sorted((fd.lhs, fd.rhs) for fd in fds)
 
 
 class TestCache:
@@ -187,3 +198,147 @@ class TestBestSubsetIndex:
         assert _clusters(cache.get(target)) == _clusters(
             StrippedPartition.for_attrs(rel, target)
         )
+
+
+# ----------------------------------------------------------------------
+# Shared partition tier
+# ----------------------------------------------------------------------
+
+
+class TestSharedTier:
+    def test_cache_seeds_consults_and_publishes(self):
+        relation = random_relation(60, 4, domain_sizes=3, seed=101)
+        partition_cache.reset_tiers()
+        cold = PartitionCache(relation, shared=True)
+        assert cold.shared_hits == 0
+        shared = partition_cache.shared_store(relation)
+        assert len(shared) == relation.n_cols  # singletons published
+        mask = attrset.from_attrs([0, 1])
+        cold.get(mask)
+        warm = PartitionCache(relation, shared=True)
+        assert warm.shared_hits == relation.n_cols  # seeded from the layer
+        misses_before = warm.misses
+        partition = warm.get(mask)
+        assert warm.misses == misses_before + 1  # the local miss...
+        assert warm.shared_hits == relation.n_cols + 1  # ...hit the layer
+        assert partition is cold.peek(mask)  # literally the same object
+        # Each shared lookup is counted once: 4 + 1 cold misses, then
+        # 4 + 1 warm hits.
+        gauges = partition_cache.tier_gauges()
+        assert gauges["memplane.tier_hits"] == relation.n_cols + 1
+        assert gauges["memplane.tier_misses"] == relation.n_cols + 1
+        assert gauges["memplane.tier_partitions"] == relation.n_cols + 1
+        # A private store neither reads nor publishes.
+        private = PartitionCache(relation)
+        private.get(attrset.from_attrs([2, 3]))
+        assert private.shared_hits == 0
+        assert len(shared) == relation.n_cols + 1
+
+    def test_concurrent_lookups_are_each_counted_once(self):
+        relation = random_relation(40, 4, domain_sizes=3, seed=103)
+        mask = attrset.from_attrs([0, 1])
+        threads, rounds = 8, 25
+        partition_cache.reset_tiers()
+
+        def work():
+            for _ in range(rounds):
+                PartitionCache(relation, shared=True).get(mask)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in pool)
+        finally:
+            sys.setswitchinterval(interval)
+        gauges = partition_cache.tier_gauges()
+        lookups = threads * rounds * (relation.n_cols + 1)
+        assert gauges["memplane.tier_hits"] + gauges["memplane.tier_misses"] == lookups
+        assert gauges["memplane.tier_partitions"] == relation.n_cols + 1
+
+    def test_tier_ignores_wide_partitions(self):
+        relation = random_relation(30, MAX_SHARED_ATTRS + 1, seed=102)
+        partition_cache.reset_tiers()
+        cache = PartitionCache(relation, shared=True)
+        cache.get(attrset.from_attrs(range(MAX_SHARED_ATTRS)))
+        cache.get(attrset.from_attrs(range(MAX_SHARED_ATTRS + 1)))
+        widths = {
+            attrset.count(mask)
+            for mask in partition_cache.shared_store(relation)
+        }
+        assert max(widths) == MAX_SHARED_ATTRS
+
+    def test_tier_for_identity_and_gates(self):
+        relation = make_random_relation(18)
+        store = partition_cache.shared_store(relation)
+        assert store is partition_cache.shared_store(relation)
+        assert store is not partition_cache.shared_store(
+            relation.with_semantics("neq")
+        )
+        assert partition_cache.shared_store(object()) is None  # no fingerprint
+
+    def test_ranking_identical_cold_warm_and_disabled(self, monkeypatch):
+        """Cold, warm and bypassed tiers all give the row-pair counts.
+
+        A position ``(t, A)`` of ``X -> Y`` (``A`` in ``Y``) is redundant
+        iff another row shares ``t``'s X-codes; ``#red`` also needs
+        ``t[A]`` non-null.
+        """
+        relation = make_random_relation(19)
+        cover = DHyFD().discover(relation).fds
+        matrix = relation.matrix()
+        expected = {}
+        for fd in cover:
+            lhs = attrset.to_list(fd.lhs)
+            shared = [
+                any(
+                    j != i and all(matrix[j][a] == matrix[i][a] for a in lhs)
+                    for j in range(relation.n_rows)
+                )
+                for i in range(relation.n_rows)
+            ]
+            rhs = attrset.to_list(fd.rhs)
+            expected[fd] = (
+                sum(shared) * len(rhs),
+                sum(
+                    1
+                    for a in rhs
+                    for i in range(relation.n_rows)
+                    if shared[i] and not relation.null_mask(a)[i]
+                ),
+            )
+
+        def counts(result):
+            return {
+                r.fd: (r.redundancy, r.redundancy_excluding_null)
+                for r in result.ranked
+            }
+
+        partition_cache.reset_tiers()
+        assert counts(rank_cover(relation, cover)) == expected  # cold
+        assert counts(rank_cover(relation, cover)) == expected  # warm
+        assert partition_cache.tier_gauges()["memplane.tier_hits"] > 0
+        partition_cache.reset_tiers()
+        monkeypatch.setattr(partition_cache, "shared_store", lambda relation: None)
+        assert counts(rank_cover(relation, cover)) == expected  # bypassed
+        assert partition_cache.tier_gauges()["memplane.tier_datasets"] == 0
+
+
+# ----------------------------------------------------------------------
+# Covers match the brute-force oracle whether the tier is cold or warm
+# ----------------------------------------------------------------------
+
+
+class TestCoverDifferential:
+    @pytest.mark.parametrize("seed", [20, 21])
+    def test_cold_and_warm_tier_match_oracle(self, seed):
+        relation = make_random_relation(seed)
+        oracle = _fd_tuples(NaiveFDDiscovery().discover(relation).fds)
+        partition_cache.reset_tiers()
+        for tier in ("cold", "warm"):
+            result = DHyFD().discover(relation)
+            assert _fd_tuples(result.fds) == oracle, tier

@@ -11,8 +11,6 @@ from repro import profile
 from repro.datasets.armstrong import armstrong_relation
 from repro.datasets.benchmarks import load_benchmark
 from repro.datasets.synthetic import random_relation
-from repro.parallel import config as parallel_config
-from repro.parallel.config import use_jobs
 from repro.partitions.cache import PartitionCache
 from repro.ranking.ranker import rank_cover
 from repro.ranking.redundancy import (
@@ -191,23 +189,13 @@ class TestSinglePass:
                 60, 5, domain_sizes=[2, 3, 4, 3, 2], null_rate=0.2, seed=seed
             )
 
-    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("semantics", list(NullSemantics))
-    def test_profile_matches_standalone_passes(self, monkeypatch, jobs, semantics):
-        # let the jobs=2 leg reach the worker pool on these small inputs
-        monkeypatch.setattr(parallel_config, "DEFAULT_MIN_PARALLEL_ROWS", 0)
-        monkeypatch.setattr(parallel_config, "DEFAULT_MIN_PARALLEL_ITEMS", 1)
+    def test_profile_matches_standalone_passes(self, semantics):
         for relation in self._relations():
-            with use_jobs(jobs):  # the REPRO_FD_JOBS default, pinned
-                outcome = profile(relation, null_semantics=semantics, trace=True)
-                encoded, cover = outcome.relation, outcome.canonical
-                ranking = rank_cover(encoded, cover)
-                report = dataset_redundancy(encoded, cover)
-            pooled = {
-                span.attrs["kind"]
-                for span in outcome.tracer.find_spans("parallel.batch")
-            }
-            assert ("redundancy" in pooled) == (jobs == 2 and len(cover) > 0)
+            outcome = profile(relation, null_semantics=semantics, trace=True)
+            encoded, cover = outcome.relation, outcome.canonical
+            ranking = rank_cover(encoded, cover)
+            report = dataset_redundancy(encoded, cover)
             assert outcome.ranking.ranked == ranking.ranked
             assert (
                 outcome.redundancy.n_values,

@@ -5,7 +5,7 @@ The load-bearing properties:
 * a tripped limit with ``on_limit="partial"`` returns a *sound* cover —
   every FD in it holds on the full relation — plus the unverified rest;
 * a memory budget degrades a run (evict refined partitions, pin the DDM
-  to no-refinement, shrink the pool) instead of killing it, and the
+  to no-refinement) instead of killing it, and the
   degraded cover is byte-identical to the unconstrained one;
 * armed fault points make the stack fail exactly where production code
   claims to survive, and it does.
@@ -35,10 +35,6 @@ from repro.resilience.budget import ENV_MEMORY_BUDGET, ENV_RSS_LIMIT
 from repro.telemetry import Tracer, use_tracer
 from repro.ucc.discovery import discover_uccs
 from tests.conftest import make_random_relation
-
-#: Force the parallel path regardless of relation size.
-FORCE_PARALLEL = dict(parallel_min_rows=0, parallel_min_candidates=1)
-
 
 @pytest.fixture(autouse=True)
 def _clean_faults(monkeypatch):
@@ -270,25 +266,25 @@ class TestFaultRegistry:
         assert not faults.armed()
 
     def test_env_bare_entry_always_fires(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_FAULTS, "ddm.stale , shm.attach")
+        monkeypatch.setenv(faults.ENV_FAULTS, "ddm.stale , journal.replay")
         assert faults.is_active("ddm.stale")
-        assert faults.is_active("shm.attach")
+        assert faults.is_active("journal.replay")
         assert faults.should_fire("ddm.stale")
         assert faults.should_fire("ddm.stale")
-        assert not faults.should_fire("worker.crash")
+        assert not faults.should_fire("journal.torn_write")
 
     def test_arm_once_fires_exactly_once(self):
         import os
 
-        token = faults.arm_once("worker.crash")
+        token = faults.arm_once("journal.torn_write")
         try:
             assert os.path.exists(token)
-            assert faults.is_active("worker.crash")
-            assert faults.should_fire("worker.crash")  # claims the token
+            assert faults.is_active("journal.torn_write")
+            assert faults.should_fire("journal.torn_write")  # claims the token
             assert not os.path.exists(token)
-            assert not faults.should_fire("worker.crash")
+            assert not faults.should_fire("journal.torn_write")
         finally:
-            faults.disarm("worker.crash")
+            faults.disarm("journal.torn_write")
         assert faults.ENV_FAULTS not in os.environ
 
     def test_corrupt_csv_row(self):
@@ -410,8 +406,6 @@ class TestDegradation:
         assert stages == [
             "evict_refined_partitions",
             "disable_refinement",
-            "shrink_worker_pool",
-            "evict_arena_datasets",
         ]
 
     def test_half_peak_budget_byte_identical_cover(self, monkeypatch):
@@ -484,62 +478,6 @@ class TestChaosFaults:
         faults.activate("ddm.stale")
         result = DHyFD().discover(relation)
         assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
-
-
-def _stats_signature(stats):
-    return (
-        stats.validations,
-        stats.comparisons,
-        stats.sampled_non_fds,
-        stats.induction_calls,
-        stats.induction_nodes_visited,
-        stats.induction_fds_inserted,
-        stats.levels_processed,
-        stats.partition_refreshes,
-        stats.level_log,
-    )
-
-
-class TestPoolRetry:
-    def test_single_crash_retries_without_serial_fallback(self, monkeypatch):
-        relation = make_random_relation(7)
-        baseline = DHyFD().discover(relation)
-        faults.arm_once("worker.crash")
-        tracer = Tracer()
-        try:
-            with use_tracer(tracer):
-                result = DHyFD(jobs=2, **FORCE_PARALLEL).discover(relation)
-        finally:
-            faults.disarm("worker.crash")
-        assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
-        assert _stats_signature(result.stats) == _stats_signature(baseline.stats)
-        retries = tracer.find_events("pool_retry")
-        assert retries
-        assert retries[0].attrs["attempt"] == 1
-        assert not tracer.find_events("parallel_fallback")
-
-    def test_persistent_crash_exhausts_retries_then_falls_back(
-        self, monkeypatch
-    ):
-        relation = make_random_relation(7)
-        baseline = DHyFD().discover(relation)
-        monkeypatch.setenv(faults.ENV_FAULTS, "worker.crash")
-        tracer = Tracer()
-        with use_tracer(tracer):
-            result = DHyFD(jobs=2, **FORCE_PARALLEL).discover(relation)
-        assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
-        assert tracer.find_events("pool_retry")
-        assert tracer.find_events("parallel_fallback")
-
-    def test_shm_attach_fault_falls_back_serially(self, monkeypatch):
-        relation = make_random_relation(7)
-        baseline = DHyFD().discover(relation)
-        monkeypatch.setenv(faults.ENV_FAULTS, "shm.attach")
-        tracer = Tracer()
-        with use_tracer(tracer):
-            result = DHyFD(jobs=2, **FORCE_PARALLEL).discover(relation)
-        assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
-        assert tracer.find_events("parallel_fallback")
 
 
 # ----------------------------------------------------------------------

@@ -87,9 +87,17 @@ def http_service():
 
 class TestJobConfig:
     def test_key_is_order_independent(self):
-        a = JobConfig.from_dict({"jobs": 2, "algorithm": "dhyfd"})
-        b = JobConfig.from_dict({"algorithm": "dhyfd", "jobs": 2})
+        a = JobConfig.from_dict({"time_limit": 5, "algorithm": "dhyfd"})
+        b = JobConfig.from_dict({"algorithm": "dhyfd", "time_limit": 5})
         assert a.key() == b.key()
+
+    def test_jobs_key_is_accepted_and_dropped(self):
+        # Older clients, journaled WAL records and stored entries still
+        # carry a worker count; it must neither fail nor split the key.
+        config = JobConfig.from_dict({"jobs": 2})
+        assert config.key() == JobConfig.from_dict({}).key()
+        assert "jobs" not in config.to_dict()
+        assert "jobs" not in config.algorithm_kwargs()
 
     def test_key_normalizes_byte_suffixes(self):
         a = JobConfig.from_dict({"memory_budget": "64m"})
@@ -98,8 +106,8 @@ class TestJobConfig:
 
     def test_distinct_configs_distinct_keys(self):
         assert (
-            JobConfig.from_dict({"jobs": 1}).key()
-            != JobConfig.from_dict({"jobs": 2}).key()
+            JobConfig.from_dict({"time_limit": 1}).key()
+            != JobConfig.from_dict({"time_limit": 2}).key()
         )
         assert (
             JobConfig.from_dict({"algorithm": "tane"}).key()
@@ -488,6 +496,14 @@ class TestFDService:
         counters = service.metrics_payload()["counters"]
         assert counters["service.discovery.runs"] == 1
         assert counters["service.jobs.cache_hits"] == 1
+
+    def test_jobs_config_shares_the_default_entry(self, service, city_relation):
+        service.register_relation(city_relation, name="city")
+        first = service.discover("city", config={"jobs": 2})
+        second = service.discover("city", config={})
+        assert not first.cached and second.cached
+        assert service.metrics_payload()["counters"]["service.discovery.runs"] == 1
+        assert len(service.store) == 1
 
     def test_distinct_configs_are_distinct_entries(self, service, city_relation):
         service.register_relation(city_relation, name="city")
@@ -1027,6 +1043,8 @@ class TestDrainAndGauges:
             assert gauges["worker_utilization"] == 0.0
             # Gauges are numeric so a metrics scraper can sum them.
             assert gauges["draining"] == 0
+            # The shared partition layer's gauges ride along.
+            assert "memplane.tier_hit_rate" in gauges
 
     def test_utilization_reflects_running_jobs(self):
         with FDService(max_workers=2) as service:
