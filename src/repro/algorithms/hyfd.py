@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from ..core.base import Deadline, DiscoveryAlgorithm, RunContext
+from ..core.base import DiscoveryAlgorithm, RunContext, confirmed_split
 from ..core.result import DiscoveryStats
 from ..core.sampling import AgreeSetSampler
 from ..core.validation import validate_fd
@@ -30,7 +30,7 @@ from ..fdtree.induction import synergized_induct
 from ..partitions.cache import PartitionCache
 from ..relational import attrset
 from ..relational.attrset import AttrSet
-from ..relational.fd import FD, FDSet, normalize_singleton_cover
+from ..relational.fd import FDSet, normalize_singleton_cover
 from ..relational.relation import Relation
 from ..resilience import RunBudget
 from ..telemetry import current_tracer
@@ -65,7 +65,7 @@ class HyFD(DiscoveryAlgorithm):
         self.invalid_switch_threshold = invalid_switch_threshold
 
     def _find_fds(
-        self, relation: Relation, deadline: Deadline
+        self, relation: Relation, deadline: RunContext
     ) -> Tuple[FDSet, DiscoveryStats]:
         stats = DiscoveryStats()
         n_cols = relation.n_cols
@@ -86,27 +86,16 @@ class HyFD(DiscoveryAlgorithm):
         #: Exactly-validated (lhs, rhs) pairs; sound forever because a
         #: full-relation validation cannot be contradicted later.
         confirmed: List[Tuple[AttrSet, AttrSet]] = []
-        if isinstance(deadline, RunContext):
-            deadline.stats = stats
-
-            def _partial_snapshot() -> Tuple[FDSet, FDSet]:
-                sound = normalize_singleton_cover(
-                    FD(lhs, rhs) for lhs, rhs in confirmed if rhs
-                )
-                unverified = FDSet(
-                    fd
-                    for fd in normalize_singleton_cover(tree.iter_fds())
-                    if fd not in sound
-                )
-                return sound, unverified
-
-            deadline.set_partial_provider(_partial_snapshot)
-            # HyFD retains only singleton partitions — no ladder to
-            # climb, so a tripped budget aborts (or goes partial).
-            deadline.install_memory_sentinel(
-                lambda: universal.memory_bytes()
-                + sum(p.memory_bytes() for p in singletons)
-            )
+        deadline.stats = stats
+        deadline.set_partial_provider(
+            lambda: confirmed_split(confirmed, tree.iter_fds())
+        )
+        # HyFD retains only singleton partitions — nothing to relieve,
+        # so a tripped budget aborts (or goes partial).
+        deadline.watch_memory(
+            lambda: universal.memory_bytes()
+            + sum(p.memory_bytes() for p in singletons)
+        )
 
         # Constants first: validate ∅ -> R directly.
         root_check = validate_fd(relation, attrset.EMPTY, all_attrs, universal)
@@ -180,7 +169,7 @@ class HyFD(DiscoveryAlgorithm):
         tree: ExtendedFDTree,
         applied: Set[AttrSet],
         stats: DiscoveryStats,
-        deadline: Deadline,
+        deadline: RunContext,
     ) -> None:
         """Run sampling rounds until the hit rate drops too low."""
         with current_tracer().span("sampling") as span:
@@ -202,7 +191,7 @@ class HyFD(DiscoveryAlgorithm):
         violations: Set[AttrSet],
         applied: Set[AttrSet],
         stats: DiscoveryStats,
-        deadline: Deadline,
+        deadline: RunContext,
     ) -> None:
         fresh = [lhs for lhs in violations if lhs not in applied]
         fresh.sort(key=lambda lhs: (-attrset.count(lhs), lhs))

@@ -27,7 +27,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
-from ..core.base import Deadline, DiscoveryAlgorithm, RunContext
+from ..core.base import DiscoveryAlgorithm, RunContext
 from ..core.result import DiscoveryStats
 from ..partitions.cache import PartitionCache
 from ..partitions.stripped import StrippedPartition
@@ -44,12 +44,12 @@ class TANE(DiscoveryAlgorithm):
     name = "tane"
 
     def _find_fds(
-        self, relation: Relation, deadline: Deadline
+        self, relation: Relation, deadline: RunContext
     ) -> Tuple[FDSet, DiscoveryStats]:
         return self._search(relation, deadline, tracker=None)
 
     def _find_top_k(
-        self, relation: Relation, k: int, deadline: Deadline
+        self, relation: Relation, k: int, deadline: RunContext
     ) -> Tuple[FDSet, DiscoveryStats]:
         tracker = TopKTracker(k)
         _, stats = self._search(relation, deadline, tracker)
@@ -59,7 +59,7 @@ class TANE(DiscoveryAlgorithm):
     def _search(
         self,
         relation: Relation,
-        deadline: Deadline,
+        deadline: RunContext,
         tracker: Optional[TopKTracker],
     ) -> Tuple[FDSet, DiscoveryStats]:
         stats = DiscoveryStats()
@@ -86,20 +86,19 @@ class TANE(DiscoveryAlgorithm):
                 # singleton-RHS FD is ||pi_lhs||, already computed.
                 tracker.add(fd, sizes[lhs])
 
-        if isinstance(deadline, RunContext):
-            deadline.stats = stats
-            # TANE only ever records exactly-validated FDs, so the
-            # anytime snapshot is simply what has accumulated; nothing
-            # is materialized ahead of validation to report unverified.
-            if tracker is None:
-                deadline.set_partial_provider(lambda: (fds.copy(), FDSet()))
-            else:
-                deadline.set_partial_provider(lambda: (tracker.cover(), FDSet()))
-            # No degradation ladder: TANE already keeps just two lattice
-            # levels alive — a tripped budget aborts (or goes partial).
-            deadline.install_memory_sentinel(
-                lambda: sum(p.memory_bytes() for p in partitions.values())
-            )
+        deadline.stats = stats
+        # TANE only ever records exactly-validated FDs, so the anytime
+        # snapshot is simply what has accumulated; nothing is
+        # materialized ahead of validation to report unverified.
+        if tracker is None:
+            deadline.set_partial_provider(lambda: (fds.copy(), FDSet()))
+        else:
+            deadline.set_partial_provider(lambda: (tracker.cover(), FDSet()))
+        # Nothing to relieve: TANE already keeps just two lattice levels
+        # alive — a tripped budget aborts (or goes partial).
+        deadline.watch_memory(
+            lambda: sum(p.memory_bytes() for p in partitions.values())
+        )
 
         level: List[AttrSet] = []
         for partition in store.singletons():
@@ -208,7 +207,7 @@ class TANE(DiscoveryAlgorithm):
         partitions: Dict[AttrSet, StrippedPartition],
         errors: Dict[AttrSet, int],
         sizes: Dict[AttrSet, int],
-        deadline: Deadline,
+        deadline: RunContext,
         tracker: Optional[TopKTracker],
     ) -> List[AttrSet]:
         """Prefix-block generation with the all-subsets-present check.

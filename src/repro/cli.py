@@ -105,9 +105,8 @@ def _add_limit_args(parser: argparse.ArgumentParser) -> None:
         type=_parse_bytes_arg,
         default=None,
         metavar="BYTES",
-        help="partition-memory budget (plain bytes or '64m'/'1g'; "
-        "default: $REPRO_FD_MEMORY_BUDGET); pressure degrades the run "
-        "before aborting",
+        help="partition-memory budget (plain bytes or '64m'/'1g'); "
+        "pressure degrades the run before aborting",
     )
     parser.add_argument(
         "--on-limit",

@@ -22,11 +22,12 @@ import abc
 import os
 import time
 from dataclasses import replace
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
-from ..relational.fd import FDSet
+from ..relational.attrset import AttrSet
+from ..relational.fd import FD, FDSet, normalize_singleton_cover
 from ..relational.relation import Relation
-from ..resilience import BudgetExceeded, MemorySentinel, RunBudget
+from ..resilience import BudgetExceeded, RunBudget
 from ..resilience import faults
 from ..telemetry import current_tracer
 from .result import DiscoveryResult, DiscoveryStats
@@ -89,27 +90,37 @@ class Deadline:
 
 
 class RunContext:
-    """Per-run limit state: deadline, memory sentinel, anytime channel.
+    """Per-run limit state: deadline, memory watch, anytime channel.
 
     Quacks like :class:`Deadline` — algorithm inner loops poll one
     ``check()`` that covers the wall clock, the memory budget and the
-    deterministic ``limit.deadline`` fault point.  Algorithms that can
-    degrade install a sentinel (with their degradation ladder) and a
-    *partial provider* returning the sound/unverified split used when
+    deterministic ``limit.deadline`` fault point.  Algorithms register
+    the bytes they hold with :meth:`watch_memory` and a *partial
+    provider* returning the sound/unverified split used when
     ``on_limit="partial"`` turns a tripped limit into a partial result.
     """
 
-    __slots__ = ("algorithm", "budget", "deadline", "sentinel", "stats", "_partial")
+    #: Probe memory on every Nth :meth:`check` call (polls sit in inner
+    #: loops, and a probe sums over every live partition).
+    CHECK_STRIDE = 16
+
+    __slots__ = (
+        "algorithm", "budget", "deadline", "stats", "_partial",
+        "_probe", "_relieve", "_floor", "_tick",
+    )
 
     def __init__(self, algorithm: str, budget: RunBudget):
         self.algorithm = algorithm
         self.budget = budget
         self.deadline = Deadline(budget.time_limit, algorithm)
-        self.sentinel: Optional[MemorySentinel] = None
         #: Stats object attached by the running algorithm so partial
         #: results keep the work counters accumulated before the limit.
         self.stats: Optional[DiscoveryStats] = None
         self._partial: Optional[Callable[[], Tuple[FDSet, FDSet]]] = None
+        self._probe: Optional[Callable[[], int]] = None
+        self._relieve: Optional[Callable[[], bool]] = None
+        self._floor = 0
+        self._tick = 0
 
     def check(self) -> None:
         """Poll every limit; raises on the first one exceeded."""
@@ -118,27 +129,38 @@ class RunContext:
                 self.algorithm, self.budget.time_limit or 0.0
             )
         self.deadline.check()
-        if self.sentinel is not None:
-            self.sentinel.check()
+        if self._probe is not None:
+            self._tick += 1
+            if self._tick % self.CHECK_STRIDE == 0:
+                self._enforce_memory()
 
-    def install_memory_sentinel(
-        self, probe: Callable[[], int], floor_bytes: Optional[int] = None
-    ) -> Optional[MemorySentinel]:
-        """Install a sentinel when the budget limits memory (else None).
+    def watch_memory(
+        self,
+        probe: Callable[[], int],
+        relieve: Optional[Callable[[], bool]] = None,
+    ) -> None:
+        """Enforce the budget's memory ceiling on ``probe`` (no-op without one).
 
-        ``floor_bytes`` defaults to the probe's value at install time —
-        the irreducible baseline the sentinel tolerates after its
-        degradation ladder is exhausted.
+        While the probe reads above the budget, :meth:`check` calls
+        ``relieve`` — which frees what it can and returns False once
+        nothing is left — and probes again.  With nothing left to
+        relieve it raises :class:`~repro.resilience.BudgetExceeded`
+        only if usage exceeds both the budget and the probe's value now:
+        the irreducible baseline the run cannot shed.
         """
-        if not self.budget.limits_memory:
-            return None
-        self.sentinel = MemorySentinel(
-            self.budget,
-            probe,
-            self.algorithm,
-            floor_bytes=probe() if floor_bytes is None else floor_bytes,
-        )
-        return self.sentinel
+        if self.budget.memory_limit_bytes is None:
+            return
+        self._probe, self._relieve, self._floor = probe, relieve, probe()
+
+    def _enforce_memory(self) -> None:
+        limit = self.budget.memory_limit_bytes
+        usage = self._probe()
+        while usage > limit:
+            if self._relieve is None or not self._relieve():
+                if usage > max(limit, self._floor):
+                    raise BudgetExceeded(self.algorithm, limit, usage)
+                return
+            usage = self._probe()
 
     def set_partial_provider(
         self, provider: Callable[[], Tuple[FDSet, FDSet]]
@@ -153,12 +175,20 @@ class RunContext:
         return self._partial()
 
 
-def _limit_reason(exc: BaseException) -> str:
-    if isinstance(exc, TimeLimitExceeded):
-        return "time"
-    if isinstance(exc, BudgetExceeded):
-        return exc.resource
-    return "memory"  # a raw MemoryError that escaped the degradation ladder
+def confirmed_split(
+    confirmed: Iterable[Tuple[AttrSet, AttrSet]], candidates: Iterable[FD]
+) -> Tuple[FDSet, FDSet]:
+    """The (sound, unverified) anytime snapshot of a candidate-tree search.
+
+    ``confirmed`` holds the exactly-validated ``(lhs, rhs)`` pairs;
+    ``candidates`` are the FDs still in the tree, of which those not
+    already sound are reported unverified.
+    """
+    sound = normalize_singleton_cover(FD(lhs, rhs) for lhs, rhs in confirmed if rhs)
+    unverified = FDSet(
+        fd for fd in normalize_singleton_cover(candidates) if fd not in sound
+    )
+    return sound, unverified
 
 
 class DiscoveryAlgorithm(abc.ABC):
@@ -191,12 +221,11 @@ class DiscoveryAlgorithm(abc.ABC):
         self._last_checkpoint_at: Optional[float] = None
 
     def _run_budget(self) -> RunBudget:
-        """The effective budget: explicit > environment defaults."""
-        if self.budget is not None:
-            if self.budget.time_limit is None and self.time_limit is not None:
-                return replace(self.budget, time_limit=self.time_limit)
-            return self.budget
-        return RunBudget.from_env(time_limit=self.time_limit)
+        """The explicit budget, taking ``time_limit`` when it sets none."""
+        budget = self.budget if self.budget is not None else RunBudget()
+        if budget.time_limit is None and self.time_limit is not None:
+            return replace(budget, time_limit=self.time_limit)
+        return budget
 
     def discover(self, relation: Relation) -> DiscoveryResult:
         """Run discovery and return the timed result.
@@ -309,7 +338,10 @@ class DiscoveryAlgorithm(abc.ABC):
                 fds, unverified = context.partial_cover()
                 stats = context.stats if context.stats is not None else DiscoveryStats()
                 completed = False
-                limit_reason = _limit_reason(exc)
+                # BudgetExceeded, or a raw MemoryError nothing relieved.
+                limit_reason = (
+                    "time" if isinstance(exc, TimeLimitExceeded) else "memory"
+                )
                 tracer.event(
                     "partial_result",
                     algorithm=self.name,
@@ -334,12 +366,7 @@ class DiscoveryAlgorithm(abc.ABC):
     def _find_fds(
         self, relation: Relation, deadline: "RunContext"
     ) -> Tuple[FDSet, DiscoveryStats]:
-        """Compute the cover; poll ``deadline.check()`` in long loops.
-
-        ``deadline`` is a :class:`RunContext` when invoked through
-        :meth:`discover`; tests may pass a bare :class:`Deadline`, so
-        subclasses must treat context-only features as optional.
-        """
+        """Compute the cover; poll ``deadline.check()`` in long loops."""
 
     def _find_top_k(
         self, relation: Relation, k: int, deadline: "RunContext"

@@ -188,9 +188,9 @@ class DynamicDataManager:
     def shed_dynamic(self) -> int:
         """Drop every dynamic partition; returns the bytes freed.
 
-        Degradation hook for the memory sentinel: correctness is
-        unaffected because stale dynamic ids resolve to singleton
-        fallbacks — only validation speed suffers.
+        DHyFD's memory relief: correctness is unaffected because stale
+        dynamic ids resolve to singleton fallbacks — only validation
+        speed suffers.
         """
         freed = self.dynamic_memory_bytes()
         self.evictions += len(self.dynamic)

@@ -40,29 +40,15 @@ from ..telemetry import current_tracer
 from .base import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
-    Deadline,
     DiscoveryAlgorithm,
     RunContext,
+    confirmed_split,
 )
 from .ddm import DynamicDataManager
 from .ratio import DEFAULT_RATIO_THRESHOLD, LevelDecision
 from .result import DiscoveryStats
 from .sampling import initial_sample
-from .validation import merge_validation_outcomes, validate_fd
-
-
-class _DegradationState:
-    """Run-local flags the memory sentinel's ladder flips."""
-
-    __slots__ = ("no_refine",)
-
-    def __init__(self) -> None:
-        self.no_refine = False
-
-    def disable_refinement(self) -> int:
-        """Pin the ratio decision to "don't spend"; frees nothing itself."""
-        self.no_refine = True
-        return 0
+from .validation import validate_fd
 
 
 def _checkpoint_payload(
@@ -151,8 +137,8 @@ class DHyFD(DiscoveryAlgorithm):
                 FD-tree approximation comes from root validation alone
                 and every refinement burden falls on validation.
             budget: optional :class:`~repro.resilience.RunBudget`
-                (memory/RSS ceilings enforced via a degradation ladder:
-                evict refined partitions → pin no-refinement → abort).
+                (memory pressure evicts refined partitions, then also
+                stops refining, before the run aborts).
             on_limit: ``"raise"`` (default) or ``"partial"`` — see
                 :meth:`DiscoveryAlgorithm.discover`.
         """
@@ -162,12 +148,12 @@ class DHyFD(DiscoveryAlgorithm):
         self.enable_initial_sampling = enable_initial_sampling
 
     def _find_fds(
-        self, relation: Relation, deadline: Deadline
+        self, relation: Relation, deadline: RunContext
     ) -> Tuple[FDSet, DiscoveryStats]:
         return self._find_fds_impl(relation, deadline)
 
     def _find_top_k(
-        self, relation: Relation, k: int, deadline: Deadline
+        self, relation: Relation, k: int, deadline: RunContext
     ) -> Tuple[FDSet, DiscoveryStats]:
         """Rank-aware search: skip validating lattice regions that
         cannot reach the running k-th redundancy (see ``tracker`` in
@@ -180,7 +166,7 @@ class DHyFD(DiscoveryAlgorithm):
     def _find_fds_impl(
         self,
         relation: Relation,
-        deadline: Deadline,
+        deadline: RunContext,
         tracker: Optional[TopKTracker] = None,
     ) -> Tuple[FDSet, DiscoveryStats]:
         stats = DiscoveryStats()
@@ -193,8 +179,6 @@ class DHyFD(DiscoveryAlgorithm):
         tree = ExtendedFDTree(n_cols)
         tree.add_fd(attrset.EMPTY, all_attrs)
 
-        # --- resilience wiring (active only when driven by discover())
-        degraded = _DegradationState()
         #: Exactly-validated (lhs, rhs) pairs — the sound anytime core.
         #: Full-relation validation is definitive, so entries never need
         #: to be retracted when later levels find more violations.
@@ -230,34 +214,41 @@ class DHyFD(DiscoveryAlgorithm):
             for attr in attrset.iter_attrs(rhs):
                 tracker.add(FD(path, attrset.singleton(attr)), redundancy)
 
-        def _partial_snapshot() -> Tuple[FDSet, FDSet]:
-            sound = normalize_singleton_cover(
-                FD(lhs, rhs) for lhs, rhs in confirmed if rhs
-            )
-            unverified = FDSet(
-                fd
-                for fd in normalize_singleton_cover(tree.iter_fds())
-                if fd not in sound
-            )
-            return sound, unverified
+        # --- memory relief: refined partitions are a pure performance
+        # cache.  Each call drops them; the second also stops refining,
+        # after which nothing regrows and there is nothing left to free.
+        reliefs = 0
 
-        if isinstance(deadline, RunContext):
-            deadline.stats = stats
-            if tracker is None:
-                deadline.set_partial_provider(_partial_snapshot)
-            else:
-                # Best-k-so-far: every measured FD is exactly validated,
-                # so the snapshot is a sound (if possibly incomplete)
-                # top-k prefix.
-                deadline.set_partial_provider(lambda: (tracker.cover(), FDSet()))
-            sentinel = deadline.install_memory_sentinel(ddm.memory_bytes)
-            if sentinel is not None:
-                sentinel.add_stage(
-                    "evict_refined_partitions", ddm.shed_dynamic
-                )
-                sentinel.add_stage(
-                    "disable_refinement", degraded.disable_refinement
-                )
+        def _relieve() -> bool:
+            nonlocal reliefs
+            if reliefs == 2:
+                return False
+            reliefs += 1
+            usage = ddm.memory_bytes()
+            freed = ddm.shed_dynamic()
+            stage = "evict_refined_partitions" if reliefs == 1 else "disable_refinement"
+            tracer.event(
+                "degradation",
+                stage=stage,
+                resource="memory",
+                usage=usage,
+                limit=deadline.budget.memory_limit_bytes or 0,
+                freed=freed,
+            )
+            return True
+
+        deadline.stats = stats
+        if tracker is None:
+            # Lazy in ``tree``: a resumed run rebinds it below.
+            deadline.set_partial_provider(
+                lambda: confirmed_split(confirmed, tree.iter_fds())
+            )
+        else:
+            # Best-k-so-far: every measured FD is exactly validated,
+            # so the snapshot is a sound (if possibly incomplete)
+            # top-k prefix.
+            deadline.set_partial_provider(lambda: (tracker.cover(), FDSet()))
+        deadline.watch_memory(ddm.memory_bytes, _relieve)
 
         # --- checkpoint/resume: a journal snapshot replaces sampling +
         # root validation with the rebuilt tree and validated-level
@@ -410,7 +401,7 @@ class DHyFD(DiscoveryAlgorithm):
             )
             refresh = (
                 self.enable_ddm_updates
-                and not degraded.no_refine
+                and reliefs < 2
                 and decision.should_update(self.ratio_threshold)
             )
             tracer.event(
@@ -431,20 +422,11 @@ class DHyFD(DiscoveryAlgorithm):
                         ddm.update(reusables)
                     except MemoryError:
                         # Refinement is a pure optimization: shed the
-                        # (possibly half-built) dynamic array — stale
-                        # ids degrade to singleton fallbacks — and stop
-                        # spending memory for the rest of the run.
-                        freed = ddm.shed_dynamic()
-                        degraded.disable_refinement()
-                        span.annotate(failed=True, freed=freed)
-                        tracer.event(
-                            "degradation",
-                            stage="refinement_failed",
-                            resource="memory",
-                            usage=ddm.memory_bytes(),
-                            limit=0,
-                            freed=freed,
-                        )
+                        # dynamic array — ids the failed round already
+                        # rewrote degrade to singleton fallbacks — and,
+                        # on a repeat, stop refining.
+                        span.annotate(failed=True)
+                        _relieve()
                     else:
                         controlled_level = validation_level
                         stats.partition_refreshes += 1
@@ -495,17 +477,19 @@ class DHyFD(DiscoveryAlgorithm):
         relation: Relation,
         todo: List[ExtFDNode],
         ddm: DynamicDataManager,
-        deadline: Deadline,
+        deadline: RunContext,
     ) -> Tuple[Set[AttrSet], int]:
         """Validate one level's candidates; returns (non-FDs, comparisons)."""
-        items = [
-            (node.path(), node.rhs, ddm.partition_for_node(node)) for node in todo
-        ]
-        outcomes = []
-        for lhs, rhs, partition in items:
-            outcomes.append(validate_fd(relation, lhs, rhs, partition))
+        violations: Set[AttrSet] = set()
+        comparisons = 0
+        for node in todo:
+            outcome = validate_fd(
+                relation, node.path(), node.rhs, ddm.partition_for_node(node)
+            )
+            violations |= outcome.non_fd_lhs
+            comparisons += outcome.comparisons
             deadline.check()
-        return merge_validation_outcomes(outcomes)
+        return violations, comparisons
 
     @staticmethod
     def _induct_all(
@@ -516,7 +500,7 @@ class DHyFD(DiscoveryAlgorithm):
         vl: int,
         vl_nodes: Optional[List[ExtFDNode]],
         stats: DiscoveryStats,
-        deadline: Deadline,
+        deadline: RunContext,
     ) -> None:
         """Sort non-FDs by descending LHS size and induct the fresh ones."""
         fresh = [lhs for lhs in violations if lhs not in applied]

@@ -73,8 +73,8 @@ class DiscoveryResult:
     ``completed`` is False, ``fds`` holds only the *sound* subset (FDs
     fully validated against the relation before the limit tripped),
     ``unverified`` the candidates the run never got to confirm, and
-    ``limit_reason`` names the tripped resource (``"time"``,
-    ``"memory"`` or ``"rss"``).
+    ``limit_reason`` names the tripped resource (``"time"`` or
+    ``"memory"``).
 
     ``top_k`` is None for full covers.  When set (the result came from
     :meth:`~repro.core.base.DiscoveryAlgorithm.discover_top_k`), ``fds``

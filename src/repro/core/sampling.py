@@ -144,14 +144,6 @@ class AgreeSetSampler:
                 return False
         return True
 
-    def _agree_mask(self, row_a: int, row_b: int) -> AttrSet:
-        """Agree set of one row pair (kept as the single-pair interface)."""
-        return kernels.agree_masks(
-            self.matrix,
-            np.asarray([row_a], dtype=np.int64),
-            np.asarray([row_b], dtype=np.int64),
-        )[0]
-
 
 def initial_sample(
     relation: Relation,

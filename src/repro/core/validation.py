@@ -35,7 +35,7 @@ saves.
 
 from __future__ import annotations
 
-from typing import Iterable, Set, Tuple
+from typing import Set
 
 import numpy as np
 
@@ -106,18 +106,6 @@ def validate_fd(
         source = end
         budget *= 2
     return ValidationResult(valid_rhs, non_fds, comparisons)
-
-
-def merge_validation_outcomes(
-    outcomes: Iterable[ValidationResult],
-) -> Tuple[Set[AttrSet], int]:
-    """Union the non-FD agree sets and sum the comparison counts."""
-    non_fds: Set[AttrSet] = set()
-    comparisons = 0
-    for outcome in outcomes:
-        non_fds.update(outcome.non_fd_lhs)
-        comparisons += outcome.comparisons
-    return non_fds, comparisons
 
 
 def _scan(

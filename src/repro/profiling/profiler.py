@@ -15,13 +15,8 @@ from typing import Optional, Union
 from ..algorithms.registry import make_algorithm
 from ..core.base import Deadline, TimeLimitExceeded
 from ..covers.canonical import CoverComparison, compare_covers
-from ..ranking.ranker import RankingResult, rank_cover, ranking_from_masks
-from ..ranking.redundancy import (
-    RedundancyReport,
-    dataset_redundancy,
-    lhs_row_masks,
-    report_from_masks,
-)
+from ..ranking.ranker import RankingResult, ranking_from_masks
+from ..ranking.redundancy import RedundancyReport, lhs_row_masks, report_from_masks
 from ..relational.fd import FDSet
 from ..relational.null import NullSemantics
 from ..relational.relation import Relation
@@ -104,10 +99,9 @@ def profile(
         rank: also compute the redundancy ranking and report (skippable
             because they cost one partition pass per distinct LHS of the
             canonical cover; the full ranking and the report share it).
-        top_k: bound the ranking to the k highest-redundancy FDs — the
-            bounded pass skips measuring FDs whose redundancy upper
-            bound cannot reach the running k-th redundancy (see
-            :func:`~repro.ranking.ranker.rank_cover`).  Discovery and
+        top_k: keep only the k highest-redundancy FDs of the ranking
+            (the first k of the full ranking; the report still covers
+            every FD, so both come from one mask pass).  Discovery and
             covers are unaffected.
         time_limit: wall-clock cap forwarded to the algorithm.  With
             ``on_limit="partial"`` (an ``algorithm_kwargs`` entry) the
@@ -149,25 +143,20 @@ def profile(
                 Deadline(remaining, "ranking") if remaining is not None else None
             )
             try:
-                if top_k is None:
-                    # One mask pass serves both the ranking and the report.
-                    fds = list(canonical)
-                    start = time.perf_counter()
-                    with active.span("ranking", fds=len(fds)):
-                        masks = lhs_row_masks(
-                            relation, (fd.lhs for fd in fds), deadline=rank_deadline
-                        )
-                        ranking = ranking_from_masks(relation, fds, masks, start)
-                    start = time.perf_counter()
-                    with active.span("redundancy", fds=len(fds)):
-                        redundancy = report_from_masks(relation, fds, masks, start)
-                else:
-                    ranking = rank_cover(
-                        relation, canonical, deadline=rank_deadline, top_k=top_k
+                # One mask pass serves both the ranking and the report.
+                fds = list(canonical)
+                start = time.perf_counter()
+                with active.span("ranking", fds=len(fds)):
+                    masks = lhs_row_masks(
+                        relation, (fd.lhs for fd in fds), deadline=rank_deadline
                     )
-                    redundancy = dataset_redundancy(
-                        relation, canonical, deadline=rank_deadline
-                    )
+                    ranking = ranking_from_masks(relation, fds, masks, start)
+                    if top_k is not None:
+                        ranking.ranked = ranking.ranked[:top_k]
+                        ranking.top_k = top_k
+                start = time.perf_counter()
+                with active.span("redundancy", fds=len(fds)):
+                    redundancy = report_from_masks(relation, fds, masks, start)
             except TimeLimitExceeded:
                 if not partial_ok:
                     raise

@@ -3,9 +3,10 @@
 Three pillars (see ``docs/resilience.md``):
 
 * **Guardrails** — :class:`RunBudget` (wall clock + partition-memory
-  bytes + optional process-RSS ceiling) enforced by a
-  :class:`MemorySentinel` that escalates through a degradation ladder
-  before aborting with :class:`BudgetExceeded`;
+  bytes), whose memory ceiling
+  :meth:`~repro.core.base.RunContext.watch_memory` enforces by calling
+  the algorithm's relief callback before aborting with
+  :class:`BudgetExceeded`;
 * **Anytime partial results** — algorithms constructed with
   ``on_limit="partial"`` return a
   :class:`~repro.core.result.DiscoveryResult` with ``completed=False``,
@@ -15,26 +16,7 @@ Three pillars (see ``docs/resilience.md``):
   named failure points chaos tests and the CI chaos leg arm.
 """
 
-from .budget import (
-    BudgetExceeded,
-    DegradationStage,
-    ENV_MEMORY_BUDGET,
-    ENV_RSS_LIMIT,
-    MemorySentinel,
-    RunBudget,
-    parse_bytes,
-    process_rss_bytes,
-)
+from .budget import BudgetExceeded, RunBudget, parse_bytes
 from . import faults
 
-__all__ = [
-    "BudgetExceeded",
-    "DegradationStage",
-    "ENV_MEMORY_BUDGET",
-    "ENV_RSS_LIMIT",
-    "MemorySentinel",
-    "RunBudget",
-    "faults",
-    "parse_bytes",
-    "process_rss_bytes",
-]
+__all__ = ["BudgetExceeded", "RunBudget", "faults", "parse_bytes"]

@@ -155,11 +155,17 @@ class KeyedStore(Generic[K, V]):
                 self._persist(key)
             return len(self._values)
 
-    def _persist(self, key: K) -> None:
+    def _path(self, key: K) -> Path:
+        """The entry's canonical file: the key, or its hash for tuples."""
+        if not isinstance(key, str):
+            key = hashlib.sha256("\x00".join(key).encode("utf-8")).hexdigest()
+        return self.persist_dir / f"{key[:32]}.json"
+
+    def _persist(self, key: K) -> bool:
         """Mirror one entry and the aliases pointing at it to its file;
-        a value JSON cannot encode stays in memory (counted)."""
+        a value JSON cannot encode stays in memory (counted, False)."""
         if self.persist_dir is None:
-            return
+            return False
         payload = {"format": self._fmt, "version": VERSION}
         payload.update(self._encode(key, self._values[key]))
         payload["aliases"] = {name: t for name, (k, t) in self._aliases.items() if k == key}
@@ -167,14 +173,20 @@ class KeyedStore(Generic[K, V]):
             text = json.dumps(payload)
         except (TypeError, ValueError):
             self._count(f"{self._prefix}.persist_skipped")
-            return
-        if not isinstance(key, str):
-            key = hashlib.sha256("\x00".join(key).encode("utf-8")).hexdigest()
-        atomic_write_text(self.persist_dir / f"{key[:32]}.json", text + "\n")
+            return False
+        atomic_write_text(self._path(key), text + "\n")
+        return True
 
     def _load(self) -> None:
-        """Reload every entry oldest first, then replay alias moves."""
+        """Reload every entry oldest first, then replay alias moves.
+
+        A key can change on decode (an old config key dropped), leaving
+        its entry under another name, or beside a file that decodes to
+        the same key: such an entry is rewritten under its canonical
+        name and its other files are unlinked.
+        """
         loaded, moves = [], []
+        files: Dict[K, List[Path]] = {}
         for path in sorted(self.persist_dir.glob("*.json")):
             try:
                 payload = json.loads(path.read_text(encoding="utf-8"))
@@ -193,12 +205,19 @@ class KeyedStore(Generic[K, V]):
                 continue
             loaded.append((order, key, value))
             moves.extend(entry_moves)
+            files.setdefault(key, []).append(path)
         for order, key, value in sorted(loaded, key=lambda item: item[0]):
             self._values[key] = value
             self._stamp = max(self._stamp, order)
         for stamp, name, key in sorted(moves, key=lambda move: move[0]):
             self._aliases[name] = (key, stamp)
             self._stamp = max(self._stamp, stamp)
+        for key, paths in files.items():
+            canonical = self._path(key)
+            if paths != [canonical] and self._persist(key):
+                for path in paths:
+                    if path != canonical:
+                        path.unlink(missing_ok=True)
         self._count(f"{self._prefix}.loaded", len(loaded))
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.covers.implication import equivalent
@@ -50,3 +52,21 @@ class TestProfile:
     def test_kwargs_forwarded(self, city_relation):
         outcome = profile(city_relation, ratio_threshold=9.9)
         assert outcome.discovery.fd_count >= 3
+
+    def test_top_k_is_the_full_ranking_prefix_from_one_mask_pass(self, monkeypatch):
+        from repro.datasets.benchmarks import load_benchmark
+        from repro.profiling import profiler
+
+        relation = load_benchmark("ncvoter", n_rows=200)
+        full = profile(relation)
+        passes = []
+        masks = profiler.lhs_row_masks
+        monkeypatch.setattr(
+            profiler, "lhs_row_masks", lambda *a, **kw: passes.append(1) or masks(*a, **kw)
+        )
+        bounded = profile(relation, top_k=10)
+        assert len(full.ranking.ranked) > 10
+        assert bounded.ranking.ranked == full.ranking.ranked[:10]
+        assert bounded.ranking.top_k == 10
+        assert replace(bounded.redundancy, seconds=0) == replace(full.redundancy, seconds=0)
+        assert passes == [1]

@@ -4,9 +4,9 @@ The load-bearing properties:
 
 * a tripped limit with ``on_limit="partial"`` returns a *sound* cover —
   every FD in it holds on the full relation — plus the unverified rest;
-* a memory budget degrades a run (evict refined partitions, pin the DDM
-  to no-refinement) instead of killing it, and the
-  degraded cover is byte-identical to the unconstrained one;
+* a memory budget degrades a run (evict refined partitions, then also
+  stop refining) instead of killing it, and the degraded cover is
+  byte-identical to the unconstrained one (the budget grid below);
 * armed fault points make the stack fail exactly where production code
   claims to survive, and it does.
 """
@@ -21,17 +21,11 @@ from repro.core.ddm import DynamicDataManager
 from repro.core.dhyfd import DHyFD
 from repro.core.validation import check_fd
 from repro.covers.canonical import canonical_cover
+from repro.datasets.benchmarks import load_benchmark
 from repro.partitions.stripped import StrippedPartition
 from repro.ranking.ranker import rank_cover
 from repro.ranking.redundancy import dataset_redundancy
-from repro.resilience import (
-    BudgetExceeded,
-    MemorySentinel,
-    RunBudget,
-    faults,
-    parse_bytes,
-)
-from repro.resilience.budget import ENV_MEMORY_BUDGET, ENV_RSS_LIMIT
+from repro.resilience import BudgetExceeded, RunBudget, faults, parse_bytes
 from repro.telemetry import Tracer, use_tracer
 from repro.ucc.discovery import discover_uccs
 from tests.conftest import make_random_relation
@@ -40,8 +34,6 @@ from tests.conftest import make_random_relation
 def _clean_faults(monkeypatch):
     """Every test starts and ends with nothing armed anywhere."""
     monkeypatch.delenv(faults.ENV_FAULTS, raising=False)
-    monkeypatch.delenv(ENV_MEMORY_BUDGET, raising=False)
-    monkeypatch.delenv(ENV_RSS_LIMIT, raising=False)
     faults.reset()
     yield
     faults.reset()
@@ -113,117 +105,85 @@ class TestParseBytes:
 class TestRunBudget:
     def test_defaults_limit_nothing(self):
         budget = RunBudget()
-        assert not budget.limits_memory
+        assert budget.memory_limit_bytes is None
         assert budget.time_limit is None
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_MEMORY_BUDGET, "4m")
-        monkeypatch.setenv(ENV_RSS_LIMIT, "2g")
-        budget = RunBudget.from_env(time_limit=1.5)
-        assert budget.memory_limit_bytes == 4 * 1024 ** 2
-        assert budget.rss_limit_bytes == 2 * 1024 ** 3
-        assert budget.time_limit == 1.5
-        assert budget.limits_memory
-
-    def test_from_env_empty(self):
-        assert not RunBudget.from_env().limits_memory
 
 
 # ----------------------------------------------------------------------
-# Memory sentinel
+# Memory sentinel (RunContext.watch_memory)
 # ----------------------------------------------------------------------
 
 
 class _FakeStore:
-    """A byte counter with named shedding actions for sentinel tests."""
+    """A byte counter whose relief frees ``amount`` per call, ``calls`` times."""
 
-    def __init__(self, usage):
+    def __init__(self, usage, amount=0, calls=0):
         self.usage = usage
-        self.log = []
+        self.amount = amount
+        self.calls = calls
+        self.relieved = 0
 
     def probe(self):
         return self.usage
 
-    def shed(self, name, amount):
-        def action():
-            self.log.append(name)
-            freed = min(amount, self.usage)
-            self.usage -= freed
-            return freed
-
-        return action
+    def relieve(self):
+        if self.relieved == self.calls:
+            return False
+        self.relieved += 1
+        self.usage -= min(self.amount, self.usage)
+        return True
 
 
 class TestMemorySentinel:
-    def _sentinel(self, store, limit, floor=0):
-        budget = RunBudget(memory_limit_bytes=limit)
-        return MemorySentinel(budget, store.probe, "test", floor_bytes=floor)
+    @pytest.fixture(autouse=True)
+    def _every_check_probes(self, monkeypatch):
+        monkeypatch.setattr(RunContext, "CHECK_STRIDE", 1)
+
+    def _watch(self, store, limit):
+        context = RunContext("test", RunBudget(memory_limit_bytes=limit))
+        context.watch_memory(store.probe, store.relieve)
+        return context
 
     def test_stages_fire_in_order_until_under_limit(self):
-        store = _FakeStore(1000)
-        sentinel = self._sentinel(store, limit=400)
-        sentinel.add_stage("first", store.shed("first", 300))
-        sentinel.add_stage("second", store.shed("second", 500))
-        sentinel.add_stage("third", store.shed("third", 500))
-        tracer = Tracer()
-        with use_tracer(tracer):
-            sentinel.check(force=True)
-        # 1000 -> 700 (still over) -> 200 (under): third stage unused.
-        assert store.log == ["first", "second"]
-        assert sentinel.fired == ["first", "second"]
-        assert not sentinel.exhausted
-        stages = [e.attrs["stage"] for e in tracer.find_events("degradation")]
-        assert stages == ["first", "second"]
-        events = tracer.find_events("degradation")
-        assert events[0].attrs["resource"] == "memory"
-        assert events[0].attrs["freed"] == 300
+        store = _FakeStore(0, amount=300, calls=3)
+        context = self._watch(store, limit=400)
+        store.usage = 1000
+        context.check()
+        # 1000 -> 700 (still over) -> 400 (not over): third call unused.
+        assert store.relieved == 2
+        assert store.usage == 400
 
     def test_exhausted_ladder_aborts_beyond_floor(self):
-        store = _FakeStore(1000)
-        sentinel = self._sentinel(store, limit=100, floor=200)
-        sentinel.add_stage("only", store.shed("only", 500))
+        store = _FakeStore(200, amount=500, calls=1)
+        context = self._watch(store, limit=100)  # floor: 200
+        store.usage = 1000
         with pytest.raises(BudgetExceeded) as excinfo:
-            sentinel.check(force=True)
-        assert excinfo.value.resource == "memory"
+            context.check()  # 1000 -> 500, nothing left, 500 > 200
         assert excinfo.value.limit == 100
-        assert sentinel.exhausted
+        assert excinfo.value.usage == 500
+        assert store.relieved == 1
 
     def test_floor_tolerance_prevents_abort(self):
         # Usage sheds down to the irreducible baseline; budget is below
-        # the baseline, but the sentinel tolerates it (no abort).
-        store = _FakeStore(1000)
-        sentinel = self._sentinel(store, limit=100, floor=500)
-        sentinel.add_stage("only", store.shed("only", 500))
-        sentinel.check(force=True)  # 1000 -> 500 == floor: tolerated
+        # the baseline, but the watch tolerates it (no abort).
+        store = _FakeStore(500, amount=500, calls=1)
+        context = self._watch(store, limit=100)  # floor: 500
+        store.usage = 1000
+        context.check()  # 1000 -> 500 == floor: tolerated
         assert store.usage == 500
-        sentinel.check(force=True)  # still over limit, still tolerated
+        context.check()  # still over limit, still tolerated
 
-    def test_checks_are_strided(self):
-        store = _FakeStore(1000)
-        sentinel = self._sentinel(store, limit=100, floor=1000)
+    def test_checks_are_strided(self, monkeypatch):
+        monkeypatch.setattr(RunContext, "CHECK_STRIDE", 16)
         probes = []
-        sentinel.probe = lambda: probes.append(1) or store.usage
-        for _ in range(MemorySentinel.CHECK_STRIDE - 1):
-            sentinel.check()
+        context = RunContext("test", RunBudget(memory_limit_bytes=100))
+        context.watch_memory(lambda: probes.append(1) or 1000)
+        probes.clear()  # the install-time floor probe
+        for _ in range(RunContext.CHECK_STRIDE - 1):
+            context.check()
         assert not probes
-        sentinel.check()
+        context.check()
         assert probes
-
-    def test_rss_ceiling_is_hard(self):
-        budget = RunBudget(rss_limit_bytes=100)
-        sentinel = MemorySentinel(
-            budget, lambda: 0, "test", rss_probe=lambda: 200
-        )
-        with pytest.raises(BudgetExceeded) as excinfo:
-            sentinel.check(force=True)
-        assert excinfo.value.resource == "rss"
-
-    def test_rss_unmeasurable_is_tolerated(self):
-        budget = RunBudget(rss_limit_bytes=100)
-        sentinel = MemorySentinel(
-            budget, lambda: 0, "test", rss_probe=lambda: None
-        )
-        sentinel.check(force=True)
 
 
 # ----------------------------------------------------------------------
@@ -312,13 +272,17 @@ class TestRunContext:
             context.check()
         context.check()  # disarmed again
 
-    def test_sentinel_only_with_memory_budget(self):
+    def test_sentinel_only_with_memory_budget(self, monkeypatch):
+        monkeypatch.setattr(RunContext, "CHECK_STRIDE", 1)
+        probes = []
         unlimited = RunContext("test", RunBudget(time_limit=5.0))
-        assert unlimited.install_memory_sentinel(lambda: 0) is None
+        unlimited.watch_memory(lambda: probes.append(1) or 10 ** 9)
+        unlimited.check()
+        assert not probes
         limited = RunContext("test", RunBudget(memory_limit_bytes=1024))
-        sentinel = limited.install_memory_sentinel(lambda: 512)
-        assert sentinel is not None
-        assert sentinel.floor_bytes == 512  # defaults to install-time probe
+        limited.watch_memory(lambda: probes.append(1) or 512)
+        limited.check()
+        assert len(probes) == 2  # the install-time floor, then the check
 
     def test_partial_cover_defaults_empty(self):
         context = RunContext("test", RunBudget())
@@ -392,7 +356,7 @@ class TestPartialResults:
 class TestDegradation:
     def test_tiny_budget_walks_full_ladder_and_still_completes(self, monkeypatch):
         # Pin the probe stride to 1 so even a fast run polls the budget.
-        monkeypatch.setattr(MemorySentinel, "CHECK_STRIDE", 1)
+        monkeypatch.setattr(RunContext, "CHECK_STRIDE", 1)
         relation = make_random_relation(11)
         baseline = DHyFD().discover(relation)
         tracer = Tracer()
@@ -402,11 +366,15 @@ class TestDegradation:
             )
         assert result.completed
         assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
-        stages = [e.attrs["stage"] for e in tracer.find_events("degradation")]
-        assert stages == [
+        events = tracer.find_events("degradation")
+        assert [e.attrs["stage"] for e in events] == [
             "evict_refined_partitions",
             "disable_refinement",
         ]
+        for event in events:
+            assert event.attrs["resource"] == "memory"
+            assert event.attrs["limit"] == 1
+            assert event.attrs["usage"] - event.attrs["freed"] >= 0
 
     def test_half_peak_budget_byte_identical_cover(self, monkeypatch):
         relation = make_random_relation(11)
@@ -433,13 +401,23 @@ class TestDegradation:
         assert result.completed
         assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
 
-    def test_env_budget_applies_without_call_site_changes(self, monkeypatch):
-        relation = make_random_relation(11)
+    @pytest.mark.parametrize("factor", [0.9, 0.7, 0.5])
+    def test_budget_grid_never_changes_the_cover(self, factor):
+        # A budget below DHyFD's unbudgeted peak: DHyFD degrades and
+        # returns the same cover; HyFD and TANE, with nothing to relieve,
+        # return the exact cover or abort — never a different cover.
+        relation = load_benchmark("ncvoter")
         baseline = DHyFD().discover(relation)
-        monkeypatch.setenv(ENV_MEMORY_BUDGET, "1")
-        result = DHyFD().discover(relation)
-        assert result.completed
+        limit = int(baseline.stats.partition_memory_peak_bytes * factor)
+        budget = RunBudget(memory_limit_bytes=limit)
+        result = DHyFD(budget=budget).discover(relation)
         assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
+        for name in ("hyfd", "tane"):
+            try:
+                other = make_algorithm(name, budget=budget).discover(relation)
+            except BudgetExceeded:
+                continue
+            assert _fd_tuples(other.fds) == _fd_tuples(baseline.fds)
 
 
 # ----------------------------------------------------------------------
@@ -461,16 +439,20 @@ class TestChaosFaults:
             base.refine(city_relation, 2)
 
     def test_refine_fault_degrades_dhyfd_not_kills(self):
-        # A MemoryError inside DDM refinement flips no-refinement mode;
-        # the run finishes with the correct cover.
-        relation = make_random_relation(11)
+        # A MemoryError inside DDM refinement calls the memory relief
+        # (drop the refined partitions); the run finishes with the
+        # correct cover.  bridges refines once, so the fault fires there.
+        relation = load_benchmark("bridges", n_rows=80)
         baseline = DHyFD().discover(relation)
-        faults.activate("partition.refine.memory", times=1, after=2)
+        assert baseline.stats.partition_refreshes > 0
+        faults.activate("partition.refine.memory", times=1)
         tracer = Tracer()
         with use_tracer(tracer):
             result = DHyFD().discover(relation)
         assert result.completed
         assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
+        stages = [e.attrs["stage"] for e in tracer.find_events("degradation")]
+        assert stages == ["evict_refined_partitions"]
 
     def test_ddm_stale_fault_keeps_cover_correct(self):
         relation = make_random_relation(7)

@@ -318,3 +318,31 @@ def test_v1_files_reload_unchanged(tmp_path):
         assert cover_to_json(job.result.fds, job.result.schema) == cover_to_json(
             cached.fds, cached.schema
         )
+
+
+def test_boot_leaves_one_file_per_entry(tmp_path):
+    # The v1 store entry's config still carries "jobs", so its key
+    # changed on decode; a copy with "jobs": 2 decodes to the same key.
+    files = dict(V1_FILES)
+    stale = files["store/20f4070dc8302d1387c4336b766479bb.json"]
+    files["store/0123456789abcdef0123456789abcdef.json"] = stale.replace(
+        '"jobs": 1', '"jobs": 2'
+    )
+    for relative, text in files.items():
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+
+    with FDService(max_workers=1, **dirs(tmp_path)) as svc:
+        assert len(svc.store) == 1
+    for directory, entries in (("datasets", 2), ("store", 1), ("store/schemas", 1)):
+        assert len(list((tmp_path / directory).glob("*.json"))) == entries, directory
+
+    with FDService(max_workers=1, **dirs(tmp_path)) as reborn:
+        assert reborn.metrics_payload()["counters"]["service.store.loaded"] == 1
+        assert reborn.registry.resolve("parent") == FP_A
+        assert reborn.schemas.resolve("tiny") == FP_SCHEMA
+        cached = reborn.store.get(FP_A, JobConfig.from_dict({}))
+        assert json.loads(cover_to_json(cached.fds, cached.schema))["fds"] == [
+            {"lhs": ["id"], "rhs": ["grp"]}
+        ]
