@@ -13,10 +13,8 @@ Each module prints its paper-style table and also writes it under
 
 from __future__ import annotations
 
-import contextlib
 import os
 from pathlib import Path
-from typing import Dict, List, Optional
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "quick")
 if SCALE not in {"smoke", "quick", "full"}:
@@ -40,30 +38,3 @@ def write_artifact(name: str, text: str) -> None:
     path = OUT_DIR / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf-8")
     print(f"\n{text}\n[written to {path}]")
-
-
-def fmt(value: Optional[float], digits: int = 3) -> str:
-    """Format a float cell, with '-' for missing."""
-    if value is None:
-        return "-"
-    return f"{value:.{digits}f}"
-
-
-@contextlib.contextmanager
-def tier_bypassed():
-    """Run with the shared partition layer switched out of the path.
-
-    ``repro.partitions.cache.shared_store`` answers None for every
-    relation, so each ``PartitionCache(shared=True)`` stays private and
-    each job re-derives its partitions exactly as it would with no
-    shared layer at all.  This is the "off" baseline of the
-    memory-plane and multi-table benchmarks.
-    """
-    from repro.partitions import cache
-
-    shared_store = cache.shared_store
-    cache.shared_store = lambda relation: None
-    try:
-        yield
-    finally:
-        cache.shared_store = shared_store

@@ -147,23 +147,18 @@ class DHyFD(DiscoveryAlgorithm):
         self.enable_ddm_updates = enable_ddm_updates
         self.enable_initial_sampling = enable_initial_sampling
 
-    def _find_fds(
-        self, relation: Relation, deadline: RunContext
-    ) -> Tuple[FDSet, DiscoveryStats]:
-        return self._find_fds_impl(relation, deadline)
-
     def _find_top_k(
         self, relation: Relation, k: int, deadline: RunContext
     ) -> Tuple[FDSet, DiscoveryStats]:
         """Rank-aware search: skip validating lattice regions that
         cannot reach the running k-th redundancy (see ``tracker`` in
-        :meth:`_find_fds_impl`)."""
+        :meth:`_find_fds`)."""
         tracker = TopKTracker(k)
-        fds, stats = self._find_fds_impl(relation, deadline, tracker=tracker)
+        fds, stats = self._find_fds(relation, deadline, tracker=tracker)
         stats.pruned_candidates += tracker.pruned_candidates
         return fds, stats
 
-    def _find_fds_impl(
+    def _find_fds(
         self,
         relation: Relation,
         deadline: RunContext,

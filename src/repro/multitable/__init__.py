@@ -6,7 +6,7 @@ The subsystem has three layers (see ``docs/multitable.md``):
   relations plus declared/inferred keys and foreign-key edges.
 * :mod:`repro.multitable.provenance` — virtual joins as per-table
   provenance index arrays, and the π lift that carries base columns
-  and partitions onto the join's rows without materializing it.
+  onto the join's rows without materializing it.
 * :mod:`repro.multitable.discovery` — :func:`discover_join_fds`: run
   the existing lattice searches and redundancy ranking over the lifted
   relation, tagging each FD intra- vs inter-table.
@@ -20,7 +20,6 @@ from .provenance import (
     JoinProvenance,
     build_provenance,
     lift_column,
-    lift_partition,
     lift_relation,
     materialize_join,
     resolve_policy,
@@ -52,7 +51,6 @@ __all__ = [
     "fd_tables",
     "inclusion_coverage",
     "lift_column",
-    "lift_partition",
     "lift_relation",
     "materialize_join",
     "resolve_policy",

@@ -2,7 +2,7 @@
 
 :func:`discover_join_fds` is the multi-table entry point: it computes
 the join's row provenance (:func:`~repro.multitable.provenance.build_provenance`),
-lifts the base tables' columns/partitions onto the join rows, runs one
+lifts the base tables' columns onto the join rows, runs one
 of the existing single-relation lattice searches (DHyFD, TANE, ...)
 over the lifted codes, ranks the cover by redundancy, and tags every
 FD with the base tables its attributes come from — separating FDs the

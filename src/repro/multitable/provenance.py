@@ -9,26 +9,25 @@ join row came from.  This module computes exactly that:
   **provenance index array per base table**: entry ``i`` is the base row
   that join row ``i`` draws its columns from (``-1`` = padded, i.e. an
   outer-join null fill).  Join rows are never materialized.
-* :func:`lift_column` / :func:`lift_partition` lift a base column (or a
-  base attribute set's stripped partition) through a provenance array —
-  the π lift is *relabel* (gather base DIIS codes through the index,
+* :func:`lift_column` lifts a base column through a provenance array
+  — the π lift is *relabel* (gather base DIIS codes through the index,
   substituting null sentinels per the graph's null semantics) *and
-  re-strip* (first-occurrence dense re-encode / kernel re-group).  The
-  lifted :class:`~repro.relational.encoding.EncodedColumn` is
-  byte-identical to encoding the materialized join column, so lifted
-  relations fingerprint identically to materialized ones.
+  re-strip* (first-occurrence dense re-encode).  The lifted
+  :class:`~repro.relational.encoding.EncodedColumn` is byte-identical
+  to encoding the materialized join column, so lifted relations
+  fingerprint identically to materialized ones.
 * :func:`materialize_join` is the *independent* differential oracle: a
   plain hash join over decoded values that really builds the joined
   rows and re-encodes them with ``Relation.from_rows``.  It exists for
-  tests and benchmarks only and announces itself with a
+  tests only and announces itself with a
   ``multitable.materialize`` telemetry event — the virtual path never
   emits one.
 
 Provenance construction and the column lift run vectorized over flat
-index arrays; ``_build_python`` and ``_lift_column_python`` are the
-per-row references the tests compare them against.  Both emit
-identical arrays (join rows ordered with current rows outer, matching
-child rows ascending inner).
+index arrays.  Join rows are ordered with current rows outer and
+matching child rows ascending inner, the order :func:`materialize_join`
+emits; the tests check the index arrays, counters and lifted columns
+against it.
 
 Dangling foreign keys (a child value missing from the parent) follow
 the ``on_dangling`` policy, mirroring ``read_csv``'s ``on_bad_row=``:
@@ -45,10 +44,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..partitions import kernels
-from ..partitions.stripped import StrippedPartition
-from ..relational import attrset
-from ..relational.attrset import AttrSet
 from ..relational.encoding import EncodedColumn
 from ..relational.null import NullSemantics
 from ..relational.relation import Relation
@@ -177,7 +172,7 @@ def build_provenance(
     per path table plus counters.  Join-row order is deterministic —
     rows of the first table in row order, then per step current join
     rows outer and matching child rows ascending inner — and identical
-    with the per-row reference and with :func:`materialize_join`.
+    with :func:`materialize_join`.
     """
     policy = resolve_policy(on_dangling)
     steps = graph.resolve_path(path)
@@ -188,7 +183,7 @@ def build_provenance(
         path="/".join(names),
         policy=policy,
     ):
-        index, dropped, padded = _build_numpy(graph, names, steps, policy)
+        index, dropped, padded = _build_index(graph, names, steps, policy)
         n_rows = int(len(index[names[0]]))
         tracer.counter("multitable.provenance.calls").inc()
         tracer.event(
@@ -207,80 +202,13 @@ def build_provenance(
     )
 
 
-def _build_python(
+def _build_index(
     graph: SchemaGraph,
     names: List[str],
     steps: List[JoinStep],
     policy: str,
 ) -> Tuple[Dict[str, np.ndarray], int, int]:
-    """Per-row reference implementation (the differential oracle)."""
-    rows: List[Tuple[int, ...]] = [
-        (r,) for r in range(graph.table(names[0]).n_rows)
-    ]
-    dropped = 0
-    padded = 0
-    for pos, step in enumerate(steps):
-        src_pos = names.index(step.source)
-        child_attrs, parent_attrs = _step_attrs(graph, step)
-        owner = _match_rows(
-            graph.table(step.fk.child),
-            child_attrs,
-            graph.table(step.fk.parent),
-            parent_attrs,
-        )
-        new_rows: List[Tuple[int, ...]] = []
-        if step.direction == "forward":
-            for row in rows:
-                child_row = row[src_pos]
-                target = int(owner[child_row]) if child_row >= 0 else -1
-                if target == _DANGLING and policy == "raise":
-                    raise DanglingRowError(
-                        f"row {child_row} of {step.fk.child!r} references a "
-                        f"missing {step.fk.parent!r} row "
-                        f"(foreign key {step.fk.format()}); "
-                        "use on_dangling='drop' or 'pad'"
-                    )
-                if target >= 0:
-                    new_rows.append(row + (target,))
-                elif policy == "pad":
-                    new_rows.append(row + (PAD,))
-                    padded += 1
-                else:
-                    dropped += 1
-        else:  # expand: parent -> child, one-to-many
-            children: Dict[int, List[int]] = {}
-            for child_row in range(len(owner)):
-                target = int(owner[child_row])
-                if target >= 0:
-                    children.setdefault(target, []).append(child_row)
-            for row in rows:
-                parent_row = row[src_pos]
-                matches = children.get(parent_row, []) if parent_row >= 0 else []
-                if matches:
-                    for child_row in matches:
-                        new_rows.append(row + (child_row,))
-                elif policy == "pad":
-                    new_rows.append(row + (PAD,))
-                    padded += 1
-                else:
-                    dropped += 1
-        rows = new_rows
-    index = {
-        name: np.fromiter(
-            (row[i] for row in rows), dtype=np.int64, count=len(rows)
-        )
-        for i, name in enumerate(names)
-    }
-    return index, dropped, padded
-
-
-def _build_numpy(
-    graph: SchemaGraph,
-    names: List[str],
-    steps: List[JoinStep],
-    policy: str,
-) -> Tuple[Dict[str, np.ndarray], int, int]:
-    """Vectorized implementation over flat index arrays."""
+    """The per-table index arrays, built vectorized over flat arrays."""
     first = graph.table(names[0])
     index: Dict[str, np.ndarray] = {
         names[0]: np.arange(first.n_rows, dtype=np.int64)
@@ -423,73 +351,6 @@ def lift_column(
     )
 
 
-def _lift_column_python(
-    column: EncodedColumn, idx: np.ndarray, semantics: NullSemantics
-) -> EncodedColumn:
-    """Per-row reference lift, mirroring ``encode_column``'s loop."""
-    n = len(idx)
-    codes = np.empty(n, dtype=np.int64)
-    null_mask = np.zeros(n, dtype=bool)
-    mapping: Dict[int, int] = {}  # base code -> lifted code
-    decoder: List[object] = []
-    null_code = -1
-    next_code = 0
-    for i in range(n):
-        base_row = int(idx[i])
-        if base_row < 0 or bool(column.null_mask[base_row]):
-            null_mask[i] = True
-            if semantics is NullSemantics.EQ:
-                if null_code < 0:
-                    null_code = next_code
-                    next_code += 1
-                    decoder.append(None)
-                codes[i] = null_code
-            else:
-                codes[i] = next_code
-                next_code += 1
-                decoder.append(None)
-        else:
-            base_code = int(column.codes[base_row])
-            code = mapping.get(base_code)
-            if code is None:
-                code = next_code
-                mapping[base_code] = code
-                next_code += 1
-                decoder.append(column.decode(base_code))
-            codes[i] = code
-    return EncodedColumn(
-        codes=codes,
-        null_mask=null_mask,
-        cardinality=next_code,
-        decoder=tuple(decoder),
-    )
-
-
-def lift_partition(
-    relation: Relation,
-    attrs: AttrSet,
-    idx: np.ndarray,
-    semantics: NullSemantics,
-) -> StrippedPartition:
-    """Lift ``π_X`` of a base table onto the virtual join's rows.
-
-    Relabel + re-strip on index arrays: base DIIS codes are gathered
-    through the provenance index (with null sentinels) and re-grouped
-    by the partition kernels — no joined column is ever encoded.  The
-    result equals ``StrippedPartition.for_attrs`` on the corresponding
-    lifted-relation attributes.
-    """
-    n = int(len(idx))
-    members = attrset.to_list(attrs)
-    rows, offsets = kernels.universal(n)
-    if members:
-        keys = [
-            _lift_keys(relation.column(a), idx, semantics) for a in members
-        ]
-        rows, offsets = kernels.refine_clusters(keys, (rows, offsets))
-    return StrippedPartition(attrs, rows, offsets, n)
-
-
 def lift_relation(
     graph: SchemaGraph,
     provenance: JoinProvenance,
@@ -543,11 +404,11 @@ def materialize_join(
     """Hash-join the path over decoded values and re-encode the result.
 
     Deliberately shares no code with :func:`build_provenance`: this is
-    the differential-testing oracle (and the benchmark's strawman), so
-    it works on decoded Python values and pays for full row tuples plus
-    a fresh ``Relation.from_rows`` encode.  Emits a
-    ``multitable.materialize`` telemetry event — its absence is how the
-    benchmark proves the virtual path never built the join.
+    the differential-testing oracle, so it works on decoded Python
+    values and pays for full row tuples plus a fresh
+    ``Relation.from_rows`` encode.  Emits a ``multitable.materialize``
+    telemetry event — its absence is how the tests prove the virtual
+    path never built the join.
     """
     policy = resolve_policy(on_dangling)
     steps = graph.resolve_path(path)

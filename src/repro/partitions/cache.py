@@ -65,19 +65,13 @@ _shared_lock = threading.Lock()
 _shared_lookups = [0, 0]
 
 
-def shared_store(relation) -> Optional[Dict[AttrSet, StrippedPartition]]:
-    """The shared partition dict for ``relation`` (None when unusable).
+def shared_store(relation: Relation) -> Dict[AttrSet, StrippedPartition]:
+    """The shared partition dict for ``relation``'s content and semantics.
 
-    Unusable means the relation carries no content fingerprint
-    (worker-side shared views don't — workers keep private caches).
     This is the one entry point to the shared layer, so patching it to
     return None bypasses the layer entirely.
     """
-    fingerprint_of = getattr(relation, "fingerprint", None)
-    semantics = getattr(relation, "semantics", None)
-    if fingerprint_of is None or semantics is None:
-        return None
-    key = (fingerprint_of(), semantics.value)
+    key = (relation.fingerprint(), relation.semantics.value)
     with _shared_lock:
         store = _shared.get(key)
         if store is None:

@@ -31,7 +31,8 @@ vs vectorized takes 8 vs 36 µs at 4 rows, 40 vs 60 µs at 192 rows and
 128–192 rows, over 4-row clusters at 64–128 rows; grouping and the
 product cross over at 256–512 rows, the constant check at 64–128.
 :func:`agree_masks` is faster vectorized from two row pairs up, so it
-and :func:`pairwise_agree_sets` always run vectorized.
+and :func:`pairwise_agree_sets` have only vectorized code; the tests
+check them against :meth:`~repro.relational.relation.Relation.agree_set`.
 
 When telemetry is enabled (:func:`repro.telemetry.current_tracer`),
 every kernel call records a ``kernels.<op>.<python|numpy>`` counter and
@@ -304,20 +305,13 @@ def agree_masks(
     rows_b: np.ndarray,
 ) -> List[AttrSet]:
     """Agree-set bitmask of each row pair ``(rows_a[i], rows_b[i])``."""
-    return _timed("agree", "numpy", _agree_masks_numpy, matrix, rows_a, rows_b)
 
+    def masks() -> List[AttrSet]:
+        a = np.asarray(rows_a, dtype=np.int64)
+        b = np.asarray(rows_b, dtype=np.int64)
+        return pack_bool_rows(matrix[a] == matrix[b])
 
-def _agree_masks_python(
-    matrix: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray
-) -> List[AttrSet]:
-    masks: List[AttrSet] = []
-    for row_a, row_b in zip(rows_a, rows_b):
-        equal = matrix[row_a] == matrix[row_b]
-        mask = 0
-        for col in np.nonzero(equal)[0]:
-            mask |= 1 << int(col)
-        masks.append(mask)
-    return masks
+    return _timed("agree", "numpy", masks)
 
 
 def pack_bool_rows(equal: np.ndarray) -> List[AttrSet]:
@@ -333,40 +327,17 @@ def pack_bool_rows(equal: np.ndarray) -> List[AttrSet]:
     ]
 
 
-def _agree_masks_numpy(
-    matrix: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray
-) -> List[AttrSet]:
-    rows_a = np.asarray(rows_a, dtype=np.int64)
-    rows_b = np.asarray(rows_b, dtype=np.int64)
-    return pack_bool_rows(matrix[rows_a] == matrix[rows_b])
-
-
 def pairwise_agree_sets(matrix: np.ndarray) -> Set[AttrSet]:
     """Distinct agree sets over *all* row pairs (FDEP's negative cover).
 
     Full-schema masks from duplicate rows are included; callers that
     need the non-trivial cover filter them out.
     """
-    return _timed("agree_all", "numpy", _pairwise_agree_sets_numpy, matrix)
 
+    def agree_sets() -> Set[AttrSet]:
+        found: Set[AttrSet] = set()
+        for i in range(matrix.shape[0] - 1):
+            found.update(pack_bool_rows(matrix[i + 1:] == matrix[i]))
+        return found
 
-def _pairwise_agree_sets_python(matrix: np.ndarray) -> Set[AttrSet]:
-    n_rows = matrix.shape[0]
-    agree_sets: Set[AttrSet] = set()
-    for i in range(n_rows):
-        row_i = matrix[i]
-        for j in range(i + 1, n_rows):
-            equal = row_i == matrix[j]
-            mask = 0
-            for col in np.nonzero(equal)[0]:
-                mask |= 1 << int(col)
-            agree_sets.add(mask)
-    return agree_sets
-
-
-def _pairwise_agree_sets_numpy(matrix: np.ndarray) -> Set[AttrSet]:
-    n_rows = matrix.shape[0]
-    agree_sets: Set[AttrSet] = set()
-    for i in range(n_rows - 1):
-        agree_sets.update(pack_bool_rows(matrix[i + 1:] == matrix[i]))
-    return agree_sets
+    return _timed("agree_all", "numpy", agree_sets)

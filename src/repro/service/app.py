@@ -34,7 +34,7 @@ from .. import __version__
 from ..algorithms.registry import make_algorithm
 from ..core.result import DiscoveryResult, DiscoveryStats
 from ..partitions.cache import tier_gauges
-from ..ranking.ranker import rank_cover
+from ..ranking.ranker import RankedFD, rank_cover
 from ..relational.fd import FDSet
 from ..relational.io import read_csv_text
 from ..relational.relation import Relation
@@ -48,6 +48,15 @@ from .registry import DatasetEntry, DatasetRegistry
 from .scheduler import Job, JobCancelled, JobScheduler
 from .schemas import SchemaEntry, SchemaIndex
 from .store import ResultStore
+
+
+def _ranked_entry(ranked: RankedFD, relation: Relation) -> Dict[str, object]:
+    """One ranked FD as a job's ``ranking`` list reports it."""
+    return {
+        "fd": ranked.fd.format(relation.schema),
+        "redundancy": ranked.redundancy,
+        "redundancy_excluding_null": ranked.redundancy_excluding_null,
+    }
 
 
 class _VirtualJoin:
@@ -328,11 +337,7 @@ class FDService:
                         top_k=job.config.top_k,
                     )
                     job.ranking = [
-                        {
-                            "fd": ranked.fd.format(entry.relation.schema),
-                            "redundancy": ranked.redundancy,
-                            "redundancy_excluding_null": ranked.redundancy_excluding_null,
-                        }
+                        _ranked_entry(ranked, entry.relation)
                         for ranked in ranking.ranked
                     ]
         job.trace = trace_summary(tracer)
@@ -372,9 +377,7 @@ class FDService:
                 ranking = rank_cover(relation, canonical, top_k=config.top_k)
                 job.ranking = [
                     {
-                        "fd": ranked.fd.format(relation.schema),
-                        "redundancy": ranked.redundancy,
-                        "redundancy_excluding_null": ranked.redundancy_excluding_null,
+                        **_ranked_entry(ranked, relation),
                         "scope": fd_scope(ranked.fd, owners),
                         "tables": list(fd_tables(ranked.fd, owners)),
                     }

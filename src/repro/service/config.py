@@ -15,14 +15,10 @@ from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
 from ..algorithms.registry import algorithm_keywords, algorithm_names
+from ..multitable.provenance import POLICIES as _ON_DANGLING_POLICIES
 from ..resilience import RunBudget, parse_bytes
 
 _ON_LIMIT_POLICIES = ("raise", "partial")
-
-#: Mirrors :data:`repro.multitable.provenance.POLICIES` without making
-#: the config module (imported by every service piece) pull in the
-#: multitable subsystem; a drift is caught by the service test suite.
-_ON_DANGLING_POLICIES = ("raise", "drop", "pad")
 
 
 class ConfigError(ValueError):

@@ -9,8 +9,8 @@ single-row (stripped) clusters.  Each comparison runs once with
 the vectorized code; both must return *identical* structures — the
 same flat ``(rows, offsets)`` arrays, same agree sets, same validation
 outcomes, and byte-identical FD covers from a full DHyFD
-run.  The always-vectorized agree-set kernels are compared with their
-per-row ``_*_python`` references directly.
+run.  The agree-set kernels have only vectorized code; they are checked
+against ``Relation.agree_set``, one row pair at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +42,15 @@ def _same(left, right):
     return all(
         a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(left, right)
     )
+
+
+def pairwise_oracle(rel):
+    """Every row pair's agree set, from ``Relation.agree_set``."""
+    return {
+        rel.agree_set(i, j)
+        for i in range(rel.n_rows)
+        for j in range(i + 1, rel.n_rows)
+    }
 
 
 def edge_case_relations(semantics):
@@ -157,6 +166,10 @@ class TestAgreeSetKernels:
             for attr in range(rel.n_cols)
         ]
 
+        def per_pair(matrix, rows_a, rows_b):
+            assert matrix is rel.matrix()
+            return [rel.agree_set(int(a), int(b)) for a, b in zip(rows_a, rows_b)]
+
         def run(agree_masks):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(kernels, "agree_masks", agree_masks)
@@ -165,13 +178,14 @@ class TestAgreeSetKernels:
                 sets_b, stats_b = sampler.sample_round()
             return sets_a, sets_b, stats_a.comparisons, stats_b.comparisons
 
-        assert run(kernels._agree_masks_python) == run(kernels.agree_masks)
+        assert run(per_pair) == run(kernels.agree_masks)
 
     def test_all_agree_sets_identical(self, seed, semantics):
         rel = make_random_relation(seed, semantics)
-        py = kernels._pairwise_agree_sets_python(rel.matrix())
-        py.discard(attrset.full_set(rel.n_cols))
-        assert py == all_agree_sets(rel)
+        expected = pairwise_oracle(rel)
+        assert kernels.pairwise_agree_sets(rel.matrix()) == expected
+        expected.discard(attrset.full_set(rel.n_cols))
+        assert expected == all_agree_sets(rel)
 
     def test_validate_fd_identical(self, seed, semantics):
         rel = make_random_relation(seed, semantics)
@@ -211,9 +225,7 @@ def test_edge_cases(semantics):
             lambda: StrippedPartition.for_attrs(rel, mask)
         )
         assert _same(py.flat, np_.flat)
-        assert kernels._pairwise_agree_sets_python(
-            rel.matrix()
-        ) == kernels.pairwise_agree_sets(rel.matrix())
+        assert kernels.pairwise_agree_sets(rel.matrix()) == pairwise_oracle(rel)
         cover_py, cover_np = in_both_kernel_modes(lambda: DHyFD().discover(rel).fds)
         assert cover_py == cover_np
 

@@ -4,7 +4,7 @@ The acceptance bar (ISSUE 10): ``discover_join_fds`` over the virtual
 join is byte-identical — cover, relation fingerprint, ranked order and
 any ``top_k`` cut — to running the same algorithm on the materialized
 join, across small random schemas x EQ/NEQ null semantics x
-per-row/vectorized code, while the virtual path never builds
+per-row/vectorized partition kernels, while the virtual path never builds
 a joined row (asserted via the ``multitable.materialize`` telemetry
 counter).  Inclusion testing treats nulls identically under both
 semantics, dangling rows follow the pad/drop/raise policies, and the
@@ -14,7 +14,6 @@ service and CLI layers surface all of it.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -38,13 +37,10 @@ from repro.multitable import (
     fd_scope,
     fd_tables,
     inclusion_coverage,
-    lift_partition,
     lift_relation,
     materialize_join,
     resolve_policy,
 )
-from repro.multitable import provenance
-from repro.partitions.stripped import StrippedPartition
 from repro.ranking.ranker import rank_cover
 from repro.relational import attrset
 from repro.relational.fd_io import cover_to_json
@@ -155,21 +151,6 @@ def random_star(seed, semantics=NullSemantics.EQ, dirty=True):
         "child", ["pid_ref"], "parent", ["pid"], require_inclusion=False
     )
     return graph
-
-
-@contextmanager
-def code_mode(mode):
-    """Force per-row (``"python"``) or vectorized (``"numpy"``) code.
-
-    Besides the partition kernels, ``"python"`` swaps the always
-    vectorized provenance build and column lift for their per-row
-    references.
-    """
-    with kernel_mode(mode), pytest.MonkeyPatch.context() as patch:
-        if mode == "python":
-            patch.setattr(provenance, "_build_numpy", provenance._build_python)
-            patch.setattr(provenance, "lift_column", provenance._lift_column_python)
-        yield
 
 
 def ranked_snapshot(ranking):
@@ -407,14 +388,14 @@ class TestProvenance:
         graph = two_table_graph(
             child_rows=DIRTY_CHILD, require_inclusion=False
         )
-        with code_mode(mode), pytest.raises(DanglingRowError):
+        with kernel_mode(mode), pytest.raises(DanglingRowError):
             build_provenance(graph, ["child", "parent"])
 
     @pytest.mark.parametrize("mode", ["python", "numpy"])
     def test_null_fk_is_not_a_violation_under_raise(self, mode):
         rows = [("c0", "p0", "t1"), ("c1", None, "t2")]
         graph = two_table_graph(child_rows=rows)
-        with code_mode(mode):
+        with kernel_mode(mode):
             prov = build_provenance(
                 graph, ["child", "parent"], on_dangling="raise"
             )
@@ -427,7 +408,7 @@ class TestProvenance:
         graph = two_table_graph(
             child_rows=DIRTY_CHILD, require_inclusion=False
         )
-        with code_mode(mode):
+        with kernel_mode(mode):
             dropped = build_provenance(
                 graph, ["child", "parent"], on_dangling="drop"
             )
@@ -444,20 +425,35 @@ class TestProvenance:
         assert int(np.sum(padded.index["parent"] == PAD)) == 2
 
     @pytest.mark.parametrize("policy", ["drop", "pad"])
-    def test_backends_produce_identical_arrays(self, policy):
+    def test_index_arrays_match_materialized_join(self, policy):
+        """Join row ``i`` of the oracle is base row ``index[t][i]`` of
+        every table ``t`` (all nulls where padded), in the same order,
+        and the counters match a hand count of unmatched FK rows."""
         for seed in range(4):
             graph = random_star(seed)
+            parent, child = graph.table("parent"), graph.table("child")
+            pids = {parent.value(r, 0) for r in range(parent.n_rows)}
+            refs = [child.value(r, 1) for r in range(child.n_rows)]
+            unmatched = {
+                ("child", "parent"): sum(ref not in pids for ref in refs),
+                ("parent", "child"): len(pids - set(refs)),
+            }
             for path in (["child", "parent"], ["parent", "child"]):
-                with code_mode("python"):
-                    py = build_provenance(graph, path, on_dangling=policy)
-                nmp = build_provenance(graph, path, on_dangling=policy)
-                assert py.n_rows == nmp.n_rows
-                assert py.dropped_rows == nmp.dropped_rows
-                assert py.padded_cells == nmp.padded_cells
-                for table in py.tables:
-                    assert np.array_equal(
-                        py.index[table], nmp.index[table]
-                    ), (seed, path, table)
+                prov = build_provenance(graph, path, on_dangling=policy)
+                mat = materialize_join(graph, path, on_dangling=policy)
+                assert prov.n_rows == mat.n_rows
+                expected_rows = [()] * prov.n_rows
+                for table in prov.tables:
+                    base = graph.table(table)
+                    pad = (None,) * base.n_cols
+                    expected_rows = [
+                        row + (pad if r == PAD else base.row_values(r))
+                        for row, r in zip(expected_rows, prov.index[table].tolist())
+                    ]
+                assert list(mat.iter_rows()) == expected_rows, (seed, path)
+                lost = unmatched[tuple(path)]
+                assert prov.dropped_rows == (lost if policy == "drop" else 0)
+                assert prov.padded_cells == (lost if policy == "pad" else 0)
 
     def test_expand_childless_parent_dropped_or_padded(self):
         rows = [("c0", "p0", "t1")]  # p1, p2 have no children
@@ -489,7 +485,7 @@ class TestLift:
         for seed in range(4):
             graph = random_star(seed, semantics=semantics)
             for path in (["child", "parent"], ["parent", "child"]):
-                with code_mode(mode):
+                with kernel_mode(mode):
                     prov = build_provenance(graph, path, on_dangling=policy)
                     lifted = lift_relation(graph, prov)
                 mat = materialize_join(graph, path, on_dangling=policy)
@@ -503,32 +499,6 @@ class TestLift:
                     assert np.array_equal(a.codes, b.codes)
                     assert np.array_equal(a.null_mask, b.null_mask)
                     assert a.decoder == b.decoder
-
-    @pytest.mark.parametrize(
-        "semantics", [NullSemantics.EQ, NullSemantics.NEQ]
-    )
-    @pytest.mark.parametrize("mode", ["python", "numpy"])
-    def test_lift_partition_matches_lifted_relation(self, semantics, mode):
-        graph = random_star(1, semantics=semantics)
-        with code_mode(mode):
-            prov = build_provenance(graph, ["parent", "child"], on_dangling="pad")
-            lifted = lift_relation(graph, prov)
-        offset = 0
-        for table in prov.tables:
-            relation = graph.table(table)
-            idx = prov.index[table]
-            for n_attrs in (1, 2):
-                attrs = attrset.from_attrs(range(n_attrs))
-                with code_mode(mode):
-                    direct = lift_partition(relation, attrs, idx, semantics)
-                via_relation = StrippedPartition.for_attrs(
-                    lifted,
-                    attrset.from_attrs(offset + a for a in range(n_attrs)),
-                )
-                assert sorted(map(sorted, direct.clusters)) == sorted(
-                    map(sorted, via_relation.clusters)
-                )
-            offset += relation.n_cols
 
     def test_virtual_path_never_materializes(self):
         graph = two_table_graph()
@@ -554,7 +524,8 @@ class TestDiscoveryDifferential:
         """Covers, ranked order and top_k: virtual vs materialized.
 
         One materialized reference per (seed, semantics, policy, path);
-        every code mode's virtual run must match it byte for byte.
+        the virtual run under each kernel mode must match it byte for
+        byte.
         """
         graph = random_star(seed, semantics=semantics)
         for policy in ("drop", "pad"):
@@ -566,7 +537,7 @@ class TestDiscoveryDifferential:
                     rank_cover(mat, reference.fds)
                 )
                 for mode in ("python", "numpy"):
-                    with code_mode(mode):
+                    with kernel_mode(mode):
                         result = discover_join_fds(
                             graph, path, on_dangling=policy
                         )

@@ -279,7 +279,6 @@ class TestSharedTier:
         assert store is not partition_cache.shared_store(
             relation.with_semantics("neq")
         )
-        assert partition_cache.shared_store(object()) is None  # no fingerprint
 
     def test_ranking_identical_cold_warm_and_disabled(self, monkeypatch):
         """Cold, warm and bypassed tiers all give the row-pair counts.
