@@ -631,8 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="bound the ranking pass to the K highest-redundancy FDs "
-        "(skips measuring FDs that provably cannot reach the top K)",
+        help="print only the K highest-redundancy FDs of the ranking",
     )
     _add_trace_args(rank)
     rank.set_defaults(handler=_cmd_rank)

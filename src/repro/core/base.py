@@ -250,8 +250,8 @@ class DiscoveryAlgorithm(abc.ABC):
         redundancy upper bound cannot reach the running k-th redundancy
         and terminate early — ``stats.pruned_candidates`` counts the
         skipped candidates and ``result.top_k`` records k.  The default
-        implementation falls back to a full search followed by a
-        bounded ranking pass.
+        implementation falls back to a full search and keeps the first
+        k FDs of its full ranking.
 
         A partial result (``on_limit="partial"`` with a tripped limit)
         degrades to the sound anytime snapshot, which for top-k runs is
@@ -373,16 +373,14 @@ class DiscoveryAlgorithm(abc.ABC):
     ) -> Tuple[FDSet, DiscoveryStats]:
         """Compute the top-k cover; override for a rank-aware search.
 
-        The generic fallback runs the full search and then a bounded
-        ranking pass; the FDs whose exact redundancy the bounded pass
-        never had to measure count as ``pruned_candidates``.  DHyFD and
-        TANE override this with in-search pruning.
+        The generic fallback runs the full search and keeps the first k
+        FDs of its full ranking.  DHyFD and TANE override this with
+        in-search pruning, which ``pruned_candidates`` counts.
         """
         from ..ranking.ranker import rank_cover
 
         fds, stats = self._find_fds(relation, deadline)
         ranking = rank_cover(relation, fds, deadline=deadline, top_k=k)
-        stats.pruned_candidates += ranking.bound_skipped
         return FDSet(ranked.fd for ranked in ranking.ranked), stats
 
     def __repr__(self) -> str:

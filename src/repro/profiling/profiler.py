@@ -97,8 +97,9 @@ def profile(
         null_semantics: re-encode the relation under this semantics
             first (None keeps the relation's current encoding).
         rank: also compute the redundancy ranking and report (skippable
-            because they cost one partition pass per distinct LHS of the
-            canonical cover; the full ranking and the report share it).
+            because they cost one mask pass over the distinct LHSs of
+            the canonical cover; the full ranking and the report share
+            it).
         top_k: keep only the k highest-redundancy FDs of the ranking
             (the first k of the full ranking; the report still covers
             every FD, so both come from one mask pass).  Discovery and
@@ -150,10 +151,7 @@ def profile(
                     masks = lhs_row_masks(
                         relation, (fd.lhs for fd in fds), deadline=rank_deadline
                     )
-                    ranking = ranking_from_masks(relation, fds, masks, start)
-                    if top_k is not None:
-                        ranking.ranked = ranking.ranked[:top_k]
-                        ranking.top_k = top_k
+                    ranking = ranking_from_masks(relation, fds, masks, start, top_k)
                 start = time.perf_counter()
                 with active.span("redundancy", fds=len(fds)):
                     redundancy = report_from_masks(relation, fds, masks, start)

@@ -14,21 +14,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..partitions.cache import PartitionCache
-from ..relational import attrset
 from ..relational.attrset import AttrSet
 from ..relational.fd import FD
 from ..relational.relation import Relation
 from ..relational.schema import RelationSchema
 from ..telemetry import current_tracer
-from .redundancy import (
-    NullPolicy,
-    count_redundant,
-    lhs_row_masks,
-    redundancy_upper_bound,
-    redundant_rows_for_lhs,
-)
-from .topk import TopKTracker
+from .redundancy import lhs_row_masks, mask_matrix, membership, null_matrix
 
 #: Fig. 10's x-axis: fractions of the maximum per-FD redundancy.
 DEFAULT_BUCKET_FRACTIONS: Tuple[float, ...] = (
@@ -73,17 +64,13 @@ class RankedFD:
 class RankingResult:
     """A ranked cover plus the time the ranking took.
 
-    In bounded mode (``rank_cover(..., top_k=k)``) ``ranked`` holds
-    exactly the first k entries of the full ranking, ``top_k`` records
-    the requested k, and ``bound_skipped`` counts the FDs whose exact
-    redundancy was never measured because their upper bound could not
-    reach the running k-th redundancy.
+    With ``rank_cover(..., top_k=k)`` ``ranked`` holds the first k
+    entries of the full ranking and ``top_k`` records the requested k.
     """
 
     ranked: List[RankedFD]
     seconds: float
     top_k: Optional[int] = None
-    bound_skipped: int = 0
 
     def top(self, n: int) -> List[RankedFD]:
         """The ``n`` most redundancy-causing FDs."""
@@ -114,61 +101,24 @@ def rank_cover(
     """Rank every FD of a cover by descending redundancy.
 
     Both the null-inclusive and null-exclusive counts are computed so
-    callers can flag likely-accidental FDs; ties break on the FD masks
-    for determinism.  ``deadline`` (a
-    :class:`~repro.core.base.Deadline`) is polled per LHS so a driver's
-    time limit bounds the ranking pass too.
+    callers can flag likely-accidental FDs.  ``deadline`` (a
+    :class:`~repro.core.base.Deadline`) is polled during the mask pass
+    so a driver's time limit bounds the ranking pass too.
 
-    The full pass takes one INCLUDE row mask per distinct LHS from
+    The pass takes one INCLUDE row mask per distinct LHS from
     :func:`~repro.ranking.redundancy.lhs_row_masks` and derives both
-    counts of every FD from it; the final sort uses the full
+    counts of every FD from it; the sort uses the full
     ``(-redundancy, lhs, rhs)`` key, so ties never depend on cover
-    order.
-
-    With ``top_k=k`` the pass runs in bounded mode: FDs are measured in
-    descending order of their :func:`redundancy_upper_bound`, and the
-    pass stops as soon as the next bound falls strictly below the
-    running k-th redundancy — the remaining FDs cannot enter the top-k
-    even via tie-breaks, so the returned list is byte-identical to the
-    first k entries of the full ranking at a fraction of the partition
-    work.
+    order.  ``top_k=k`` keeps the first k entries of that one ranking,
+    as :func:`~repro.profiling.profiler.profile` does.
     """
     start = time.perf_counter()
     fds = list(cover)
     if top_k is not None and top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     with current_tracer().span("ranking", fds=len(fds)):
-        if top_k is None:
-            masks = lhs_row_masks(
-                relation, (fd.lhs for fd in fds), deadline=deadline
-            )
-            return ranking_from_masks(relation, fds, masks, start)
-        cache = PartitionCache(relation, shared=True)
-        ranked, skipped = _rank_bounded(relation, fds, top_k, cache, deadline)
-        cache.record_telemetry(scope="ranking")
-    return RankingResult(
-        ranked=ranked,
-        seconds=time.perf_counter() - start,
-        top_k=top_k,
-        bound_skipped=skipped,
-    )
-
-
-def _ranked_fd(relation: Relation, fd: FD, rows: np.ndarray) -> RankedFD:
-    """Both counts of ``fd`` from its LHS's INCLUDE row mask.
-
-    EXCLUDE_RHS only filters the same rows by each RHS attribute's own
-    null mask, so one mask serves both counts.
-    """
-    excluding = sum(
-        int((rows & ~relation.null_mask(attr)).sum())
-        for attr in attrset.iter_attrs(fd.rhs)
-    )
-    return RankedFD(
-        fd=fd,
-        redundancy=int(rows.sum()) * attrset.count(fd.rhs),
-        redundancy_excluding_null=excluding,
-    )
+        masks = lhs_row_masks(relation, (fd.lhs for fd in fds), deadline=deadline)
+        return ranking_from_masks(relation, fds, masks, start, top_k)
 
 
 def ranking_from_masks(
@@ -176,54 +126,37 @@ def ranking_from_masks(
     fds: Sequence[FD],
     masks: Dict[AttrSet, np.ndarray],
     started: float,
+    top_k: Optional[int] = None,
 ) -> RankingResult:
-    """The full ranking of ``fds`` from their LHSs' INCLUDE row masks.
+    """The ranking of ``fds`` from their LHSs' INCLUDE row masks.
 
-    ``started`` is the :func:`time.perf_counter` reading the timed pass
-    began at.
+    Every count is a matrix sum over the ``(LHSs, rows)`` mask matrix:
+    an FD ``X → Y`` causes ``|Y| · ||mask_X||`` occurrences, of which
+    the non-null ones are the sum over ``A ∈ Y`` of the marked rows
+    non-null on ``A`` (EXCLUDE_RHS only filters the same rows by each
+    RHS attribute's own null mask).  ``top_k`` keeps the first k
+    entries.  ``started`` is the :func:`time.perf_counter` reading the
+    timed pass began at.
     """
-    ranked = [_ranked_fd(relation, fd, masks[fd.lhs]) for fd in fds]
-    ranked.sort(key=lambda r: (-r.redundancy, r.fd.lhs, r.fd.rhs))
-    return RankingResult(ranked=ranked, seconds=time.perf_counter() - started)
-
-
-def _rank_bounded(
-    relation: Relation,
-    fds: List[FD],
-    k: int,
-    cache: PartitionCache,
-    deadline,
-) -> Tuple[List[RankedFD], int]:
-    """Measure in descending-bound order behind a running k-th threshold."""
-    bounds = [
-        (
-            redundancy_upper_bound(relation, fd.lhs, cache)
-            * attrset.count(fd.rhs),
-            fd,
-        )
-        for fd in fds
-    ]
-    bounds.sort(key=lambda entry: (-entry[0], entry[1].lhs, entry[1].rhs))
-    tracker = TopKTracker(k)
-    skipped = 0
-    for index, (bound, fd) in enumerate(bounds):
-        if deadline is not None:
-            deadline.check()
-        if tracker.can_prune(bound):
-            # Bounds are non-increasing from here on and the threshold
-            # never drops, so every remaining FD is prunable too.
-            skipped = len(bounds) - index
-            break
-        tracker.add(fd, count_redundant(relation, fd, NullPolicy.INCLUDE, cache))
-    ranked = [
-        _ranked_fd(
-            relation,
-            fd,
-            redundant_rows_for_lhs(relation, cache.get(fd.lhs), NullPolicy.INCLUDE),
-        )
-        for fd, _ in tracker.top()
-    ]
-    return ranked, skipped
+    matrix, lhs_of = mask_matrix(relation, fds, masks)
+    rhs = membership([fd.rhs for fd in fds], relation.n_cols)
+    marked = matrix.sum(axis=1)
+    total = (marked[lhs_of] * rhs.sum(axis=1)).tolist()
+    # M @ nonnull, as the row sums less M @ nulls over the null-bearing
+    # columns: no BLAS call, and the cost follows the nulls.
+    nulls = null_matrix(relation)
+    per_attr = np.repeat(marked[:, None], relation.n_cols, axis=1)
+    for attr in np.flatnonzero(nulls.any(axis=0)):
+        per_attr[:, attr] -= matrix[:, nulls[:, attr]].sum(axis=1)
+    clean = (per_attr[lhs_of] * rhs).sum(axis=1).tolist()
+    order = sorted(
+        range(len(fds)), key=lambda i: (-total[i], fds[i].lhs, fds[i].rhs)
+    )[:top_k]
+    return RankingResult(
+        ranked=[RankedFD(fds[i], total[i], clean[i]) for i in order],
+        seconds=time.perf_counter() - started,
+        top_k=top_k,
+    )
 
 
 def redundancy_histogram(

@@ -17,6 +17,10 @@ redundancy``, so it cannot displace a winner even on equal-redundancy
 ties — the surviving candidates are re-sorted with the full ranking
 key at the end.  The returned top-k is therefore byte-identical to the
 first k entries of the full ranked cover.
+
+Only the rank-aware searches of ``discover_top_k`` (DHyFD and TANE)
+prune with it.  ``rank_cover(top_k=k)`` measures every FD in one mask
+pass and keeps the first k entries of the full ranking.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from .. import __version__
 from ..algorithms.registry import make_algorithm
-from ..core.result import DiscoveryResult, DiscoveryStats
+from ..core.result import DiscoveryResult
 from ..partitions.cache import tier_gauges
 from ..ranking.ranker import RankedFD, rank_cover
 from ..relational.fd import FDSet
@@ -488,7 +488,6 @@ class FDService:
             schema=full.schema,
             fds=FDSet(ranked.fd for ranked in ranking.ranked),
             elapsed_seconds=time.perf_counter() - start,
-            stats=DiscoveryStats(pruned_candidates=ranking.bound_skipped),
             top_k=config.top_k,
         )
 

@@ -17,7 +17,7 @@ POST     ``/discover``                   ``{dataset, config?, priority?,
                                          ``?top_k=K`` limits the cover to
                                          the K highest-redundancy FDs
 POST     ``/rank``                       same, plus a ranking in the status
-                                         (``?top_k=K`` bounds the ranking)
+                                         (``?top_k=K`` keeps its first K)
 GET      ``/multitable/schemas``         registered multi-table schemas
 GET      ``/multitable/schemas/<ref>``   one schema description
 POST     ``/multitable/schemas``         ``{name?, tables, keys?,

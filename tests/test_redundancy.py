@@ -208,12 +208,29 @@ class TestSinglePass:
             )
 
     def test_profile_derives_each_lhs_partition_once(self):
+        # hepatitis 70x18 takes the pair path: one mask pass, no partitions.
         hepatitis = load_benchmark("hepatitis")
         relation = hepatitis.project_columns(
             [c for c in range(hepatitis.n_cols) if c not in (1, 2)]
         )
         assert (relation.n_rows, relation.n_cols) == (70, 18)
         outcome = profile(relation, trace=True)
+        unique_lhs = {fd.lhs for fd in outcome.canonical}
+        (event,) = outcome.tracer.find_events("lhs_masks")
+        assert event.attrs == {
+            "path": "pairs", "lhss": len(unique_lhs), "pairs": 70 * 69 // 2
+        }
+        assert not [
+            event
+            for event in outcome.tracer.find_events("partition_cache")
+            if event.attrs["scope"] in ("ranking", "redundancy")
+        ]
+
+    def test_partition_path_derives_each_lhs_partition_once(self):
+        # ncvoter at 1,000 rows takes the partition path.
+        outcome = profile(load_benchmark("ncvoter"), trace=True)
+        (event,) = outcome.tracer.find_events("lhs_masks")
+        assert event.attrs["path"] == "partitions"
         misses = sum(
             event.attrs["misses"]
             for event in outcome.tracer.find_events("partition_cache")

@@ -1,4 +1,4 @@
-"""Top-k discovery: tracker unit tests, bounded ranking, differential.
+"""Top-k discovery: tracker unit tests, top-k ranking prefixes, differential.
 
 The contract under test (ISSUE: rank-aware top-k discovery): for any
 relation, ``discover_top_k(k)`` returns exactly the FDs that a full
@@ -124,17 +124,6 @@ class TestBoundedRankCover:
                 assert bounded.ranked == full.ranked[: k]
                 assert bounded.top_k == k
 
-    def test_bound_skipped_counts_pruned_tail(self):
-        # One high-redundancy FD and several zero-redundancy key FDs:
-        # with k=1 the keys' bounds (0) fall below the threshold.
-        rows = [(1, i, i, i) for i in range(8)] + [(1, 8, 8, 0)]
-        relation = Relation.from_rows(rows, RelationSchema(["a", "b", "c", "d"]))
-        cover = DHyFD().discover(relation).fds
-        full = rank_cover(relation, cover)
-        bounded = rank_cover(relation, cover, top_k=1)
-        assert bounded.ranked == full.ranked[:1]
-        assert bounded.bound_skipped > 0
-
     def test_invalid_top_k_rejected(self, city_relation):
         cover = DHyFD().discover(city_relation).fds
         with pytest.raises(ValueError):
@@ -144,7 +133,6 @@ class TestBoundedRankCover:
         cover = DHyFD().discover(city_relation).fds
         ranking = rank_cover(city_relation, cover)
         assert ranking.top_k is None
-        assert ranking.bound_skipped == 0
 
 
 class TestTieOrder:
