@@ -56,7 +56,9 @@ class HyFD(DiscoveryAlgorithm):
             invalid_switch_threshold: switch back to sampling when a
                 validation level invalidates more than this fraction of
                 its candidate FDs.
-            budget: optional :class:`~repro.resilience.RunBudget`.
+            budget: optional :class:`~repro.resilience.RunBudget`; HyFD
+                holds only its floor of singleton partitions, so only
+                the time limit can trip.
             on_limit: ``"raise"`` or ``"partial"`` — see
                 :meth:`DiscoveryAlgorithm.discover`.
         """
@@ -89,12 +91,6 @@ class HyFD(DiscoveryAlgorithm):
         deadline.stats = stats
         deadline.set_partial_provider(
             lambda: confirmed_split(confirmed, tree.iter_fds())
-        )
-        # HyFD retains only singleton partitions — nothing to relieve,
-        # so a tripped budget aborts (or goes partial).
-        deadline.watch_memory(
-            lambda: universal.memory_bytes()
-            + sum(p.memory_bytes() for p in singletons)
         )
 
         # Constants first: validate ∅ -> R directly.

@@ -25,7 +25,7 @@ terminates as soon as a whole level prunes away.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.base import DiscoveryAlgorithm, RunContext
 from ..core.result import DiscoveryStats
@@ -36,6 +36,7 @@ from ..relational import attrset
 from ..relational.attrset import AttrSet
 from ..relational.fd import FD, FDSet
 from ..relational.relation import Relation
+from ..resilience import BudgetExceeded
 
 
 class TANE(DiscoveryAlgorithm):
@@ -86,6 +87,23 @@ class TANE(DiscoveryAlgorithm):
                 # singleton-RHS FD is ||pi_lhs||, already computed.
                 tracker.add(fd, sizes[lhs])
 
+        singletons = store.singletons()
+        #: The universal and singleton partitions, which no run can shed.
+        floor = universal.memory_bytes() + sum(p.memory_bytes() for p in singletons)
+        held = universal.memory_bytes()  # bytes of the live partitions
+
+        def add(mask: AttrSet, partition: StrippedPartition) -> None:
+            # Nothing to give back: above the budget and the floor, abort.
+            nonlocal held
+            partitions[mask] = partition
+            errors[mask] = partition.error
+            sizes[mask] = partition.size
+            held += partition.memory_bytes()
+            if held > floor and not deadline.fits(held):
+                raise BudgetExceeded(
+                    self.name, deadline.budget.memory_limit_bytes, held
+                )
+
         deadline.stats = stats
         # TANE only ever records exactly-validated FDs, so the anytime
         # snapshot is simply what has accumulated; nothing is
@@ -94,19 +112,11 @@ class TANE(DiscoveryAlgorithm):
             deadline.set_partial_provider(lambda: (fds.copy(), FDSet()))
         else:
             deadline.set_partial_provider(lambda: (tracker.cover(), FDSet()))
-        # Nothing to relieve: TANE already keeps just two lattice levels
-        # alive — a tripped budget aborts (or goes partial).
-        deadline.watch_memory(
-            lambda: sum(p.memory_bytes() for p in partitions.values())
-        )
 
         level: List[AttrSet] = []
-        for partition in store.singletons():
-            mask = partition.attrs
-            partitions[mask] = partition
-            errors[mask] = partition.error
-            sizes[mask] = partition.size
-            level.append(mask)
+        for partition in singletons:
+            add(partition.attrs, partition)
+            level.append(partition.attrs)
 
         while level:
             deadline.check()
@@ -122,7 +132,7 @@ class TANE(DiscoveryAlgorithm):
                 for attr in attrset.iter_attrs(lhs & cplus[lhs]):
                     reduced = attrset.remove(lhs, attr)
                     stats.validations += 1
-                    if self._valid(relation, reduced, lhs, partitions, errors, sizes):
+                    if self._valid(relation, reduced, lhs, errors, add):
                         emit(reduced, attr)
                         cplus[lhs] = attrset.remove(cplus[lhs], attr)
                         cplus[lhs] &= lhs  # drop all B in R − X
@@ -141,13 +151,12 @@ class TANE(DiscoveryAlgorithm):
                 survivors.append(lhs)
             # --- generate the next level from prefix blocks
             level = self._next_level(
-                relation, survivors, partitions, errors, sizes, deadline, tracker
+                survivors, partitions, sizes, deadline, tracker, add
             )
             stats.partition_memory_peak_bytes = max(
-                stats.partition_memory_peak_bytes,
-                sum(p.memory_bytes() for p in partitions.values()),
+                stats.partition_memory_peak_bytes, held
             )
-            self._evict(partitions, errors, keep=set(level) | set(survivors))
+            held -= self._evict(partitions, keep=set(level) | set(survivors))
 
         return fds, stats
 
@@ -156,16 +165,12 @@ class TANE(DiscoveryAlgorithm):
         relation: Relation,
         reduced: AttrSet,
         lhs: AttrSet,
-        partitions: Dict[AttrSet, StrippedPartition],
         errors: Dict[AttrSet, int],
-        sizes: Dict[AttrSet, int],
+        add: Callable[[AttrSet, StrippedPartition], None],
     ) -> bool:
         """``reduced -> (lhs − reduced)`` validity via the e-measure."""
         if reduced not in errors:
-            partition = StrippedPartition.for_attrs(relation, reduced)
-            partitions[reduced] = partition
-            errors[reduced] = partition.error
-            sizes[reduced] = partition.size
+            add(reduced, StrippedPartition.for_attrs(relation, reduced))
         return errors[reduced] == errors[lhs]
 
     @staticmethod
@@ -202,13 +207,12 @@ class TANE(DiscoveryAlgorithm):
 
     @staticmethod
     def _next_level(
-        relation: Relation,
         survivors: List[AttrSet],
         partitions: Dict[AttrSet, StrippedPartition],
-        errors: Dict[AttrSet, int],
         sizes: Dict[AttrSet, int],
         deadline: RunContext,
         tracker: Optional[TopKTracker],
+        add: Callable[[AttrSet, StrippedPartition], None],
     ) -> List[AttrSet]:
         """Prefix-block generation with the all-subsets-present check.
 
@@ -246,22 +250,19 @@ class TANE(DiscoveryAlgorithm):
                     if tracker.can_prune(bound):
                         tracker.pruned_candidates += 1
                         continue
-                product = partitions[left].intersect(partitions[right])
-                partitions[merged] = product
-                errors[merged] = product.error
-                sizes[merged] = product.size
+                add(merged, partitions[left].intersect(partitions[right]))
                 next_level.append(merged)
         return next_level
 
     @staticmethod
     def _evict(
-        partitions: Dict[AttrSet, StrippedPartition],
-        errors: Dict[AttrSet, int],
-        keep: set,
-    ) -> None:
-        """Drop partitions below the two live levels (memory discipline)."""
+        partitions: Dict[AttrSet, StrippedPartition], keep: set
+    ) -> int:
+        """Drop partitions below the two live levels; returns the bytes freed."""
         keep_all = set(keep) | {attrset.EMPTY}
         keep_all.update(k for k in partitions if attrset.count(k) == 1)
+        freed = 0
         for victim in [k for k in partitions if k not in keep_all]:
-            del partitions[victim]
+            freed += partitions.pop(victim).memory_bytes()
         # errors stay: they are tiny and validity checks may revisit them
+        return freed

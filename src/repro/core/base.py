@@ -90,24 +90,17 @@ class Deadline:
 
 
 class RunContext:
-    """Per-run limit state: deadline, memory watch, anytime channel.
+    """Per-run limit state: deadline, memory budget, anytime channel.
 
     Quacks like :class:`Deadline` — algorithm inner loops poll one
-    ``check()`` that covers the wall clock, the memory budget and the
-    deterministic ``limit.deadline`` fault point.  Algorithms register
-    the bytes they hold with :meth:`watch_memory` and a *partial
-    provider* returning the sound/unverified split used when
+    ``check()`` that covers the wall clock and the deterministic
+    ``limit.deadline`` fault point.  Algorithms ask :meth:`fits` before
+    or as they allocate partitions, and register a *partial provider*
+    returning the sound/unverified split used when
     ``on_limit="partial"`` turns a tripped limit into a partial result.
     """
 
-    #: Probe memory on every Nth :meth:`check` call (polls sit in inner
-    #: loops, and a probe sums over every live partition).
-    CHECK_STRIDE = 16
-
-    __slots__ = (
-        "algorithm", "budget", "deadline", "stats", "_partial",
-        "_probe", "_relieve", "_floor", "_tick",
-    )
+    __slots__ = ("algorithm", "budget", "deadline", "stats", "_partial")
 
     def __init__(self, algorithm: str, budget: RunBudget):
         self.algorithm = algorithm
@@ -117,50 +110,22 @@ class RunContext:
         #: results keep the work counters accumulated before the limit.
         self.stats: Optional[DiscoveryStats] = None
         self._partial: Optional[Callable[[], Tuple[FDSet, FDSet]]] = None
-        self._probe: Optional[Callable[[], int]] = None
-        self._relieve: Optional[Callable[[], bool]] = None
-        self._floor = 0
-        self._tick = 0
 
     def check(self) -> None:
-        """Poll every limit; raises on the first one exceeded."""
+        """Poll the wall clock; raises once the limit has passed."""
         if faults.armed() and faults.should_fire("limit.deadline"):
             raise TimeLimitExceeded(
                 self.algorithm, self.budget.time_limit or 0.0
             )
         self.deadline.check()
-        if self._probe is not None:
-            self._tick += 1
-            if self._tick % self.CHECK_STRIDE == 0:
-                self._enforce_memory()
 
-    def watch_memory(
-        self,
-        probe: Callable[[], int],
-        relieve: Optional[Callable[[], bool]] = None,
-    ) -> None:
-        """Enforce the budget's memory ceiling on ``probe`` (no-op without one).
+    def fits(self, nbytes: int) -> bool:
+        """Whether ``nbytes`` of partitions stay within the memory budget.
 
-        While the probe reads above the budget, :meth:`check` calls
-        ``relieve`` — which frees what it can and returns False once
-        nothing is left — and probes again.  With nothing left to
-        relieve it raises :class:`~repro.resilience.BudgetExceeded`
-        only if usage exceeds both the budget and the probe's value now:
-        the irreducible baseline the run cannot shed.
+        Always true without a budget.
         """
-        if self.budget.memory_limit_bytes is None:
-            return
-        self._probe, self._relieve, self._floor = probe, relieve, probe()
-
-    def _enforce_memory(self) -> None:
         limit = self.budget.memory_limit_bytes
-        usage = self._probe()
-        while usage > limit:
-            if self._relieve is None or not self._relieve():
-                if usage > max(limit, self._floor):
-                    raise BudgetExceeded(self.algorithm, limit, usage)
-                return
-            usage = self._probe()
+        return limit is None or nbytes <= limit
 
     def set_partial_provider(
         self, provider: Callable[[], Tuple[FDSet, FDSet]]
@@ -338,7 +303,7 @@ class DiscoveryAlgorithm(abc.ABC):
                 fds, unverified = context.partial_cover()
                 stats = context.stats if context.stats is not None else DiscoveryStats()
                 completed = False
-                # BudgetExceeded, or a raw MemoryError nothing relieved.
+                # BudgetExceeded, or a MemoryError no algorithm handled.
                 limit_reason = (
                     "time" if isinstance(exc, TimeLimitExceeded) else "memory"
                 )

@@ -21,13 +21,13 @@ dynamic id to its refined partition; a *singleton lookup* resolves an
 id below ``n_cols``, which denotes a singleton partition by design; a
 *stale fallback* is the only real cache failure — a dynamic id whose
 partition no longer matches the node's path (or is out of range), so
-the lookup degrades to the cheapest singleton.  Internal resolutions
-made by :meth:`update` while refining are not counted at all.
+the lookup degrades to the cheapest singleton.  The resolutions
+:meth:`bases` makes for :meth:`update` are not counted at all.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from ..fdtree.extended import ExtFDNode
 from ..partitions.cache import PartitionCache
@@ -85,10 +85,6 @@ class DynamicDataManager:
         ``"stale"`` (dynamic id inconsistent with the node's path).
         """
         if node.id >= self.n_cols:
-            if faults.armed() and faults.should_fire("ddm.stale"):
-                # Chaos hook: pretend the dynamic id went stale so the
-                # singleton fallback path gets exercised on demand.
-                return self.store.best_singleton(node.path()), "stale"
             index = node.id - self.n_cols
             if index < len(self.dynamic):
                 partition = self.dynamic[index]
@@ -106,6 +102,10 @@ class DynamicDataManager:
         the path, mirroring the paper's default-id escape hatch.
         """
         partition, kind = self._resolve(node)
+        if kind != "singleton" and faults.armed() and faults.should_fire("ddm.stale"):
+            # Chaos hook: pretend the dynamic id went stale so the
+            # singleton fallback path gets exercised on demand.
+            partition, kind = self.store.best_singleton(node.path()), "stale"
         if kind == "dynamic":
             self.hits += 1
         elif kind == "singleton":
@@ -118,19 +118,25 @@ class DynamicDataManager:
     # Algorithm 3 — refine the dynamic array to a new controlled level
     # ------------------------------------------------------------------
 
+    def bases(self, nodes: Sequence[ExtFDNode]) -> List[StrippedPartition]:
+        """The partition each node's refinement starts from (uncounted).
+
+        Whatever the node's id denotes now — a dynamic partition from the
+        previous controlled level, or the best singleton — so work done
+        at earlier levels is reused, never repeated.
+        """
+        return [self._resolve(node)[0] for node in nodes]
+
     def update(self, nodes: Sequence[ExtFDNode]) -> None:
         """Refine partitions for ``nodes`` (the reusable nodes at vl).
 
-        For each node the refinement starts from whatever its current
-        id already denotes — a dynamic partition from the previous
-        controlled level, or the best singleton — so work done at
-        earlier levels is reused, never repeated.  These internal
-        resolutions bypass the lookup counters.
+        Each node's partition is refined from its entry in
+        :meth:`bases`, so a caller that bounded the cost from those
+        partitions refines exactly what it bounded.
         """
         new_array: List[StrippedPartition] = []
-        for node in nodes:
+        for node, base in zip(nodes, self.bases(nodes)):
             path = node.path()
-            base, _ = self._resolve(node)
             partition = base.refine_many(
                 self.relation,
                 attrset.iter_attrs(attrset.difference(path, base.attrs)),
@@ -188,14 +194,28 @@ class DynamicDataManager:
     def shed_dynamic(self) -> int:
         """Drop every dynamic partition; returns the bytes freed.
 
-        DHyFD's memory relief: correctness is unaffected because stale
-        dynamic ids resolve to singleton fallbacks — only validation
-        speed suffers.
+        Correctness is unaffected because stale dynamic ids resolve to
+        singleton fallbacks — only validation speed suffers.
         """
         freed = self.dynamic_memory_bytes()
         self.evictions += len(self.dynamic)
         self.dynamic = []
         return freed
+
+
+def refine_bound(bases: Iterable[StrippedPartition]) -> int:
+    """Bytes that refinements of ``bases`` can hold at most, together.
+
+    A refinement keeps a subset of its base's rows in clusters of at
+    least two, so it has at most ``size // 2`` clusters.  That bound is
+    not the base's own bytes: one 100-row cluster split into 50 pairs
+    needs more ``offsets`` than the base had.
+    """
+    return sum(
+        base.rows.itemsize * base.size
+        + base.offsets.itemsize * (base.size // 2 + 1)
+        for base in bases
+    )
 
 
 def _assign_id_to_subtree(node: ExtFDNode, node_id: int) -> None:

@@ -8,7 +8,8 @@ back through synergized induction, and after each level the
 efficiency–inefficiency ratio decides whether the DDM should refine its
 partitions up to this level — switching to a row-based, memory-heavier
 mode exactly when the evidence says many FDs above will be *valid* and
-therefore worth the finer partitions.
+therefore worth the finer partitions.  Under a memory budget a refresh
+is made only when it fits (:func:`_admit_refresh`).
 
 Top-k mode (:meth:`~repro.core.base.DiscoveryAlgorithm.discover_top_k`)
 threads a :class:`~repro.ranking.topk.TopKTracker` through the same
@@ -44,7 +45,7 @@ from .base import (
     RunContext,
     confirmed_split,
 )
-from .ddm import DynamicDataManager
+from .ddm import DynamicDataManager, refine_bound
 from .ratio import DEFAULT_RATIO_THRESHOLD, LevelDecision
 from .result import DiscoveryStats
 from .sampling import initial_sample
@@ -112,6 +113,26 @@ def _rebuild_from_checkpoint(state: dict, n_cols: int):
     return tree, confirmed, applied, validation_level, validated_fds
 
 
+def _admit_refresh(
+    ddm: DynamicDataManager, nodes: List[ExtFDNode], context: RunContext
+) -> bool:
+    """Whether refreshing ``nodes`` fits the memory budget (always without one).
+
+    It fits if what the DDM holds plus the bound on the new array, over
+    the bases the nodes refine from, fits.  Failing that, if dropping
+    the old array first would make it fit (the nodes then refine from
+    their best singletons), the old array is dropped and it fits.
+    """
+    held = ddm.memory_bytes()
+    if context.fits(held + refine_bound(ddm.bases(nodes))):
+        return True
+    singletons = [ddm.store.best_singleton(node.path()) for node in nodes]
+    if context.fits(held - ddm.dynamic_memory_bytes() + refine_bound(singletons)):
+        ddm.shed_dynamic()
+        return True
+    return False
+
+
 class DHyFD(DiscoveryAlgorithm):
     """Dynamic hybrid FD discovery (paper Algorithm 6)."""
 
@@ -137,8 +158,8 @@ class DHyFD(DiscoveryAlgorithm):
                 FD-tree approximation comes from root validation alone
                 and every refinement burden falls on validation.
             budget: optional :class:`~repro.resilience.RunBudget`
-                (memory pressure evicts refined partitions, then also
-                stops refining, before the run aborts).
+                (a refresh that would not fit the memory budget is
+                refused; the run never aborts for memory).
             on_limit: ``"raise"`` (default) or ``"partial"`` — see
                 :meth:`DiscoveryAlgorithm.discover`.
         """
@@ -171,6 +192,8 @@ class DHyFD(DiscoveryAlgorithm):
 
         ddm = DynamicDataManager(relation)
         stats.partition_memory_peak_bytes = ddm.memory_bytes()
+        #: Cleared for good when a refinement round raises MemoryError.
+        refining = self.enable_ddm_updates
         tree = ExtendedFDTree(n_cols)
         tree.add_fd(attrset.EMPTY, all_attrs)
 
@@ -209,29 +232,6 @@ class DHyFD(DiscoveryAlgorithm):
             for attr in attrset.iter_attrs(rhs):
                 tracker.add(FD(path, attrset.singleton(attr)), redundancy)
 
-        # --- memory relief: refined partitions are a pure performance
-        # cache.  Each call drops them; the second also stops refining,
-        # after which nothing regrows and there is nothing left to free.
-        reliefs = 0
-
-        def _relieve() -> bool:
-            nonlocal reliefs
-            if reliefs == 2:
-                return False
-            reliefs += 1
-            usage = ddm.memory_bytes()
-            freed = ddm.shed_dynamic()
-            stage = "evict_refined_partitions" if reliefs == 1 else "disable_refinement"
-            tracer.event(
-                "degradation",
-                stage=stage,
-                resource="memory",
-                usage=usage,
-                limit=deadline.budget.memory_limit_bytes or 0,
-                freed=freed,
-            )
-            return True
-
         deadline.stats = stats
         if tracker is None:
             # Lazy in ``tree``: a resumed run rebinds it below.
@@ -243,7 +243,6 @@ class DHyFD(DiscoveryAlgorithm):
             # so the snapshot is a sound (if possibly incomplete)
             # top-k prefix.
             deadline.set_partial_provider(lambda: (tracker.cover(), FDSet()))
-        deadline.watch_memory(ddm.memory_bytes, _relieve)
 
         # --- checkpoint/resume: a journal snapshot replaces sampling +
         # root validation with the rebuilt tree and validated-level
@@ -394,11 +393,8 @@ class DHyFD(DiscoveryAlgorithm):
                     "ratio": min(decision.ratio, 1e9),
                 }
             )
-            refresh = (
-                self.enable_ddm_updates
-                and reliefs < 2
-                and decision.should_update(self.ratio_threshold)
-            )
+            wanted = refining and decision.should_update(self.ratio_threshold)
+            refresh = wanted and _admit_refresh(ddm, reusables, deadline)
             tracer.event(
                 "ratio_decision",
                 level=validation_level,
@@ -408,27 +404,39 @@ class DHyFD(DiscoveryAlgorithm):
                 inefficiency=decision.inefficiency,
                 ratio=min(decision.ratio, 1e9),
                 refresh=refresh,
+                refused=wanted and not refresh,
             )
             if refresh:
                 with tracer.span(
                     "refinement", level=validation_level, nodes=len(reusables)
                 ) as span:
+                    held = ddm.memory_bytes()
                     try:
                         ddm.update(reusables)
                     except MemoryError:
-                        # Refinement is a pure optimization: shed the
+                        # Refinement is a pure optimization: drop the
                         # dynamic array — ids the failed round already
-                        # rewrote degrade to singleton fallbacks — and,
-                        # on a repeat, stop refining.
+                        # rewrote degrade to singleton fallbacks — and
+                        # stop refining.
                         span.annotate(failed=True)
-                        _relieve()
+                        refining = False
+                        tracer.event(
+                            "degradation",
+                            stage="disable_refinement",
+                            resource="memory",
+                            usage=held,
+                            limit=deadline.budget.memory_limit_bytes or 0,
+                            freed=ddm.shed_dynamic(),
+                        )
                     else:
                         controlled_level = validation_level
                         stats.partition_refreshes += 1
-                        span.annotate(memory_bytes=ddm.dynamic_memory_bytes())
-            stats.partition_memory_peak_bytes = max(
-                stats.partition_memory_peak_bytes, ddm.memory_bytes()
-            )
+                        new_bytes = ddm.dynamic_memory_bytes()
+                        span.annotate(memory_bytes=new_bytes)
+                        # The old array lives until the new one is built.
+                        stats.partition_memory_peak_bytes = max(
+                            stats.partition_memory_peak_bytes, held + new_bytes
+                        )
             stats.levels_processed += 1
             validation_level += 1
             candidates = tree.nodes_at_level(validation_level)

@@ -114,8 +114,6 @@ def rank_cover(
     """
     start = time.perf_counter()
     fds = list(cover)
-    if top_k is not None and top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
     with current_tracer().span("ranking", fds=len(fds)):
         masks = lhs_row_masks(relation, (fd.lhs for fd in fds), deadline=deadline)
         return ranking_from_masks(relation, fds, masks, start, top_k)
@@ -135,9 +133,11 @@ def ranking_from_masks(
     the non-null ones are the sum over ``A ∈ Y`` of the marked rows
     non-null on ``A`` (EXCLUDE_RHS only filters the same rows by each
     RHS attribute's own null mask).  ``top_k`` keeps the first k
-    entries.  ``started`` is the :func:`time.perf_counter` reading the
-    timed pass began at.
+    entries; it must be at least 1.  ``started`` is the
+    :func:`time.perf_counter` reading the timed pass began at.
     """
+    if top_k is not None and top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
     matrix, lhs_of = mask_matrix(relation, fds, masks)
     rhs = membership([fd.rhs for fd in fds], relation.n_cols)
     marked = matrix.sum(axis=1)

@@ -3,10 +3,11 @@
 Three pillars (see ``docs/resilience.md``):
 
 * **Guardrails** — :class:`RunBudget` (wall clock + partition-memory
-  bytes), whose memory ceiling
-  :meth:`~repro.core.base.RunContext.watch_memory` enforces by calling
-  the algorithm's relief callback before aborting with
-  :class:`BudgetExceeded`;
+  bytes).  Algorithms check the memory budget where they allocate,
+  with :meth:`~repro.core.base.RunContext.fits`: DHyFD refuses a
+  partition refresh that would not fit, and TANE raises
+  :class:`BudgetExceeded` once its partitions exceed both the budget
+  and its floor;
 * **Anytime partial results** — algorithms constructed with
   ``on_limit="partial"`` return a
   :class:`~repro.core.result.DiscoveryResult` with ``completed=False``,

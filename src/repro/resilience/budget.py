@@ -1,15 +1,14 @@
 """Resource limits for one discovery run.
 
 A :class:`RunBudget` bundles the wall-clock limit with a
-partition-memory byte budget.  The budget is enforced by
-:meth:`~repro.core.base.RunContext.watch_memory`, polled at the same
-sites as the deadline: under pressure it calls the algorithm's
-``relieve`` callback (DHyFD drops its refined partitions, then stops
-refining) and aborts with :class:`BudgetExceeded` only once nothing is
-left to relieve and usage exceeds both the budget and the irreducible
-baseline recorded when the watch was installed.  Refinement is a pure
-performance optimization, so a run that survives returns the
-unconstrained cover.
+partition-memory byte budget.  Algorithms ask
+:meth:`~repro.core.base.RunContext.fits` before or as they allocate:
+DHyFD admits a partition refresh only when the bound on its new array
+fits beside what it holds (dropping the old array first when that
+alone makes it fit), so it never aborts for memory and returns the
+unconstrained cover.  TANE, with nothing to give back, raises
+:class:`BudgetExceeded` once its live partitions exceed both the
+budget and its floor (the universal plus singleton partitions).
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def parse_bytes(value: Union[int, str]) -> int:
 
 
 class BudgetExceeded(Exception):
-    """The partition-memory budget was exhausted with nothing left to relieve.
+    """The partition-memory budget was exceeded above the run's floor.
 
     The analogous wall-clock failure is
     :class:`~repro.core.base.TimeLimitExceeded`.
@@ -59,7 +58,7 @@ class BudgetExceeded(Exception):
     def __init__(self, algorithm: str, limit: int, usage: int):
         super().__init__(
             f"{algorithm} exceeded its memory budget: "
-            f"{usage} > {limit} bytes with nothing left to relieve"
+            f"{usage} > {limit} bytes above its floor"
         )
         self.algorithm = algorithm
         self.limit = limit

@@ -16,7 +16,7 @@ The log is a flat sequence of CRC-framed JSON records::
 
     <u32 crc32(payload)> <u32 len(payload)> <payload: UTF-8 JSON>
 
-(little-endian).  Appends are fsync'd by default, so a record that was
+(little-endian).  Every append is fsync'd, so a record that was
 acknowledged survives a crash.  Replay is truncation-tolerant: a short
 header, short payload, or CRC mismatch marks the *torn tail* a crash
 left behind — everything before it is kept, the tail is truncated away,
@@ -89,18 +89,13 @@ class JobJournal:
     def __init__(
         self,
         path: Union[str, Path],
-        fsync: bool = True,
         count: Callable[..., None] = _noop_count,
     ):
         """Args:
             path: the WAL file (created along with parent directories).
-            fsync: fsync every append (disable only in tests that
-                measure throughput — an unfsync'd WAL still survives
-                process crashes, just not power cuts).
             count: metrics hook ``count(name, amount=1)``.
         """
         self.path = Path(path)
-        self.fsync = fsync
         self._count = count
         self._lock = threading.Lock()
         #: Replayed + live job state, in submit order.
@@ -214,8 +209,7 @@ class JobJournal:
                     raise faults.FaultInjected("journal.torn_write")
                 self._fh.write(frame)
                 self._fh.flush()
-                if self.fsync:
-                    os.fsync(self._fh.fileno())
+                os.fsync(self._fh.fileno())
             except Exception:  # noqa: BLE001 — durability aid, not hazard
                 self.broken = True
                 self._count("service.journal.errors")

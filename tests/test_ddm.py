@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from repro.core.ddm import DynamicDataManager
+from repro.core.ddm import DynamicDataManager, refine_bound
 from repro.fdtree.extended import ExtendedFDTree
 from repro.partitions.stripped import StrippedPartition
 from repro.relational import attrset
+from repro.relational.relation import Relation
 
 
 def A(*attrs):
@@ -153,3 +154,37 @@ class TestUpdate:
         ddm.update([end])
         assert ddm.dynamic_memory_bytes() > 0
         assert ddm.memory_bytes() > ddm.dynamic_memory_bytes()
+
+
+class TestRefineBound:
+    def test_bounds_every_refinement_of_the_bases(self, city_relation):
+        ddm = DynamicDataManager(city_relation)
+        tree = ExtendedFDTree(city_relation.n_cols)
+        nodes = [tree.add_fd(A(1, 2), A(3)), tree.add_fd(A(2, 3), A(1))]
+        bound = refine_bound(ddm.bases(nodes))
+        ddm.update(nodes)
+        assert 0 < ddm.dynamic_memory_bytes() <= bound
+
+    def test_pairs_split_from_one_cluster_exceed_the_base(self):
+        # One 100-row cluster split into 50 pairs: the refinement needs
+        # 51 offsets where its base had 2, so the base's own bytes are
+        # no bound.
+        relation = Relation.from_rows(
+            [(0, row // 2) for row in range(100)], ["a", "b"]
+        )
+        base = StrippedPartition.for_attribute(relation, 0)
+        refined = base.refine(relation, 1)
+        assert refined.num_clusters == 50
+        assert refined.memory_bytes() > base.memory_bytes()
+        assert refined.memory_bytes() == refine_bound([base])
+        assert refine_bound([]) == 0
+
+    def test_bases_match_what_update_refines_from(self, city_relation):
+        ddm = DynamicDataManager(city_relation)
+        tree = ExtendedFDTree(city_relation.n_cols)
+        end = tree.add_fd(A(1, 2), A(3))
+        assert ddm.bases([end]) == [ddm.store.best_singleton(A(1, 2))]
+        ddm.update([end.parent])
+        assert ddm.bases([end]) == [ddm.dynamic[0]]
+        ddm.shed_dynamic()
+        assert ddm.bases([end]) == [ddm.store.best_singleton(A(1, 2))]

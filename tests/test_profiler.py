@@ -70,3 +70,11 @@ class TestProfile:
         assert bounded.ranking.top_k == 10
         assert replace(bounded.redundancy, seconds=0) == replace(full.redundancy, seconds=0)
         assert passes == [1]
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_is_rejected(self, top_k):
+        from repro.datasets.benchmarks import load_benchmark
+
+        relation = load_benchmark("iris", n_rows=50)
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            profile(relation, top_k=top_k)

@@ -4,9 +4,10 @@ The load-bearing properties:
 
 * a tripped limit with ``on_limit="partial"`` returns a *sound* cover —
   every FD in it holds on the full relation — plus the unverified rest;
-* a memory budget degrades a run (evict refined partitions, then also
-  stop refining) instead of killing it, and the degraded cover is
-  byte-identical to the unconstrained one (the budget grid below);
+* a memory budget refuses DHyFD the partition refreshes that would not
+  fit instead of killing the run, its recorded peak stays within the
+  budget, and the cover is byte-identical to the unconstrained one
+  (the budget grid below);
 * armed fault points make the stack fail exactly where production code
   claims to survive, and it does.
 """
@@ -17,14 +18,17 @@ import pytest
 
 from repro.algorithms import make_algorithm
 from repro.core.base import Deadline, RunContext, TimeLimitExceeded
-from repro.core.ddm import DynamicDataManager
-from repro.core.dhyfd import DHyFD
+from repro.core.ddm import DynamicDataManager, refine_bound
+from repro.core.dhyfd import DHyFD, _admit_refresh
+from repro.core.ratio import DEFAULT_RATIO_THRESHOLD
 from repro.core.validation import check_fd
 from repro.covers.canonical import canonical_cover
 from repro.datasets.benchmarks import load_benchmark
+from repro.fdtree.extended import ExtendedFDTree
 from repro.partitions.stripped import StrippedPartition
 from repro.ranking.ranker import rank_cover
 from repro.ranking.redundancy import dataset_redundancy
+from repro.relational import attrset
 from repro.resilience import BudgetExceeded, RunBudget, faults, parse_bytes
 from repro.telemetry import Tracer, use_tracer
 from repro.ucc.discovery import discover_uccs
@@ -110,80 +114,53 @@ class TestRunBudget:
 
 
 # ----------------------------------------------------------------------
-# Memory sentinel (RunContext.watch_memory)
+# TANE: a running total checked after every partition it stores
 # ----------------------------------------------------------------------
 
 
-class _FakeStore:
-    """A byte counter whose relief frees ``amount`` per call, ``calls`` times."""
-
-    def __init__(self, usage, amount=0, calls=0):
-        self.usage = usage
-        self.amount = amount
-        self.calls = calls
-        self.relieved = 0
-
-    def probe(self):
-        return self.usage
-
-    def relieve(self):
-        if self.relieved == self.calls:
-            return False
-        self.relieved += 1
-        self.usage -= min(self.amount, self.usage)
-        return True
+def _floor_bytes(relation):
+    """Universal plus singleton partitions: what no run can shed."""
+    return DynamicDataManager(relation).memory_bytes()
 
 
-class TestMemorySentinel:
-    @pytest.fixture(autouse=True)
-    def _every_check_probes(self, monkeypatch):
-        monkeypatch.setattr(RunContext, "CHECK_STRIDE", 1)
-
-    def _watch(self, store, limit):
-        context = RunContext("test", RunBudget(memory_limit_bytes=limit))
-        context.watch_memory(store.probe, store.relieve)
-        return context
-
-    def test_stages_fire_in_order_until_under_limit(self):
-        store = _FakeStore(0, amount=300, calls=3)
-        context = self._watch(store, limit=400)
-        store.usage = 1000
-        context.check()
-        # 1000 -> 700 (still over) -> 400 (not over): third call unused.
-        assert store.relieved == 2
-        assert store.usage == 400
-
-    def test_exhausted_ladder_aborts_beyond_floor(self):
-        store = _FakeStore(200, amount=500, calls=1)
-        context = self._watch(store, limit=100)  # floor: 200
-        store.usage = 1000
+class TestTaneBudget:
+    def test_aborts_only_above_the_floor(self):
+        relation = load_benchmark("ncvoter")
+        floor = _floor_bytes(relation)
+        assert floor == 75_588
         with pytest.raises(BudgetExceeded) as excinfo:
-            context.check()  # 1000 -> 500, nothing left, 500 > 200
-        assert excinfo.value.limit == 100
-        assert excinfo.value.usage == 500
-        assert store.relieved == 1
+            make_algorithm(
+                "tane", budget=RunBudget(memory_limit_bytes=floor - 1)
+            ).discover(relation)
+        assert excinfo.value.limit == floor - 1
+        assert excinfo.value.usage > floor
 
-    def test_floor_tolerance_prevents_abort(self):
-        # Usage sheds down to the irreducible baseline; budget is below
-        # the baseline, but the watch tolerates it (no abort).
-        store = _FakeStore(500, amount=500, calls=1)
-        context = self._watch(store, limit=100)  # floor: 500
-        store.usage = 1000
-        context.check()  # 1000 -> 500 == floor: tolerated
-        assert store.usage == 500
-        context.check()  # still over limit, still tolerated
+    def test_aborts_at_the_first_partition_over_the_limit(self):
+        # Checked on every partition, not on a sampled poll: a limit one
+        # byte under the unbudgeted peak trips exactly at the peak.
+        relation = load_benchmark("ncvoter")
+        baseline = make_algorithm("tane").discover(relation)
+        peak = baseline.stats.partition_memory_peak_bytes
+        with pytest.raises(BudgetExceeded) as excinfo:
+            make_algorithm(
+                "tane", budget=RunBudget(memory_limit_bytes=peak - 1)
+            ).discover(relation)
+        assert excinfo.value.usage == peak
+        exact = make_algorithm(
+            "tane", budget=RunBudget(memory_limit_bytes=peak)
+        ).discover(relation)
+        assert _fd_tuples(exact.fds) == _fd_tuples(baseline.fds)
 
-    def test_checks_are_strided(self, monkeypatch):
-        monkeypatch.setattr(RunContext, "CHECK_STRIDE", 16)
-        probes = []
-        context = RunContext("test", RunBudget(memory_limit_bytes=100))
-        context.watch_memory(lambda: probes.append(1) or 1000)
-        probes.clear()  # the install-time floor probe
-        for _ in range(RunContext.CHECK_STRIDE - 1):
-            context.check()
-        assert not probes
-        context.check()
-        assert probes
+    def test_hyfd_holds_only_its_floor(self):
+        # HyFD keeps the universal and singleton partitions alone, so
+        # no budget can make it abort.
+        relation = make_random_relation(11)
+        baseline = make_algorithm("hyfd").discover(relation)
+        result = make_algorithm(
+            "hyfd", budget=RunBudget(memory_limit_bytes=1)
+        ).discover(relation)
+        assert result.completed
+        assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
 
 
 # ----------------------------------------------------------------------
@@ -272,17 +249,12 @@ class TestRunContext:
             context.check()
         context.check()  # disarmed again
 
-    def test_sentinel_only_with_memory_budget(self, monkeypatch):
-        monkeypatch.setattr(RunContext, "CHECK_STRIDE", 1)
-        probes = []
+    def test_fits_only_with_memory_budget(self):
         unlimited = RunContext("test", RunBudget(time_limit=5.0))
-        unlimited.watch_memory(lambda: probes.append(1) or 10 ** 9)
-        unlimited.check()
-        assert not probes
+        assert unlimited.fits(10 ** 12)
         limited = RunContext("test", RunBudget(memory_limit_bytes=1024))
-        limited.watch_memory(lambda: probes.append(1) or 512)
-        limited.check()
-        assert len(probes) == 2  # the install-time floor, then the check
+        assert limited.fits(1024)
+        assert not limited.fits(1025)
 
     def test_partial_cover_defaults_empty(self):
         context = RunContext("test", RunBudget())
@@ -349,16 +321,66 @@ class TestPartialResults:
 
 
 # ----------------------------------------------------------------------
-# Degradation ladder (DHyFD under a memory budget)
+# Refresh admission (DHyFD under a memory budget)
 # ----------------------------------------------------------------------
 
 
+class TestAdmitRefresh:
+    """The three answers of DHyFD's admission check, on one DDM."""
+
+    @pytest.fixture
+    def setup(self):
+        relation = load_benchmark("bridges", n_rows=80)
+        ddm = DynamicDataManager(relation)
+        tree = ExtendedFDTree(relation.n_cols)
+        # Refine the parent {a} from a large singleton, then ask for
+        # {a, b}, where b's singleton is much smaller than the parent.
+        size = [partition.size for partition in ddm.singletons]
+        a, b = max(
+            ((a, b) for a in range(len(size)) for b in range(a + 1, len(size))),
+            key=lambda pair: size[pair[0]] - size[pair[1]],
+        )
+        rhs = next(c for c in range(relation.n_cols) if c not in (a, b))
+        end = tree.add_fd(attrset.from_attrs([a, b]), attrset.singleton(rhs))
+        ddm.update([end.parent])
+        held = ddm.memory_bytes()
+        from_dynamic = held + refine_bound(ddm.bases([end]))
+        from_singletons = (
+            held - ddm.dynamic_memory_bytes()
+            + refine_bound([ddm.store.best_singleton(end.path())])
+        )
+        assert from_singletons < from_dynamic
+        return ddm, end, from_dynamic, from_singletons
+
+    @staticmethod
+    def _admit(ddm, end, limit):
+        context = RunContext("dhyfd", RunBudget(memory_limit_bytes=limit))
+        return _admit_refresh(ddm, [end], context)
+
+    def test_admits_what_fits_beside_the_old_array(self, setup):
+        ddm, end, from_dynamic, _ = setup
+        assert self._admit(ddm, end, from_dynamic)
+        assert ddm.dynamic  # kept: the node refines from it
+
+    def test_drops_the_old_array_when_that_alone_fits(self, setup):
+        ddm, end, from_dynamic, from_singletons = setup
+        assert self._admit(ddm, end, from_dynamic - 1)
+        assert not ddm.dynamic
+        ddm.update([end])
+        assert ddm.memory_bytes() <= from_singletons
+
+    def test_refuses_and_keeps_the_old_array(self, setup):
+        ddm, end, _, from_singletons = setup
+        old = list(ddm.dynamic)
+        assert not self._admit(ddm, end, from_singletons - 1)
+        assert ddm.dynamic == old
+
+
 class TestDegradation:
-    def test_tiny_budget_walks_full_ladder_and_still_completes(self, monkeypatch):
-        # Pin the probe stride to 1 so even a fast run polls the budget.
-        monkeypatch.setattr(RunContext, "CHECK_STRIDE", 1)
-        relation = make_random_relation(11)
+    def test_one_byte_budget_refuses_every_refresh(self):
+        relation = load_benchmark("ncvoter")
         baseline = DHyFD().discover(relation)
+        assert baseline.stats.partition_refreshes > 0
         tracer = Tracer()
         with use_tracer(tracer):
             result = DHyFD(budget=RunBudget(memory_limit_bytes=1)).discover(
@@ -366,15 +388,20 @@ class TestDegradation:
             )
         assert result.completed
         assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
-        events = tracer.find_events("degradation")
-        assert [e.attrs["stage"] for e in events] == [
-            "evict_refined_partitions",
-            "disable_refinement",
-        ]
+        assert result.stats.partition_refreshes == 0
+        assert not tracer.find_events("degradation")
+        events = tracer.find_events("ratio_decision")
         for event in events:
-            assert event.attrs["resource"] == "memory"
-            assert event.attrs["limit"] == 1
-            assert event.attrs["usage"] - event.attrs["freed"] >= 0
+            attrs = event.attrs
+            # The ratio asks for a refresh above level 1 when it beats
+            # the threshold; 1e9 is the cap of an infinite ratio, which
+            # means no reusable node (nothing to refresh).
+            asked = attrs["level"] > 1 and (
+                DEFAULT_RATIO_THRESHOLD < attrs["ratio"] < 1e9
+            )
+            assert not attrs["refresh"]
+            assert attrs["refused"] == asked
+        assert any(event.attrs["refused"] for event in events)
 
     def test_half_peak_budget_byte_identical_cover(self, monkeypatch):
         relation = make_random_relation(11)
@@ -403,21 +430,25 @@ class TestDegradation:
 
     @pytest.mark.parametrize("factor", [0.9, 0.7, 0.5])
     def test_budget_grid_never_changes_the_cover(self, factor):
-        # A budget below DHyFD's unbudgeted peak: DHyFD degrades and
-        # returns the same cover; HyFD and TANE, with nothing to relieve,
-        # return the exact cover or abort — never a different cover.
-        relation = load_benchmark("ncvoter")
-        baseline = DHyFD().discover(relation)
-        limit = int(baseline.stats.partition_memory_peak_bytes * factor)
-        budget = RunBudget(memory_limit_bytes=limit)
-        result = DHyFD(budget=budget).discover(relation)
-        assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
-        for name in ("hyfd", "tane"):
-            try:
-                other = make_algorithm(name, budget=budget).discover(relation)
-            except BudgetExceeded:
-                continue
-            assert _fd_tuples(other.fds) == _fd_tuples(baseline.fds)
+        # A budget below DHyFD's unbudgeted peak: DHyFD refuses the
+        # refreshes that would not fit, stays within the budget whenever
+        # its floor does, and returns the same cover; HyFD returns it
+        # too and TANE returns it or aborts — never a different cover.
+        for dataset in ("ncvoter", "bridges", "letter", "adult"):
+            relation = load_benchmark(dataset)
+            baseline = DHyFD().discover(relation)
+            limit = int(baseline.stats.partition_memory_peak_bytes * factor)
+            budget = RunBudget(memory_limit_bytes=limit)
+            result = DHyFD(budget=budget).discover(relation)
+            assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds), dataset
+            if _floor_bytes(relation) < limit:
+                assert result.stats.partition_memory_peak_bytes <= limit, dataset
+            for name in ("hyfd", "tane"):
+                try:
+                    other = make_algorithm(name, budget=budget).discover(relation)
+                except BudgetExceeded:
+                    continue
+                assert _fd_tuples(other.fds) == _fd_tuples(baseline.fds), name
 
 
 # ----------------------------------------------------------------------
@@ -439,8 +470,8 @@ class TestChaosFaults:
             base.refine(city_relation, 2)
 
     def test_refine_fault_degrades_dhyfd_not_kills(self):
-        # A MemoryError inside DDM refinement calls the memory relief
-        # (drop the refined partitions); the run finishes with the
+        # A MemoryError inside DDM refinement drops the refined
+        # partitions and stops refining; the run finishes with the
         # correct cover.  bridges refines once, so the fault fires there.
         relation = load_benchmark("bridges", n_rows=80)
         baseline = DHyFD().discover(relation)
@@ -452,7 +483,8 @@ class TestChaosFaults:
         assert result.completed
         assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
         stages = [e.attrs["stage"] for e in tracer.find_events("degradation")]
-        assert stages == ["evict_refined_partitions"]
+        assert stages == ["disable_refinement"]
+        assert result.stats.partition_refreshes == 0
 
     def test_ddm_stale_fault_keeps_cover_correct(self):
         relation = make_random_relation(7)
