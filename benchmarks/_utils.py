@@ -7,8 +7,10 @@ suite honours ``REPRO_BENCH_SCALE``:
 * ``quick`` — the default; every experiment's *shape* at small scale;
 * ``full``  — the registry's bench-scale rows everywhere (minutes).
 
-Each module prints its paper-style table and also writes it under
-``benchmarks/out/`` so a full run leaves artifacts behind.
+Each module prints its paper-style table and, except at ``smoke``
+scale, also writes it under ``benchmarks/out/`` so a run leaves
+artifacts behind.  Smoke-scale tables are only printed: they would
+overwrite the tracked quick-scale reports.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ def pick(smoke, quick, full):
 
 
 def write_artifact(name: str, text: str) -> None:
-    """Print a report and persist it under benchmarks/out/."""
+    """Print a report and persist it under benchmarks/out/ (not at smoke scale)."""
+    if SCALE == "smoke":
+        print(f"\n{text}\n[smoke scale: {name}.txt not written]")
+        return
     OUT_DIR.mkdir(exist_ok=True)
     path = OUT_DIR / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf-8")

@@ -7,13 +7,18 @@ memory budget, and asserts the served cover is
 byte-identical to a direct in-process ``discover()`` — plus that the
 repeat request was served from the result store.
 
-A second phase boots ``serve`` with ``--store-dir`` and
+A top-k phase asks a fresh ``serve`` for ``/discover?top_k=3``: the
+answer must be byte-identical to the first 3 of the library's
+``rank_cover`` of the left-reduced cover, and a following plain
+``/discover`` must be a store hit (one discovery run for both).
+
+A restart phase boots ``serve`` with ``--store-dir`` and
 ``--dataset-dir``, uploads a named dataset, declares a schema and
 discovers, then SIGTERMs and reboots it: the name must still resolve,
 the schema must still be listed, and a repeat discover must be a store
 hit with a byte-identical cover.
 
-A third phase SIGKILLs a persisted ``serve`` mid-discovery, after the
+A last phase SIGKILLs a persisted ``serve`` mid-discovery, after the
 job's first checkpoint reaches its journal, and reboots it on the same
 directories with ``--recover``: the job id never 404s, the job resumes
 past its completed levels, and its cover is byte-identical to a direct
@@ -40,6 +45,8 @@ import zlib
 from repro.algorithms.registry import make_algorithm
 from repro.datasets import load_benchmark
 from repro.datasets.synthetic import random_relation
+from repro.ranking import rank_cover
+from repro.relational.fd import FDSet
 from repro.relational.fd_io import cover_to_json
 from repro.service import ServiceClient, ServiceError
 
@@ -105,6 +112,7 @@ def main() -> int:
         print("metrics: exactly 1 discovery run for 2 requests — OK")
     finally:
         stop_server(proc)
+    top_k_phase(relation)
     restart_phase(relation, expected)
     kill_mid_job_phase()
     print("service smoke test passed")
@@ -119,6 +127,36 @@ def stop_server(proc) -> int:
     except subprocess.TimeoutExpired:
         proc.kill()
         raise SystemExit("server did not exit within 30s of SIGTERM")
+
+
+def top_k_phase(relation, k: int = 3) -> None:
+    """``/discover?top_k`` is a prefix of the ranked left-reduced cover,
+    cut from the full cover it stores."""
+    cover = make_algorithm("dhyfd").discover(relation).fds
+    ranking = rank_cover(relation, cover, top_k=k)
+    expected = cover_to_json(FDSet(r.fd for r in ranking.ranked), relation.schema)
+    proc, url = boot_server()
+    try:
+        client = ServiceClient(url, timeout=120.0)
+        info = client.upload_rows(relation.schema.names, list(relation.iter_rows()))
+        status = client.discover(info["fingerprint"], config=dict(CONFIG), top_k=k)
+        assert status["status"] == "done", status
+        result = ServiceClient.result_from_status(status)
+        assert result.top_k == k, result.top_k
+        assert cover_to_json(result.fds, result.schema) == expected, (
+            "served top-k differs from the first k of rank_cover"
+        )
+        status = client.discover(info["fingerprint"], config=dict(CONFIG))
+        assert status["status"] == "done", status
+        assert status["cached"] is True, "full discover should be a store hit"
+        result = ServiceClient.result_from_status(status)
+        assert len(result.fds) == len(cover), "full discover served a prefix"
+        counters = client.metrics()["counters"]
+        assert counters["service.discovery.runs"] == 1, counters
+    finally:
+        stop_server(proc)
+    print(f"top-k: /discover?top_k={k} is the first {k} of rank_cover; "
+          "the full discover after it is a store hit")
 
 
 def restart_phase(relation, expected: str) -> None:

@@ -57,8 +57,8 @@ class HyFD(DiscoveryAlgorithm):
                 validation level invalidates more than this fraction of
                 its candidate FDs.
             budget: optional :class:`~repro.resilience.RunBudget`; HyFD
-                holds only its floor of singleton partitions, so only
-                the time limit can trip.
+                holds only its floor of universal and singleton
+                partitions, so only the time limit can trip.
             on_limit: ``"raise"`` or ``"partial"`` — see
                 :meth:`DiscoveryAlgorithm.discover`.
         """
@@ -76,7 +76,9 @@ class HyFD(DiscoveryAlgorithm):
         store = PartitionCache(relation)  # private, as in the DDM
         singletons = store.singletons()
         universal = store.universal
-        stats.partition_memory_peak_bytes = sum(
+        # The floor DHyFD and TANE count: the universal and singleton
+        # partitions.
+        stats.partition_memory_peak_bytes = universal.memory_bytes() + sum(
             p.memory_bytes() for p in singletons
         )
         sampler = AgreeSetSampler(relation, singletons)

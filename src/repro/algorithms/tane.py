@@ -12,26 +12,18 @@ the paper stresses, the level-wise strategy still enumerates the whole
 lattice when valid FDs sit at many different levels.
 
 Top-k mode (:meth:`~repro.core.base.DiscoveryAlgorithm.discover_top_k`)
-adds rank-aware pruning: every FD TANE emits with LHS ``X`` has
-null-inclusive redundancy ``||pi_X||``, a size the level-wise sweep
-computes anyway, so the running k-th redundancy is maintained for free.
-A next-level candidate ``Y`` is generated only if the largest
-``||pi_W||`` over its co-atoms ``W`` can still reach that threshold —
-every FD emitted at ``Y`` or below has an LHS containing some co-atom
-of ``Y``, so its redundancy is bounded by that maximum — and the sweep
-terminates as soon as a whole level prunes away.
+runs this same full sweep and ranks its cover afterwards.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..core.base import DiscoveryAlgorithm, RunContext
 from ..core.result import DiscoveryStats
 from ..partitions.cache import PartitionCache
 from ..partitions.stripped import StrippedPartition
-from ..ranking.topk import TopKTracker
 from ..relational import attrset
 from ..relational.attrset import AttrSet
 from ..relational.fd import FD, FDSet
@@ -47,22 +39,6 @@ class TANE(DiscoveryAlgorithm):
     def _find_fds(
         self, relation: Relation, deadline: RunContext
     ) -> Tuple[FDSet, DiscoveryStats]:
-        return self._search(relation, deadline, tracker=None)
-
-    def _find_top_k(
-        self, relation: Relation, k: int, deadline: RunContext
-    ) -> Tuple[FDSet, DiscoveryStats]:
-        tracker = TopKTracker(k)
-        _, stats = self._search(relation, deadline, tracker)
-        stats.pruned_candidates += tracker.pruned_candidates
-        return tracker.cover(), stats
-
-    def _search(
-        self,
-        relation: Relation,
-        deadline: RunContext,
-        tracker: Optional[TopKTracker],
-    ) -> Tuple[FDSet, DiscoveryStats]:
         stats = DiscoveryStats()
         n_cols = relation.n_cols
         all_attrs = attrset.full_set(n_cols)
@@ -72,20 +48,10 @@ class TANE(DiscoveryAlgorithm):
         universal = store.universal
         partitions: Dict[AttrSet, StrippedPartition] = {attrset.EMPTY: universal}
         errors: Dict[AttrSet, int] = {attrset.EMPTY: universal.error}
-        #: ``||pi_X||`` for every partition ever built.  Partitions are
-        #: evicted two levels down but the sizes persist (like the
-        #: errors) — top-k pruning bounds next-level candidates by the
-        #: sizes of their co-atoms, which may predate the live window.
-        sizes: Dict[AttrSet, int] = {attrset.EMPTY: universal.size}
         cplus: Dict[AttrSet, AttrSet] = {attrset.EMPTY: all_attrs}
 
         def emit(lhs: AttrSet, attr: int) -> None:
-            fd = FD(lhs, attrset.singleton(attr))
-            fds.add(fd)
-            if tracker is not None:
-                # Exact for free: the null-inclusive redundancy of a
-                # singleton-RHS FD is ||pi_lhs||, already computed.
-                tracker.add(fd, sizes[lhs])
+            fds.add(FD(lhs, attrset.singleton(attr)))
 
         singletons = store.singletons()
         #: The universal and singleton partitions, which no run can shed.
@@ -97,7 +63,6 @@ class TANE(DiscoveryAlgorithm):
             nonlocal held
             partitions[mask] = partition
             errors[mask] = partition.error
-            sizes[mask] = partition.size
             held += partition.memory_bytes()
             if held > floor and not deadline.fits(held):
                 raise BudgetExceeded(
@@ -108,10 +73,7 @@ class TANE(DiscoveryAlgorithm):
         # TANE only ever records exactly-validated FDs, so the anytime
         # snapshot is simply what has accumulated; nothing is
         # materialized ahead of validation to report unverified.
-        if tracker is None:
-            deadline.set_partial_provider(lambda: (fds.copy(), FDSet()))
-        else:
-            deadline.set_partial_provider(lambda: (tracker.cover(), FDSet()))
+        deadline.set_partial_provider(lambda: (fds.copy(), FDSet()))
 
         level: List[AttrSet] = []
         for partition in singletons:
@@ -145,14 +107,12 @@ class TANE(DiscoveryAlgorithm):
                     for attr in attrset.iter_attrs(
                         attrset.difference(cplus[lhs], lhs)
                     ):
-                        if self._key_fd_is_minimal(relation, lhs, attr, errors, sizes):
+                        if self._key_fd_is_minimal(relation, lhs, attr, errors):
                             emit(lhs, attr)
                     continue
                 survivors.append(lhs)
             # --- generate the next level from prefix blocks
-            level = self._next_level(
-                survivors, partitions, sizes, deadline, tracker, add
-            )
+            level = self._next_level(survivors, partitions, deadline, add)
             stats.partition_memory_peak_bytes = max(
                 stats.partition_memory_peak_bytes, held
             )
@@ -179,7 +139,6 @@ class TANE(DiscoveryAlgorithm):
         lhs: AttrSet,
         attr: int,
         errors: Dict[AttrSet, int],
-        sizes: Dict[AttrSet, int],
     ) -> bool:
         """Is the key FD ``lhs -> attr`` minimal?
 
@@ -193,9 +152,7 @@ class TANE(DiscoveryAlgorithm):
 
         def error_of(mask: AttrSet) -> int:
             if mask not in errors:
-                partition = StrippedPartition.for_attrs(relation, mask)
-                errors[mask] = partition.error
-                sizes[mask] = partition.size
+                errors[mask] = StrippedPartition.for_attrs(relation, mask).error
             return errors[mask]
 
         bit_added = attrset.singleton(attr)
@@ -209,22 +166,10 @@ class TANE(DiscoveryAlgorithm):
     def _next_level(
         survivors: List[AttrSet],
         partitions: Dict[AttrSet, StrippedPartition],
-        sizes: Dict[AttrSet, int],
         deadline: RunContext,
-        tracker: Optional[TopKTracker],
         add: Callable[[AttrSet, StrippedPartition], None],
     ) -> List[AttrSet]:
-        """Prefix-block generation with the all-subsets-present check.
-
-        In top-k mode a complete candidate ``merged`` is additionally
-        bounded before its partition product is paid: every FD emitted
-        at ``merged`` or any of its descendants has an LHS containing
-        some co-atom of ``merged`` (removing an attribute of ``merged``
-        lands on a co-atom; removing any other attribute keeps the LHS
-        a superset of ``merged`` itself), so ``max ||pi_co-atom||``
-        bounds them all.  Strictly below the running k-th redundancy
-        means nothing down there can enter the top-k, even on ties.
-        """
+        """Prefix-block generation with the all-subsets-present check."""
         survivor_set = set(survivors)
         blocks: Dict[AttrSet, List[AttrSet]] = {}
         for lhs in survivors:
@@ -242,14 +187,6 @@ class TANE(DiscoveryAlgorithm):
                 )
                 if not complete:
                     continue
-                if tracker is not None:
-                    bound = max(
-                        sizes[attrset.remove(merged, attr)]
-                        for attr in attrset.iter_attrs(merged)
-                    )
-                    if tracker.can_prune(bound):
-                        tracker.pruned_candidates += 1
-                        continue
                 add(merged, partitions[left].intersect(partitions[right]))
                 next_level.append(merged)
         return next_level

@@ -195,8 +195,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         f"{result.elapsed_seconds:.3f}s on {relation.n_rows} rows x "
         f"{relation.n_cols} cols"
     )
-    if result.top_k is not None and result.stats.pruned_candidates:
-        print(f"  ({result.stats.pruned_candidates} candidates pruned by rank bound)")
     _print_partial_notice(result)
     if args.show_fds:
         for line in result.format_fds():
@@ -614,9 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="discover only the K FDs of highest redundancy (rank-aware "
-        "pruning + early termination; identical to the first K of the "
-        "full ranked cover)",
+        help="keep only the K FDs of highest redundancy (the first K of "
+        "the ranked left-reduced cover)",
     )
     discover.add_argument("--show-fds", action="store_true")
     _add_trace_args(discover)
@@ -807,8 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="server-side top-k: discover only (or rank only) the K "
-        "highest-redundancy FDs (sent as the ?top_k= query param)",
+        help="server-side top-k: keep only the K highest-redundancy FDs "
+        "(sent as the ?top_k= query param)",
     )
     submit.add_argument("--top", type=int, default=15)
     submit.add_argument("--show-fds", action="store_true")

@@ -24,6 +24,7 @@ import time
 from dataclasses import replace
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
+from ..ranking.ranker import first_k
 from ..relational.attrset import AttrSet
 from ..relational.fd import FD, FDSet, normalize_singleton_cover
 from ..relational.relation import Relation
@@ -205,22 +206,17 @@ class DiscoveryAlgorithm(abc.ABC):
         return self._run(relation, top_k=None)
 
     def discover_top_k(self, relation: Relation, k: int) -> DiscoveryResult:
-        """Discover only the k FDs of highest null-inclusive redundancy.
+        """The k FDs of highest null-inclusive redundancy.
 
-        The result's ``fds`` are byte-identical to the first k entries
-        of ranking the full cover with
-        :func:`~repro.ranking.ranker.rank_cover` (same
-        ``(-redundancy, lhs, rhs)`` tie-break), but algorithms with a
-        rank-aware search (DHyFD, TANE) prune candidate LHSs whose
-        redundancy upper bound cannot reach the running k-th redundancy
-        and terminate early — ``stats.pruned_candidates`` counts the
-        skipped candidates and ``result.top_k`` records k.  The default
-        implementation falls back to a full search and keeps the first
-        k FDs of its full ranking.
+        Runs the full search, ranks its left-reduced cover with
+        :func:`~repro.ranking.ranker.rank_cover` under the same limits
+        and keeps the first k: ``fds`` are exactly those k entries
+        (``(-redundancy, lhs, rhs)`` tie-break), and ``result.top_k``
+        records k.
 
         A partial result (``on_limit="partial"`` with a tripped limit)
-        degrades to the sound anytime snapshot, which for top-k runs is
-        the best-k-so-far of the FDs measured before the limit hit.
+        keeps the first k of the sound subset's ranking; ``unverified``
+        is what :meth:`discover` would report.
         """
         if k < 1:
             raise ValueError(f"top_k must be >= 1, got {k}")
@@ -293,14 +289,16 @@ class DiscoveryAlgorithm(abc.ABC):
             **annotations,
         ):
             try:
-                if top_k is None:
-                    fds, stats = self._find_fds(relation, context)
-                else:
-                    fds, stats = self._find_top_k(relation, top_k, context)
+                fds, stats = self._find_fds(relation, context)
+                if top_k is not None:
+                    fds = first_k(relation, fds, top_k, context)
             except (TimeLimitExceeded, BudgetExceeded, MemoryError) as exc:
                 if self.on_limit != "partial":
                     raise
                 fds, unverified = context.partial_cover()
+                if top_k is not None:
+                    # The limit has already tripped: rank without it.
+                    fds = first_k(relation, fds, top_k, None)
                 stats = context.stats if context.stats is not None else DiscoveryStats()
                 completed = False
                 # BudgetExceeded, or a MemoryError no algorithm handled.
@@ -332,21 +330,6 @@ class DiscoveryAlgorithm(abc.ABC):
         self, relation: Relation, deadline: "RunContext"
     ) -> Tuple[FDSet, DiscoveryStats]:
         """Compute the cover; poll ``deadline.check()`` in long loops."""
-
-    def _find_top_k(
-        self, relation: Relation, k: int, deadline: "RunContext"
-    ) -> Tuple[FDSet, DiscoveryStats]:
-        """Compute the top-k cover; override for a rank-aware search.
-
-        The generic fallback runs the full search and keeps the first k
-        FDs of its full ranking.  DHyFD and TANE override this with
-        in-search pruning, which ``pruned_candidates`` counts.
-        """
-        from ..ranking.ranker import rank_cover
-
-        fds, stats = self._find_fds(relation, deadline)
-        ranking = rank_cover(relation, fds, deadline=deadline, top_k=k)
-        return FDSet(ranked.fd for ranked in ranking.ranked), stats
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

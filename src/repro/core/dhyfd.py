@@ -12,15 +12,8 @@ therefore worth the finer partitions.  Under a memory budget a refresh
 is made only when it fits (:func:`_admit_refresh`).
 
 Top-k mode (:meth:`~repro.core.base.DiscoveryAlgorithm.discover_top_k`)
-threads a :class:`~repro.ranking.topk.TopKTracker` through the same
-search: confirmed FDs are measured lazily through a side
-:class:`~repro.partitions.cache.PartitionCache` (the null-inclusive
-redundancy of ``X -> A`` is ``||pi_X||``), candidate nodes whose cheap
-redundancy bound (smallest singleton partition of the LHS) falls
-strictly below the running k-th redundancy are skipped — they stay in
-the tree so minimality invariants hold, but are never validated or
-confirmed — and the level loop terminates early once no reachable node
-can enter the top-k.
+runs this same full search and ranks its cover afterwards, so a top-k
+run checkpoints and resumes like any other.
 """
 
 from __future__ import annotations
@@ -29,12 +22,9 @@ from typing import List, Optional, Set, Tuple
 
 from ..fdtree.extended import ExtendedFDTree, ExtFDNode
 from ..fdtree.induction import synergized_induct
-from ..partitions.cache import PartitionCache
-from ..ranking.redundancy import redundancy_upper_bound
-from ..ranking.topk import TopKTracker
 from ..relational import attrset
 from ..relational.attrset import AttrSet
-from ..relational.fd import FD, FDSet, normalize_singleton_cover
+from ..relational.fd import FDSet, normalize_singleton_cover
 from ..relational.relation import Relation
 from ..resilience import RunBudget
 from ..telemetry import current_tracer
@@ -168,22 +158,8 @@ class DHyFD(DiscoveryAlgorithm):
         self.enable_ddm_updates = enable_ddm_updates
         self.enable_initial_sampling = enable_initial_sampling
 
-    def _find_top_k(
-        self, relation: Relation, k: int, deadline: RunContext
-    ) -> Tuple[FDSet, DiscoveryStats]:
-        """Rank-aware search: skip validating lattice regions that
-        cannot reach the running k-th redundancy (see ``tracker`` in
-        :meth:`_find_fds`)."""
-        tracker = TopKTracker(k)
-        fds, stats = self._find_fds(relation, deadline, tracker=tracker)
-        stats.pruned_candidates += tracker.pruned_candidates
-        return fds, stats
-
     def _find_fds(
-        self,
-        relation: Relation,
-        deadline: RunContext,
-        tracker: Optional[TopKTracker] = None,
+        self, relation: Relation, deadline: RunContext
     ) -> Tuple[FDSet, DiscoveryStats]:
         stats = DiscoveryStats()
         tracer = current_tracer()
@@ -202,59 +178,21 @@ class DHyFD(DiscoveryAlgorithm):
         #: to be retracted when later levels find more violations.
         confirmed: List[Tuple[AttrSet, AttrSet]] = []
 
-        # --- top-k wiring: a side cache measures the exact redundancy
-        # of confirmed FDs (the null-inclusive redundancy of X -> A is
-        # ||pi_X||), lazily — an FD whose cheap bound (smallest
-        # singleton partition on its LHS, or the exact partition when
-        # already cached) falls strictly below the running k-th
-        # redundancy can never enter the top-k, so its partition is
-        # never built.  The same bound gates *validation*: a candidate
-        # node is skipped entirely when nothing in its subtree (every
-        # descendant FD has a superset LHS, hence a no-larger
-        # redundancy) can reach the threshold.
-        measure_cache = (
-            PartitionCache(relation, shared=True) if tracker is not None else None
-        )
-
-        def _can_prune(path: AttrSet) -> bool:
-            return tracker.can_prune(
-                redundancy_upper_bound(relation, path, measure_cache)
-            )
-
-        def _measure(path: AttrSet, rhs: AttrSet) -> None:
-            if _can_prune(path):
-                return
-            redundancy = (
-                ddm.universal.size
-                if path == attrset.EMPTY
-                else measure_cache.get(path).size
-            )
-            for attr in attrset.iter_attrs(rhs):
-                tracker.add(FD(path, attrset.singleton(attr)), redundancy)
-
         deadline.stats = stats
-        if tracker is None:
-            # Lazy in ``tree``: a resumed run rebinds it below.
-            deadline.set_partial_provider(
-                lambda: confirmed_split(confirmed, tree.iter_fds())
-            )
-        else:
-            # Best-k-so-far: every measured FD is exactly validated,
-            # so the snapshot is a sound (if possibly incomplete)
-            # top-k prefix.
-            deadline.set_partial_provider(lambda: (tracker.cover(), FDSet()))
+        # Lazy in ``tree``: a resumed run rebinds it below.
+        deadline.set_partial_provider(
+            lambda: confirmed_split(confirmed, tree.iter_fds())
+        )
 
         # --- checkpoint/resume: a journal snapshot replaces sampling +
         # root validation with the rebuilt tree and validated-level
-        # watermark (full discovery only — top-k runs re-search).
-        resume = self._resume_state(relation) if tracker is None else None
+        # watermark.
+        resume = self._resume_state(relation)
         restored = (
             _rebuild_from_checkpoint(resume, n_cols) if resume is not None else None
         )
 
         def _emit_level_checkpoint() -> None:
-            if tracker is not None:
-                return
             self.emit_checkpoint(
                 lambda: _checkpoint_payload(
                     relation, tree, confirmed, applied,
@@ -297,8 +235,6 @@ class DHyFD(DiscoveryAlgorithm):
             for node in tree.nodes_at_level(0):
                 if not node.deleted and node.rhs:
                     confirmed.append((node.path(), node.rhs))
-                    if tracker is not None:
-                        _measure(node.path(), node.rhs)
 
             controlled_level = 1
             validation_level = 1
@@ -314,23 +250,6 @@ class DHyFD(DiscoveryAlgorithm):
             # work, and counting them skews the efficiency–inefficiency
             # ratio toward refreshing too early.
             todo = [node for node in candidates if not node.deleted and node.rhs]
-            # Top-k pruning: skip validating a node when its redundancy
-            # bound is strictly below the running k-th redundancy —
-            # neither it nor any specialization (superset LHS, hence
-            # no-larger redundancy) can enter the top-k.  Pruned nodes
-            # stay in the tree so the minimality invariants (generaliza-
-            # tion checks during induction) keep working; they are only
-            # excluded from validation and confirmation.
-            pruned_ids: Set[int] = set()
-            if tracker is not None and tracker.full:
-                kept: List[ExtFDNode] = []
-                for node in todo:
-                    if _can_prune(node.path()):
-                        pruned_ids.add(id(node))
-                        tracker.pruned_candidates += 1
-                    else:
-                        kept.append(node)
-                todo = kept
             total = sum(attrset.count(node.rhs) for node in todo)
             vl_nodes: List[ExtFDNode] = list(candidates)
 
@@ -360,19 +279,13 @@ class DHyFD(DiscoveryAlgorithm):
                     deadline,
                 )
 
-            live = [
-                node
-                for node in candidates
-                if not node.deleted and id(node) not in pruned_ids
-            ]
+            live = [node for node in candidates if not node.deleted]
             # Every live (path, rhs) at this level was exactly validated
             # (violations already inducted away) — snapshot for anytime
             # partial results before any limit can trip below.
             for node in live:
                 if node.rhs:
                     confirmed.append((node.path(), node.rhs))
-                    if tracker is not None:
-                        _measure(node.path(), node.rhs)
             reusables = [node for node in live if node.children]
             valid_here = sum(attrset.count(node.rhs) for node in live)
             validated_fds += valid_here
@@ -444,35 +357,8 @@ class DHyFD(DiscoveryAlgorithm):
             # exactly validated, so this is a sound resume point.
             if candidates:
                 _emit_level_checkpoint()
-            # Early termination: once the tracker is full, stop as soon
-            # as no still-unvalidated FD node (depth >= the next
-            # validation level) can reach the running k-th redundancy.
-            # Shallower nodes were already validated and measured.
-            if (
-                tracker is not None
-                and tracker.full
-                and candidates
-                and not any(
-                    node.depth >= validation_level
-                    and not node.deleted
-                    and node.rhs
-                    and not _can_prune(node.path())
-                    for node in tree.iter_fd_nodes()
-                )
-            ):
-                tracker.pruned_candidates += sum(
-                    1
-                    for node in tree.iter_fd_nodes()
-                    if node.depth >= validation_level
-                    and not node.deleted
-                    and node.rhs
-                )
-                break
 
         ddm.record_telemetry(stats)
-        if tracker is not None:
-            measure_cache.record_telemetry(scope="topk_measure")
-            return tracker.cover(), stats
         return normalize_singleton_cover(tree.iter_fds()), stats
 
     @staticmethod

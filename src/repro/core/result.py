@@ -35,10 +35,6 @@ class DiscoveryStats:
     partition_cache_evictions: int = 0
     partition_singleton_lookups: int = 0
     strategy_switches: int = 0
-    #: Candidate LHSs skipped by a top-k run because their redundancy
-    #: upper bound fell below the running k-th redundancy (zero for
-    #: full discovery — see :meth:`DiscoveryAlgorithm.discover_top_k`).
-    pruned_candidates: int = 0
     #: Validation levels this run skipped by resuming from a journal
     #: checkpoint instead of starting cold (zero for cold runs — see
     #: ``docs/durability.md``).

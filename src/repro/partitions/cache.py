@@ -14,8 +14,7 @@ many there are.
 
 Who uses which scope:
 
-* the ranking, redundancy and report passes and DHyFD's top-k measure
-  cache pass ``shared=True``: repeated passes over the same dataset
+* the ranking, redundancy and report passes pass ``shared=True``: repeated passes over the same dataset
   reuse its low-level partitions across jobs;
 * discovery keeps private stores — the DDM and HyFD take their
   singletons (and :meth:`PartitionCache.best_singleton`) from one,
@@ -181,7 +180,7 @@ class PartitionCache:
 
         Cheap no-op when telemetry is disabled; callers invoke it once
         at the end of a cache-using pass (ranking, redundancy, naive
-        discovery, a top-k measure), not per lookup.
+        discovery), not per lookup.
         """
         tracer = current_tracer()
         if not tracer.enabled:
@@ -210,8 +209,7 @@ class PartitionCache:
 
         Ties go to the lowest attribute; an empty path gets ``π_∅``.
         This is line 16 of Algorithm 6 (the cheapest starting partition
-        for a default-id node) and the singleton redundancy bound of
-        top-k pruning.  Not counted as a lookup.
+        for a default-id node).  Not counted as a lookup.
         """
         best: Optional[StrippedPartition] = None
         for attr in attrset.iter_attrs(path):

@@ -15,11 +15,9 @@ from .redundancy import (
     dataset_redundancy,
     lhs_row_masks,
     redundancy_positions,
-    redundancy_upper_bound,
     redundant_rows_for_lhs,
 )
 from .report import ColumnDeterminant, column_determinants
-from .topk import TopKTracker
 
 __all__ = [
     "ColumnDeterminant",
@@ -29,7 +27,6 @@ __all__ = [
     "RedundancyWitness",
     "RankingResult",
     "RedundancyReport",
-    "TopKTracker",
     "column_determinants",
     "count_redundant",
     "dataset_redundancy",
@@ -38,7 +35,6 @@ __all__ = [
     "rank_cover",
     "redundancy_histogram",
     "redundancy_positions",
-    "redundancy_upper_bound",
     "redundant_rows_for_lhs",
     "violating_pairs",
 ]

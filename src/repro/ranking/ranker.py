@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..relational.attrset import AttrSet
-from ..relational.fd import FD
+from ..relational.fd import FD, FDSet
 from ..relational.relation import Relation
 from ..relational.schema import RelationSchema
 from ..telemetry import current_tracer
@@ -117,6 +117,14 @@ def rank_cover(
     with current_tracer().span("ranking", fds=len(fds)):
         masks = lhs_row_masks(relation, (fd.lhs for fd in fds), deadline=deadline)
         return ranking_from_masks(relation, fds, masks, start, top_k)
+
+
+def first_k(
+    relation: Relation, cover: Iterable[FD], k: int, deadline=None
+) -> FDSet:
+    """The first k FDs of ``rank_cover(relation, cover, top_k=k)``."""
+    ranking = rank_cover(relation, cover, deadline=deadline, top_k=k)
+    return FDSet(ranked.fd for ranked in ranking.ranked)
 
 
 def ranking_from_masks(

@@ -105,35 +105,6 @@ def count_redundant(
     return total
 
 
-def redundancy_upper_bound(
-    relation: Relation,
-    lhs: AttrSet,
-    cache: Optional[PartitionCache] = None,
-) -> int:
-    """Cheap upper bound on ``||pi_lhs||`` from cached partitions.
-
-    Every row a partition strips stays stripped under refinement, so
-    for any ``S ⊆ lhs`` it holds that ``||pi_lhs|| <= ||pi_S||`` — and
-    the null-inclusive redundancy of a singleton-RHS FD ``lhs -> A`` is
-    exactly ``||pi_lhs||``.  The bound therefore also covers every FD
-    whose LHS is a *superset* of ``lhs``, which is what lets top-k
-    discovery prune whole lattice regions (see
-    :mod:`repro.ranking.topk`).  Only ``discover_top_k``'s in-search
-    pruning uses it; :func:`~repro.ranking.ranker.rank_cover` measures
-    every FD.
-
-    The exact partition is used when already cached and the smallest
-    seeded singleton otherwise (O(|lhs|) dictionary lookups, no
-    partition is ever built); without a cache a private store is built.
-    """
-    if cache is None:
-        cache = PartitionCache(relation)
-    exact = cache.peek(lhs)
-    if exact is not None:
-        return exact.size
-    return cache.best_singleton(lhs).size
-
-
 #: Partition refinements one row pair × LHS subset test is worth: on a
 #: 2-vCPU x86_64 VM (Python 3.11.7) a refine of a 70-row partition costs
 #: ~85 µs and one pair × LHS test ~2.5 ns.

@@ -26,7 +26,7 @@ guarantees of the kernel layer carry over.
 from __future__ import annotations
 
 import threading
-import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -34,8 +34,7 @@ from .. import __version__
 from ..algorithms.registry import make_algorithm
 from ..core.result import DiscoveryResult
 from ..partitions.cache import tier_gauges
-from ..ranking.ranker import RankedFD, rank_cover
-from ..relational.fd import FDSet
+from ..ranking.ranker import RankedFD, first_k, rank_cover
 from ..relational.io import read_csv_text
 from ..relational.relation import Relation
 from ..core.base import default_checkpoint_interval
@@ -57,6 +56,13 @@ def _ranked_entry(ranked: RankedFD, relation: Relation) -> Dict[str, object]:
         "redundancy": ranked.redundancy,
         "redundancy_excluding_null": ranked.redundancy_excluding_null,
     }
+
+
+def _first_k_result(
+    relation: Relation, result: DiscoveryResult, k: int
+) -> DiscoveryResult:
+    """A discover job's top-k answer: ``result`` cut to its first k ranked FDs."""
+    return replace(result, fds=first_k(relation, result.fds, k), top_k=k)
 
 
 class _VirtualJoin:
@@ -160,8 +166,18 @@ class FDService:
         self.recovery: Dict[str, int] = {}
         if recover and self.journal is not None:
             self.recovery = self.scheduler.recover(
-                dataset_ok=self._dataset_known, result_for=self.store.get
+                dataset_ok=self._dataset_known, result_for=self._stored_answer
             )
+
+    def _stored_answer(self, job: Job) -> Optional[DiscoveryResult]:
+        """A recovered ``done`` job's result, re-read from the store."""
+        result = self.store.get(job.dataset, job.config.without_top_k())
+        k = job.config.top_k
+        if result is None or job.kind != "discover" or k is None:
+            return result
+        if job.dataset not in self.registry:
+            return None
+        return _first_k_result(self.registry.get(job.dataset).relation, result, k)
 
     def _dataset_known(self, fingerprint: str) -> bool:
         """A recovered job's target still exists (dataset *or* schema)."""
@@ -317,16 +333,14 @@ class FDService:
         tracer = Tracer()
         with use_tracer(tracer):
             with tracer.span("service.job", job_id=job.job_id, kind=job.kind):
-                # A rank job always works from the *full* cover (ranking
-                # needs the canonical cover of everything), so its
-                # discovery runs — and caches — under the full-cover
-                # key; a top_k only bounds the ranking pass below.
-                if job.kind == "rank":
-                    result = self._discover_with_cache(
-                        job, entry, config=job.config.without_top_k()
-                    )
-                else:
-                    result = self._discover_with_cache(job, entry)
+                # Every job works from the *full* cover, discovered and
+                # cached under the full-cover key; a top_k only cuts the
+                # ranking: of the left-reduced cover for a discover job,
+                # of the canonical cover for a rank job.
+                result = self._discover_with_cache(job, entry)
+                k = job.config.top_k
+                if job.kind == "discover" and k is not None:
+                    result = _first_k_result(entry.relation, result, k)
                 job.result = result
                 if job.kind == "rank":
                     with tracer.span("covers", fds=result.fd_count):
@@ -365,9 +379,7 @@ class FDService:
                 provider = _VirtualJoin(entry, config)
                 # The full cover is discovered and cached (a top_k only
                 # bounds the ranking below), mirroring "rank" jobs.
-                result = self._discover_with_cache(
-                    job, provider, config=config.without_top_k()
-                )
+                result = self._discover_with_cache(job, provider)
                 job.result = result
                 relation = provider.relation
                 provenance = provider.provenance
@@ -401,21 +413,15 @@ class FDService:
                 }
         job.trace = trace_summary(tracer)
 
-    def _discover_with_cache(
-        self, job: Job, entry: DatasetEntry, config: Optional[JobConfig] = None
-    ):
-        """Cache-checked discovery with single-flight deduplication.
+    def _discover_with_cache(self, job: Job, entry: DatasetEntry) -> DiscoveryResult:
+        """Cache-checked discovery of the full cover, single-flighted.
 
-        Top-k requests key the cache with ``top_k`` included, so a
-        top-k prefix can never be served where a full cover was asked
-        for.  The reverse *is* sound: when the matching full cover is
-        already cached, the top-k answer is derived from it by a
-        bounded ranking pass instead of re-running discovery.
+        The cover is keyed by the job's config without ``top_k``, so a
+        top-k request and a full one share one journaled, checkpointed
+        discovery run and one store entry.
         """
-        if config is None:
-            config = job.config
+        config = job.config.without_top_k()
         key = (entry.fingerprint, config.algorithm, config.key())
-        full_config = config.without_top_k()
         while True:
             # The store check and the in-flight claim are one atomic
             # step: a leader publishes its result *before* releasing
@@ -423,10 +429,7 @@ class FDService:
             # computed it.
             with self._inflight_lock:
                 cached = self.store.get(entry.fingerprint, config)
-                full_cached = None
-                if cached is None and config.top_k is not None:
-                    full_cached = self.store.get(entry.fingerprint, full_config)
-                if cached is None and full_cached is None:
+                if cached is None:
                     leader = self._inflight.get(key)
                     if leader is None:
                         self._inflight[key] = job
@@ -434,12 +437,6 @@ class FDService:
                 job.cached = True
                 self._count("service.jobs.cache_hits")
                 return cached
-            if full_cached is not None:
-                job.cached = True
-                self._count("service.jobs.topk_derived")
-                derived = self._derive_top_k(entry, config, full_cached)
-                self.store.put(entry.fingerprint, config, derived)
-                return derived
             if leader is None:
                 break
             # Another job is computing the same (dataset, config): wait
@@ -451,7 +448,7 @@ class FDService:
         try:
             self._count("service.discovery.runs")
             algo = make_algorithm(config.algorithm, **config.algorithm_kwargs())
-            if config.top_k is None and self.journal is not None:
+            if self.journal is not None:
                 # Durable job plane: periodic checkpoints ride the WAL,
                 # and a recovered job's snapshot seeds the FD tree so
                 # completed levels aren't redone (docs/durability.md).
@@ -462,34 +459,16 @@ class FDService:
                 )
                 if job.checkpoint is not None:
                     algo.resume_from = job.checkpoint
-            if config.top_k is not None:
-                result = algo.discover_top_k(entry.relation, config.top_k)
-            else:
-                result = algo.discover(entry.relation)
-                if getattr(algo, "resume_from", None) is not None and result.stats.resumed_levels > 0:
-                    job.resumed = True
-                    self._count("service.jobs.resumed")
+            result = algo.discover(entry.relation)
+            if getattr(algo, "resume_from", None) is not None and result.stats.resumed_levels > 0:
+                job.resumed = True
+                self._count("service.jobs.resumed")
             self.store.put(entry.fingerprint, config, result)
             return result
         finally:
             with self._inflight_lock:
                 if self._inflight.get(key) is job:
                     del self._inflight[key]
-
-    @staticmethod
-    def _derive_top_k(
-        entry: DatasetEntry, config: JobConfig, full: DiscoveryResult
-    ) -> DiscoveryResult:
-        """A top-k result sliced off a cached full cover (no discovery)."""
-        start = time.perf_counter()
-        ranking = rank_cover(entry.relation, full.fds, top_k=config.top_k)
-        return DiscoveryResult(
-            algorithm=full.algorithm,
-            schema=full.schema,
-            fds=FDSet(ranked.fd for ranked in ranking.ranked),
-            elapsed_seconds=time.perf_counter() - start,
-            top_k=config.top_k,
-        )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -35,11 +35,10 @@ class JobConfig:
     algorithm's constructor does not accept is rejected here, at
     submit, rather than failing the job when it runs.
 
-    ``top_k`` asks for only the k FDs of highest redundancy (see
-    :meth:`~repro.core.base.DiscoveryAlgorithm.discover_top_k`).  It is
-    part of the cache key — a top-k result must never be served as a
-    full cover — but a cached *full* cover may answer a top-k request
-    by ranking it (see ``FDService._discover_with_cache``).
+    ``top_k`` asks for only the k FDs of highest redundancy.  The store
+    never sees it: every job discovers and stores the full cover under
+    :meth:`without_top_k`, and its answer is that cover's ranking cut
+    to k (see ``FDService._execute``).
 
     ``join_path`` and ``on_dangling`` apply to ``multitable`` jobs only
     (see :mod:`repro.multitable`): the join path through the schema

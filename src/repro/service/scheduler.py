@@ -428,9 +428,7 @@ class JobScheduler:
     def recover(
         self,
         dataset_ok: Callable[[str], bool],
-        result_for: Optional[
-            Callable[[str, JobConfig], Optional[DiscoveryResult]]
-        ] = None,
+        result_for: Optional[Callable[[Job], Optional[DiscoveryResult]]] = None,
     ) -> Dict[str, int]:
         """Rebuild the job table from the attached journal's replay.
 
@@ -487,7 +485,7 @@ class JobScheduler:
                 job.status = entry.terminal
                 job.finished_at = job.submitted_at
                 if entry.terminal == DONE and result_for is not None and config is not None:
-                    result = result_for(entry.dataset, config)
+                    result = result_for(job)
                     if result is not None:
                         job.result = result
                         job.cached = True

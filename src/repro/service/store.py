@@ -5,9 +5,9 @@ Maps ``(dataset fingerprint, algorithm, config key)`` to a
 same data and configuration are served without re-running discovery.
 Two policies keep the cache sound:
 
-* only **completed** results are stored — a partial cover from a
+* only **completed** full covers are stored — a partial cover from a
   tripped budget is an answer to *this* request, not a reusable fact
-  about the dataset;
+  about the dataset, and a top-k answer is cut from the stored cover;
 * entries are keyed by content fingerprint, so an append (which
   changes the fingerprint) can never serve a stale cover.  Instead of
   discarding the old entries, :meth:`ResultStore.update_for_append`
@@ -118,18 +118,9 @@ class ResultStore:
         pairs only — no rediscovery), and stores the repaired cover
         under ``new_fingerprint`` with the same config key.  Returns
         the number of migrated entries.
-
-        Top-k entries are *not* migrated: induction over a k-FD prefix
-        of the cover is unsound (appended rows can promote FDs the
-        prefix never contained into the new top-k), so those entries
-        simply age out with the old fingerprint and the next top-k
-        request recomputes.
         """
         migrated = 0
         for config, result in self.results_for(old_fingerprint):
-            if config.top_k is not None or result.top_k is not None:
-                self._count("service.store.topk_skipped")
-                continue
             start = time.perf_counter()
             maintainer = IncrementalFDMaintainer(
                 old_relation,
@@ -194,5 +185,8 @@ def _decode(payload: Dict[str, object]) -> Tuple[StoreKey, Tuple[JobConfig, Disc
     if not isinstance(fingerprint, str) or not isinstance(config, dict):
         raise TypeError("store entry needs a fingerprint string and a config object")
     config = JobConfig.from_dict(config)
+    if config.top_k is not None:
+        # Only full covers are stored; a top-k answer is cut from one.
+        raise ValueError("store entry holds a top-k prefix, not a cover")
     result = DiscoveryResult.from_payload(payload["result"])
     return (fingerprint, config.algorithm, config.key()), (config, result)

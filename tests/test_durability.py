@@ -18,6 +18,8 @@ import pytest
 
 from repro.algorithms.registry import make_algorithm
 from repro.core.base import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
+from repro.ranking.ranker import rank_cover
+from repro.relational.fd import FDSet
 from repro.relational.fd_io import cover_to_json
 from repro.relational.null import NullSemantics
 from repro.resilience import faults
@@ -272,7 +274,7 @@ class TestSchedulerRecover:
         sentinel = object()
         scheduler = JobScheduler(lambda job: None, max_workers=1, journal=journal)
         scheduler.recover(
-            dataset_ok=lambda fp: True, result_for=lambda fp, cfg: sentinel
+            dataset_ok=lambda fp: True, result_for=lambda job: sentinel
         )
         job = scheduler.get("job-1")
         assert job.result is sentinel and job.cached and job.recovered
@@ -471,6 +473,46 @@ class TestServiceDurability:
             metrics = service.metrics_payload()
             assert metrics["counters"]["service.jobs.resumed"] == 1
             assert metrics["journal"]["jobs"] == 1
+
+    def test_top_k_job_resumes_and_recovers_its_answer(self, tmp_path):
+        # A top-k job runs, checkpoints and resumes the full discovery;
+        # after a restart its done status re-reads the cut answer.
+        store_dir = tmp_path / "store"
+        dataset_dir = tmp_path / "datasets"
+        relation = make_random_relation(27)
+        with FDService(store_dir=store_dir, dataset_dir=dataset_dir) as service:
+            fingerprint = service.register_relation(relation).fingerprint
+        cover = make_algorithm("dhyfd").discover(relation).fds
+        ranking = rank_cover(relation, cover, top_k=3)
+        expected = FDSet(ranked.fd for ranked in ranking.ranked)
+
+        states = []
+        algo = make_algorithm("dhyfd")
+        algo.checkpoint_interval = 0.0
+        algo.checkpoint_sink = states.append
+        algo.discover(relation)
+        journal = JobJournal(store_dir / WAL_FILENAME)
+        journal.record_submit("job-3", fingerprint, "discover", {"top_k": 3}, submitted_at=1.0)
+        journal.record_start("job-3")
+        journal.record_checkpoint("job-3", states[0])
+        journal.close(compact=False)
+
+        with FDService(
+            store_dir=store_dir, dataset_dir=dataset_dir, recover=True,
+        ) as service:
+            job = service.scheduler.wait("job-3", timeout=60.0)
+            assert job.status == DONE and job.resumed
+            assert job.result.top_k == 3 and job.result.fds == expected
+            [(config, stored)] = service.store.results_for(fingerprint)
+            assert config.top_k is None and stored.fds == cover
+
+        with FDService(
+            store_dir=store_dir, dataset_dir=dataset_dir, recover=True,
+        ) as service:
+            assert service.recovery["completed"] == 1
+            job = service.scheduler.get("job-3")
+            assert job.status == DONE and job.cached
+            assert job.result.top_k == 3 and job.result.fds == expected
 
     def test_http_idempotency_key_dedups(self, tmp_path):
         service = FDService(store_dir=tmp_path)

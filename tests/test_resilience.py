@@ -29,6 +29,7 @@ from repro.partitions.stripped import StrippedPartition
 from repro.ranking.ranker import rank_cover
 from repro.ranking.redundancy import dataset_redundancy
 from repro.relational import attrset
+from repro.relational.fd import FDSet
 from repro.resilience import BudgetExceeded, RunBudget, faults, parse_bytes
 from repro.telemetry import Tracer, use_tracer
 from repro.ucc.discovery import discover_uccs
@@ -162,6 +163,12 @@ class TestTaneBudget:
         assert result.completed
         assert _fd_tuples(result.fds) == _fd_tuples(baseline.fds)
 
+    def test_hyfd_peak_is_the_floor(self):
+        # HyFD's recorded peak is the floor DHyFD and TANE count too.
+        relation = load_benchmark("ncvoter")
+        result = make_algorithm("hyfd").discover(relation)
+        assert result.stats.partition_memory_peak_bytes == _floor_bytes(relation)
+
 
 # ----------------------------------------------------------------------
 # Fault registry
@@ -272,22 +279,42 @@ class TestRunContext:
 
 
 PARTIAL_ALGORITHMS = ["dhyfd", "hyfd", "tane"]
+#: (name, after, top_k): every algorithm and fault point, once with
+#: ``discover`` and once more with ``discover_top_k(2)`` on ncvoter,
+#: where every one of them cuts every algorithm short with up to 207
+#: sound FDs to cut to k.
+PARTIAL_CASES = [
+    pytest.param(name, after, k, id=f"{after}-{name}" + ("" if k is None else f"-top{k}"))
+    for k in (None, 2)
+    for after in (0, 5, 40, 300)
+    for name in PARTIAL_ALGORITHMS
+]
 
 
 class TestPartialResults:
-    @pytest.mark.parametrize("name", PARTIAL_ALGORITHMS)
-    @pytest.mark.parametrize("after", [0, 5, 40, 300])
-    def test_partial_cover_is_sound(self, name, after):
-        relation = make_random_relation(11)
-        complete = make_algorithm(name).discover(relation)
+    @pytest.mark.parametrize("name, after, k", PARTIAL_CASES)
+    def test_partial_cover_is_sound(self, name, after, k):
+        relation = make_random_relation(11) if k is None else load_benchmark("ncvoter")
         faults.activate("limit.deadline", times=1, after=after)
         tracer = Tracer()
         with use_tracer(tracer):
             result = make_algorithm(name, on_limit="partial").discover(relation)
         faults.reset()
+        if k is not None:
+            # The same fault again: the top-k answer is the first k of
+            # ranking what discover() reported as sound.
+            faults.activate("limit.deadline", times=1, after=after)
+            top = make_algorithm(name, on_limit="partial").discover_top_k(relation, k)
+            faults.reset()
+            ranking = rank_cover(relation, result.fds, top_k=k)
+            assert len(top.fds) <= k
+            assert top.fds == FDSet(ranked.fd for ranked in ranking.ranked)
+            assert top.unverified == result.unverified
+            assert top.completed == result.completed
         if result.completed:
             # The limit fired after discovery finished polling: the run
             # completed normally and must equal the unconstrained cover.
+            complete = make_algorithm(name).discover(relation)
             assert _fd_tuples(result.fds) == _fd_tuples(complete.fds)
             return
         assert result.limit_reason == "time"

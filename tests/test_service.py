@@ -30,6 +30,7 @@ from repro.core.result import DiscoveryResult
 from repro.covers.canonical import canonical_cover
 from repro.datasets.benchmarks import load_benchmark
 from repro.ranking.ranker import rank_cover
+from repro.relational.fd import FDSet
 from repro.relational.fd_io import cover_to_json
 from repro.service import (
     ConfigError,
@@ -317,9 +318,10 @@ class TestAppendMigration:
 
 
 class TestTopKService:
-    """Cache-key contract: a top-k result is never served as a full
-    cover, while a cached full cover answers top-k requests via a
-    cheap bounded ranking (no new discovery run)."""
+    """A top-k job discovers and stores the full cover, and answers
+    with the first k of its ranking: a top-k prefix is never stored,
+    and a cached full cover answers top-k requests with no new
+    discovery run."""
 
     def test_top_k_derived_from_cached_full_cover(self, service, city_relation):
         service.register_relation(city_relation, name="city")
@@ -329,7 +331,7 @@ class TestTopKService:
         assert job.result.top_k == 2
         assert job.result.fd_count == min(2, full.result.fd_count)
         counters = service.metrics_payload()["counters"]
-        assert counters["service.jobs.topk_derived"] == 1
+        assert counters["service.jobs.cache_hits"] == 1
         assert counters["service.discovery.runs"] == 1
 
     def test_top_k_never_served_as_full_cover(self, service, city_relation):
@@ -338,41 +340,46 @@ class TestTopKService:
         assert not topk.cached
         assert topk.result.top_k == 1
         full = service.discover("city")
-        # The cached k-prefix must not shadow the full cover: this is a
-        # genuine second discovery run, and it returns everything.
-        assert not full.cached
+        # The store holds the full cover the top-k job discovered, not
+        # its k-prefix: the full request is a hit and gets everything.
+        assert full.cached
         assert full.result.top_k is None
-        assert full.result.fd_count >= topk.result.fd_count
-        assert service.metrics_payload()["counters"]["service.discovery.runs"] == 2
+        assert full.result.fds == make_algorithm("dhyfd").discover(city_relation).fds
+        assert service.metrics_payload()["counters"]["service.discovery.runs"] == 1
 
-    def test_fresh_top_k_uses_rank_aware_discovery(self, service):
+    def test_fresh_top_k_stores_only_the_full_cover(self, service):
         relation = make_random_relation(3)
-        service.register_relation(relation, name="rand")
+        entry = service.register_relation(relation, name="rand")
         job = service.discover("rand", config={"top_k": 2})
         assert not job.cached
         assert job.result.top_k == 2
+        cover = make_algorithm("dhyfd").discover(relation).fds
+        ranking = rank_cover(relation, cover, top_k=2)
+        assert job.result.fds == FDSet(ranked.fd for ranked in ranking.ranked)
+        [(config, stored)] = service.store.results_for(entry.fingerprint)
+        assert config.top_k is None and stored.top_k is None
+        assert stored.fds == cover
+        full = service.discover("rand")
+        assert full.cached and full.result.fds == cover
         counters = service.metrics_payload()["counters"]
         assert counters["service.discovery.runs"] == 1
-        assert counters.get("service.jobs.topk_derived", 0) == 0
 
-    def test_append_skips_top_k_entries(self, service, city_relation):
+    def test_top_k_after_append_reads_migrated_cover(self, service, city_relation):
         service.register_relation(city_relation, name="city")
         service.discover("city", config={"top_k": 2})
-        service.discover("city")
         new_entry = service.append_rows("city", [("gus", "z1", "c9", "nc")])
         counters = service.metrics_payload()["counters"]
-        # Only the full cover is migrated by synergized induction —
-        # inducting over a k-prefix would be unsound.
+        # The one stored entry, the full cover, is migrated by
+        # synergized induction.
         assert counters["service.store.incremental_updates"] == 1
-        assert counters["service.store.topk_skipped"] == 1
-        # The new version still answers top-k cheaply: derived from the
-        # migrated full cover, no discovery re-run.
+        [(_, migrated)] = service.store.results_for(new_entry.fingerprint)
         job = service.discover(new_entry.fingerprint, config={"top_k": 2})
         assert job.cached
         assert job.result.top_k == 2
+        ranking = rank_cover(new_entry.relation, migrated.fds, top_k=2)
+        assert job.result.fds == FDSet(ranked.fd for ranked in ranking.ranked)
         counters = service.metrics_payload()["counters"]
-        assert counters["service.discovery.runs"] == 2
-        assert counters["service.jobs.topk_derived"] == 1
+        assert counters["service.discovery.runs"] == 1
 
     def test_rank_job_honors_top_k(self, service, city_relation):
         service.register_relation(city_relation, name="city")
@@ -641,7 +648,7 @@ class TestHTTPService:
         assert result.fd_count == min(2, full.fd_count)
         counters = client.metrics()["counters"]
         # Served from the cached full cover, not a second discovery.
-        assert counters["service.jobs.topk_derived"] == 1
+        assert counters["service.jobs.cache_hits"] == 1
         assert counters["service.discovery.runs"] == 1
 
     def test_rank_top_k_over_http(self, http_service):

@@ -320,6 +320,52 @@ def test_v1_files_reload_unchanged(tmp_path):
         )
 
 
+#: A top-k entry as the store kept one before every top-k answer was
+#: cut from the stored full cover.
+V1_TOP_K_ENTRY = """{
+  "config": {"algorithm": "dhyfd", "on_limit": "raise", "top_k": 1},
+  "fingerprint": "%s",
+  "format": "repro-fd-store-entry",
+  "result": {
+    "algorithm": "dhyfd", "columns": ["id", "grp"], "completed": true,
+    "cover": {"columns": ["id", "grp"],
+              "fds": [{"lhs": ["id"], "rhs": ["grp"]}],
+              "format": "repro-fd-cover", "version": 1},
+    "elapsed_seconds": 0.0021, "format": "repro-fd-result",
+    "limit_reason": null, "peak_memory_bytes": 0,
+    "stats": {"comparisons": 2, "validations": 2},
+    "top_k": 1,
+    "unverified": {"columns": ["id", "grp"], "fds": [],
+                   "format": "repro-fd-cover", "version": 1},
+    "version": 1
+  },
+  "version": 1
+}""" % FP_A
+
+
+def test_v1_top_k_entry_skipped_and_counted(tmp_path):
+    files = dict(V1_FILES)
+    files["store/fedcba9876543210fedcba9876543210.json"] = V1_TOP_K_ENTRY
+    for relative, text in files.items():
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+
+    with FDService(max_workers=1, **dirs(tmp_path)) as svc:
+        counters = svc.metrics_payload()["counters"]
+        assert counters["service.store.loaded"] == 1
+        assert counters["service.store.load_errors"] == 1
+        assert svc.registry.resolve("parent") == FP_A
+        # The top-k answer is cut from the full cover that did load.
+        job = svc.discover("parent", config={"top_k": 1})
+        assert job.status == "done" and job.cached is True
+        assert job.result.top_k == 1
+        assert json.loads(cover_to_json(job.result.fds, job.result.schema))["fds"] == [
+            {"lhs": ["id"], "rhs": ["grp"]}
+        ]
+        assert svc.metrics_payload()["counters"].get("service.discovery.runs", 0) == 0
+
+
 def test_boot_leaves_one_file_per_entry(tmp_path):
     # The v1 store entry's config still carries "jobs", so its key
     # changed on decode; a copy with "jobs": 2 decodes to the same key.

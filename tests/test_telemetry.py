@@ -263,16 +263,6 @@ class TestStackWiring:
         cache_events = tracer.find_events("partition_cache")
         assert cache_events and "hits" in cache_events[0].attrs
 
-    def test_dhyfd_top_k_reports_its_measure_cache(self, city_relation):
-        tracer = Tracer()
-        with use_tracer(tracer):
-            DHyFD().discover_top_k(city_relation, 5)
-        events = tracer.find_events("partition_cache")
-        assert [e.attrs["scope"] for e in events] == ["ddm", "topk_measure"]
-        assert {"hits", "misses", "shared_hits", "entries", "memory_bytes"} <= set(
-            events[1].attrs
-        )
-
     def test_dhyfd_stats_surface_ddm_cache(self, city_relation):
         result = DHyFD().discover(city_relation)
         stats = result.stats
