@@ -13,10 +13,11 @@ answer must be byte-identical to the first 3 of the library's
 ``/discover`` must be a store hit (one discovery run for both).
 
 A restart phase boots ``serve`` with ``--store-dir`` and
-``--dataset-dir``, uploads a named dataset, declares a schema and
-discovers, then SIGTERMs and reboots it: the name must still resolve,
-the schema must still be listed, and a repeat discover must be a store
-hit with a byte-identical cover.
+``--dataset-dir``, uploads a named dataset, declares a schema,
+discovers and ranks, then SIGTERMs and reboots it with ``--recover``:
+the name must still resolve, the schema must still be listed, the rank
+job polled by id must carry the same ranking, and a repeat discover
+must be a store hit with a byte-identical cover.
 
 A last phase SIGKILLs a persisted ``serve`` mid-discovery, after the
 job's first checkpoint reaches its journal, and reboots it on the same
@@ -160,8 +161,8 @@ def top_k_phase(relation, k: int = 3) -> None:
 
 
 def restart_phase(relation, expected: str) -> None:
-    """Names, schemas and covers survive a SIGTERM restart of one
-    persisted ``serve``."""
+    """Names, schemas, covers and finished jobs' answers survive a
+    SIGTERM restart of one persisted ``serve``."""
     with tempfile.TemporaryDirectory() as tmp:
         dirs = ("--store-dir", f"{tmp}/store", "--dataset-dir", f"{tmp}/datasets")
         proc, url = boot_server(*dirs)
@@ -173,16 +174,24 @@ def restart_phase(relation, expected: str) -> None:
             assert status["status"] == "done", status
             result = ServiceClient.result_from_status(status)
             assert cover_to_json(result.fds, result.schema) == expected
+            ranked = client.rank(DATASET, config=dict(CONFIG))
+            assert ranked["status"] == "done" and ranked["ranking"], ranked
         finally:
             rc = stop_server(proc)
         assert rc == 0, f"SIGTERM exit code {rc}"
         print("restart: persisted serve stopped cleanly")
 
-        proc, url = boot_server(*dirs)
+        proc, url = boot_server(*dirs, "--recover")
         try:
             client = ServiceClient(url, timeout=120.0)
             assert DATASET in [d["name"] for d in client.datasets()], client.datasets()
             assert "smoke" in [s["name"] for s in client.schemas()], client.schemas()
+            recovered = client.status(ranked["job_id"])
+            assert recovered["status"] == "done", recovered
+            assert recovered.get("recovered") is True, "rank job not rebuilt from the journal"
+            assert recovered.get("ranking") == ranked["ranking"], (
+                "recovered rank job lost its ranking"
+            )
             hits = client.metrics()["counters"].get("service.store.hits", 0)
             status = client.discover(DATASET, config=dict(CONFIG))
             assert status["status"] == "done", status
@@ -195,7 +204,10 @@ def restart_phase(relation, expected: str) -> None:
             assert counters.get("service.discovery.runs", 0) == 0, counters
         finally:
             stop_server(proc)
-        print("restart: name resolves, schema listed, repeat discover is a store hit")
+        print(
+            "restart: name resolves, schema listed, rank job keeps its ranking, "
+            "repeat discover is a store hit"
+        )
 
 
 def wal_checkpointed_jobs(path: pathlib.Path) -> set:

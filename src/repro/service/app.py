@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from .. import __version__
 from ..algorithms.registry import make_algorithm
@@ -40,7 +41,7 @@ from ..relational.relation import Relation
 from ..core.base import default_checkpoint_interval
 from ..multitable.discovery import fd_scope, fd_tables
 from ..multitable.provenance import attribute_tables, build_provenance, lift_relation
-from ..telemetry import MetricsRegistry, Tracer, trace_summary, use_tracer
+from ..telemetry import MetricsRegistry, Tracer, current_tracer, trace_summary, use_tracer
 from .config import ConfigError, JobConfig
 from .journal import WAL_FILENAME, JobJournal
 from .registry import DatasetEntry, DatasetRegistry
@@ -49,20 +50,21 @@ from .schemas import SchemaEntry, SchemaIndex
 from .store import ResultStore
 
 
-def _ranked_entry(ranked: RankedFD, relation: Relation) -> Dict[str, object]:
-    """One ranked FD as a job's ``ranking`` list reports it."""
-    return {
+def _ranked_entry(
+    ranked: RankedFD, relation: Relation, owners=None
+) -> Dict[str, object]:
+    """One ranked FD as a job's ``ranking`` list reports it; with a
+    multitable job's attribute ``owners``, tagged with its scope and
+    origin tables."""
+    entry: Dict[str, object] = {
         "fd": ranked.fd.format(relation.schema),
         "redundancy": ranked.redundancy,
         "redundancy_excluding_null": ranked.redundancy_excluding_null,
     }
-
-
-def _first_k_result(
-    relation: Relation, result: DiscoveryResult, k: int
-) -> DiscoveryResult:
-    """A discover job's top-k answer: ``result`` cut to its first k ranked FDs."""
-    return replace(result, fds=first_k(relation, result.fds, k), top_k=k)
+    if owners is not None:
+        entry["scope"] = fd_scope(ranked.fd, owners)
+        entry["tables"] = list(fd_tables(ranked.fd, owners))
+    return entry
 
 
 class _VirtualJoin:
@@ -80,24 +82,22 @@ class _VirtualJoin:
         self.entry = entry
         self.config = config
         self.fingerprint = entry.fingerprint
-        self._provenance = None
-        self._relation: Optional[Relation] = None
 
-    @property
+    @cached_property
     def provenance(self):
-        if self._provenance is None:
-            self._provenance = build_provenance(
-                self.entry.graph,
-                self.config.join_path,
-                on_dangling=self.config.on_dangling or "raise",
-            )
-        return self._provenance
+        return build_provenance(
+            self.entry.graph,
+            self.config.join_path,
+            on_dangling=self.config.on_dangling or "raise",
+        )
 
-    @property
+    @cached_property
     def relation(self) -> Relation:
-        if self._relation is None:
-            self._relation = lift_relation(self.entry.graph, self.provenance)
-        return self._relation
+        return lift_relation(self.entry.graph, self.provenance)
+
+
+#: What a job runs against: a dataset, or a schema's virtual join.
+_Target = Union[DatasetEntry, _VirtualJoin]
 
 
 class FDService:
@@ -166,18 +166,8 @@ class FDService:
         self.recovery: Dict[str, int] = {}
         if recover and self.journal is not None:
             self.recovery = self.scheduler.recover(
-                dataset_ok=self._dataset_known, result_for=self._stored_answer
+                dataset_ok=self._dataset_known, answer=self._recovered_answer
             )
-
-    def _stored_answer(self, job: Job) -> Optional[DiscoveryResult]:
-        """A recovered ``done`` job's result, re-read from the store."""
-        result = self.store.get(job.dataset, job.config.without_top_k())
-        k = job.config.top_k
-        if result is None or job.kind != "discover" or k is None:
-            return result
-        if job.dataset not in self.registry:
-            return None
-        return _first_k_result(self.registry.get(job.dataset).relation, result, k)
 
     def _dataset_known(self, fingerprint: str) -> bool:
         """A recovered job's target still exists (dataset *or* schema)."""
@@ -323,97 +313,78 @@ class FDService:
     # Job execution (runs on scheduler worker threads)
     # ------------------------------------------------------------------
 
-    def _execute(self, job: Job) -> None:
+    def _target(self, job: Job) -> _Target:
+        """What a job runs against: its dataset, or its schema's join."""
         if job.kind == "multitable":
-            self._execute_multitable(job)
-            return
-        entry = self.registry.get(job.dataset)
+            return _VirtualJoin(self.schemas.get(job.dataset), job.config)
+        return self.registry.get(job.dataset)
+
+    def _execute(self, job: Job) -> None:
+        target = self._target(job)
         if job.cancel_requested:
             raise JobCancelled("cancelled before start")
         tracer = Tracer()
         with use_tracer(tracer):
             with tracer.span("service.job", job_id=job.job_id, kind=job.kind):
-                # Every job works from the *full* cover, discovered and
-                # cached under the full-cover key; a top_k only cuts the
-                # ranking: of the left-reduced cover for a discover job,
-                # of the canonical cover for a rank job.
-                result = self._discover_with_cache(job, entry)
-                k = job.config.top_k
-                if job.kind == "discover" and k is not None:
-                    result = _first_k_result(entry.relation, result, k)
-                job.result = result
-                if job.kind == "rank":
-                    with tracer.span("covers", fds=result.fd_count):
-                        canonical = result.canonical_cover()
-                    ranking = rank_cover(
-                        entry.relation,
-                        canonical,
-                        top_k=job.config.top_k,
-                    )
-                    job.ranking = [
-                        _ranked_entry(ranked, entry.relation)
-                        for ranked in ranking.ranked
-                    ]
+                self._answer(job, target, self._discover_with_cache(job, target))
         job.trace = trace_summary(tracer)
 
-    def _execute_multitable(self, job: Job) -> None:
-        """Run one multitable job: lift, discover (cached), rank, tag.
+    def _recovered_answer(self, job: Job) -> None:
+        """Rebuild a recovered ``done`` job's answer from its stored cover.
 
-        Reuses the exact single-relation cache/single-flight machinery:
-        the virtual join is presented to :meth:`_discover_with_cache`
-        as a duck-typed dataset whose fingerprint is the schema graph's
-        — available without lifting — and whose relation lifts lazily,
-        so a cover cache hit never rebuilds provenance for discovery
-        (only the ranking pass touches the rows).  The join is never
-        materialized: the cover comes out of the lifted codes, which
-        are byte-identical to the materialized join's (see
-        :mod:`repro.multitable.provenance`).
+        A job whose cover is no longer stored, or whose dataset or
+        schema is no longer registered, keeps no answer.
         """
-        entry = self.schemas.get(job.dataset)
-        if job.cancel_requested:
-            raise JobCancelled("cancelled before start")
-        config = job.config
-        tracer = Tracer()
-        with use_tracer(tracer):
-            with tracer.span("service.job", job_id=job.job_id, kind=job.kind):
-                provider = _VirtualJoin(entry, config)
-                # The full cover is discovered and cached (a top_k only
-                # bounds the ranking below), mirroring "rank" jobs.
-                result = self._discover_with_cache(job, provider)
-                job.result = result
-                relation = provider.relation
-                provenance = provider.provenance
-                owners = attribute_tables(entry.graph, provenance.tables)
-                with tracer.span("covers", fds=result.fd_count):
-                    canonical = result.canonical_cover()
-                ranking = rank_cover(relation, canonical, top_k=config.top_k)
-                job.ranking = [
-                    {
-                        **_ranked_entry(ranked, relation),
-                        "scope": fd_scope(ranked.fd, owners),
-                        "tables": list(fd_tables(ranked.fd, owners)),
-                    }
-                    for ranked in ranking.ranked
-                ]
-                job.multitable = {
-                    "schema": entry.fingerprint,
-                    "name": entry.name,
-                    "path": list(provenance.tables),
-                    "on_dangling": provenance.policy,
-                    "n_join_rows": provenance.n_rows,
-                    "dropped_rows": provenance.dropped_rows,
-                    "padded_cells": provenance.padded_cells,
-                    "columns": relation.schema.names,
-                    "intra_count": sum(
-                        1 for e in job.ranking if e["scope"] == "intra"
-                    ),
-                    "inter_count": sum(
-                        1 for e in job.ranking if e["scope"] == "inter"
-                    ),
-                }
-        job.trace = trace_summary(tracer)
+        result = self.store.get(job.dataset, job.config.without_top_k())
+        if result is not None and self._dataset_known(job.dataset):
+            job.cached = True
+            self._answer(job, self._target(job), result)
 
-    def _discover_with_cache(self, job: Job, entry: DatasetEntry) -> DiscoveryResult:
+    def _answer(self, job: Job, target: _Target, result: DiscoveryResult) -> None:
+        """Set a finished job's answer from ``target``'s full cover.
+
+        The one path for live and recovered jobs.  A ``top_k`` only cuts
+        a ranking: of the left-reduced cover for a discover job (its
+        ``result`` becomes that prefix), of the canonical cover for a
+        rank or multitable job.  A multitable job's ranking is tagged
+        with each FD's scope and tables, beside the join's summary.
+        """
+        k = job.config.top_k
+        if job.kind == "discover":
+            if k is not None:
+                result = replace(
+                    result, fds=first_k(target.relation, result.fds, k), top_k=k
+                )
+            job.result = result
+            return
+        job.result = result
+        relation = target.relation
+        owners = None
+        if job.kind == "multitable":
+            provenance = target.provenance
+            owners = attribute_tables(target.entry.graph, provenance.tables)
+        with current_tracer().span("covers", fds=result.fd_count):
+            canonical = result.canonical_cover()
+        ranking = rank_cover(relation, canonical, top_k=k)
+        job.ranking = [
+            _ranked_entry(ranked, relation, owners) for ranked in ranking.ranked
+        ]
+        if owners is None:
+            return
+        job.multitable = {
+            "schema": target.entry.fingerprint,
+            "name": target.entry.name,
+            "path": list(provenance.tables),
+            "on_dangling": provenance.policy,
+            "n_join_rows": provenance.n_rows,
+            "dropped_rows": provenance.dropped_rows,
+            "padded_cells": provenance.padded_cells,
+            "columns": relation.schema.names,
+            "intra_count": sum(1 for e in job.ranking if e["scope"] == "intra"),
+            "inter_count": sum(1 for e in job.ranking if e["scope"] == "inter"),
+        }
+
+    def _discover_with_cache(self, job: Job, entry: _Target) -> DiscoveryResult:
         """Cache-checked discovery of the full cover, single-flighted.
 
         The cover is keyed by the job's config without ``top_k``, so a
@@ -511,13 +482,11 @@ class FDService:
         """Graceful shutdown, phase one: refuse new jobs, finish accepted.
 
         Returns True when every in-flight job completed within
-        ``timeout``.  The result store is synced either way so a
-        following restart reloads every completed cover; call
-        :meth:`close` afterwards to stop the workers.
+        ``timeout``; call :meth:`close` afterwards to stop the workers.
+        Every completed cover is already on disk: each store put is an
+        atomic, fsynced file write.
         """
-        finished = self.scheduler.drain(timeout)
-        self.store.sync()
-        return finished
+        return self.scheduler.drain(timeout)
 
     def close(self) -> None:
         """Shut the scheduler down (queued jobs are cancelled).

@@ -304,21 +304,16 @@ class ServiceClient:
         (intra/inter) and origin ``tables``, and a ``multitable`` block
         with the join's provenance stats.
         """
-        suffix = "" if top_k is None else f"?top_k={int(top_k)}"
-        return self._request(
-            "POST",
-            "/multitable/discover" + suffix,
+        return self._submit_and_wait(
+            self._job_path("multitable/discover", top_k),
             {
                 "schema": schema,
                 "path": list(path),
                 "on_dangling": on_dangling,
                 "config": config or {},
                 "priority": priority,
-                "wait": True,
-                "timeout": timeout,
             },
-            timeout=timeout,
-            headers={"Idempotency-Key": uuid.uuid4().hex},
+            timeout,
         )
 
     # ------------------------------------------------------------------
@@ -331,6 +326,21 @@ class ServiceClient:
         if top_k is None:
             return f"/{kind}"
         return f"/{kind}?top_k={int(top_k)}"
+
+    def _submit_and_wait(
+        self, path: str, body: Dict[str, object], timeout: Optional[float]
+    ) -> Dict[str, object]:
+        """Submit a job that the server waits on; returns its status.
+
+        Each call carries a fresh ``Idempotency-Key`` (see :meth:`submit`).
+        """
+        return self._request(
+            "POST",
+            path,
+            {**body, "wait": True, "timeout": timeout},
+            timeout=timeout,
+            headers={"Idempotency-Key": uuid.uuid4().hex},
+        )
 
     def submit(
         self,
@@ -395,18 +405,10 @@ class ServiceClient:
         (sent as the ``?top_k=`` query param, which overrides any
         body-config value).
         """
-        return self._request(
-            "POST",
+        return self._submit_and_wait(
             self._job_path("discover", top_k),
-            {
-                "dataset": dataset,
-                "config": config or {},
-                "priority": priority,
-                "wait": True,
-                "timeout": timeout,
-            },
-            timeout=timeout,
-            headers={"Idempotency-Key": uuid.uuid4().hex},
+            {"dataset": dataset, "config": config or {}, "priority": priority},
+            timeout,
         )
 
     def rank(
@@ -422,18 +424,10 @@ class ServiceClient:
         ``top_k`` bounds the returned ranking to its first k entries
         (the full cover is still discovered and cached).
         """
-        return self._request(
-            "POST",
+        return self._submit_and_wait(
             self._job_path("rank", top_k),
-            {
-                "dataset": dataset,
-                "config": config or {},
-                "priority": priority,
-                "wait": True,
-                "timeout": timeout,
-            },
-            timeout=timeout,
-            headers={"Idempotency-Key": uuid.uuid4().hex},
+            {"dataset": dataset, "config": config or {}, "priority": priority},
+            timeout,
         )
 
     # ------------------------------------------------------------------

@@ -38,7 +38,7 @@ class JobConfig:
     ``top_k`` asks for only the k FDs of highest redundancy.  The store
     never sees it: every job discovers and stores the full cover under
     :meth:`without_top_k`, and its answer is that cover's ranking cut
-    to k (see ``FDService._execute``).
+    to k (see ``FDService._answer``).
 
     ``join_path`` and ``on_dangling`` apply to ``multitable`` jobs only
     (see :mod:`repro.multitable`): the join path through the schema

@@ -83,6 +83,26 @@ class JournaledJob:
     terminal: Optional[str] = None
 
 
+def _submit_record(job: JournaledJob) -> Dict[str, object]:
+    """The ``submit`` record carrying a job's identity."""
+    return {
+        "type": "submit",
+        "job_id": job.job_id,
+        "dataset": job.dataset,
+        "kind": job.kind,
+        "config": job.config,
+        "priority": job.priority,
+        "key": job.idempotency_key,
+        "ts": job.submitted_at,
+    }
+
+
+def _frame(record: Dict[str, object]) -> bytes:
+    """One record as a CRC-framed WAL frame."""
+    payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
+
+
 class JobJournal:
     """Append-only, fsync'd WAL of job transitions with replay."""
 
@@ -191,10 +211,7 @@ class JobJournal:
 
     def _append(self, record: Dict[str, object]) -> bool:
         """Frame, write and fsync one record; False when dropped."""
-        payload = json.dumps(
-            record, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        frame = _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
+        frame = _frame(record)
         with self._lock:
             if self.broken:
                 self._count("service.journal.dropped")
@@ -229,16 +246,11 @@ class JobJournal:
         submitted_at: float = 0.0,
     ) -> bool:
         return self._append(
-            {
-                "type": "submit",
-                "job_id": job_id,
-                "dataset": dataset,
-                "kind": kind,
-                "config": config,
-                "priority": priority,
-                "key": idempotency_key,
-                "ts": submitted_at,
-            }
+            _submit_record(
+                JournaledJob(
+                    job_id, dataset, kind, config, priority, idempotency_key, submitted_at
+                )
+            )
         )
 
     def record_start(self, job_id: str) -> bool:
@@ -260,13 +272,6 @@ class JobJournal:
     # Compaction / lifecycle
     # ------------------------------------------------------------------
 
-    def find_by_key(self, idempotency_key: str) -> Optional[JournaledJob]:
-        """The journaled job carrying this idempotency key, if any."""
-        for job in self.jobs.values():
-            if job.idempotency_key == idempotency_key:
-                return job
-        return None
-
     def compact(self) -> int:
         """Rewrite the WAL as the minimal record set for current state.
 
@@ -278,53 +283,25 @@ class JobJournal:
         with self._lock:
             if self.broken:
                 return 0
-            frames = []
-            written = 0
+            records = []
             for job in self.jobs.values():
-                records = [
-                    {
-                        "type": "submit",
-                        "job_id": job.job_id,
-                        "dataset": job.dataset,
-                        "kind": job.kind,
-                        "config": job.config,
-                        "priority": job.priority,
-                        "key": job.idempotency_key,
-                        "ts": job.submitted_at,
-                    }
-                ]
+                records.append(_submit_record(job))
                 if job.started:
                     records.append({"type": "start", "job_id": job.job_id})
                 if job.cancel_requested and job.terminal is None:
                     records.append({"type": "cancel", "job_id": job.job_id})
                 if job.terminal is not None:
                     records.append(
-                        {
-                            "type": "finish",
-                            "job_id": job.job_id,
-                            "status": job.terminal,
-                        }
+                        {"type": "finish", "job_id": job.job_id, "status": job.terminal}
                     )
                 elif job.checkpoint is not None:
                     records.append(
-                        {
-                            "type": "checkpoint",
-                            "job_id": job.job_id,
-                            "state": job.checkpoint,
-                        }
+                        {"type": "checkpoint", "job_id": job.job_id, "state": job.checkpoint}
                     )
-                for record in records:
-                    payload = json.dumps(
-                        record, sort_keys=True, separators=(",", ":")
-                    ).encode("utf-8")
-                    frames.append(
-                        _HEADER.pack(zlib.crc32(payload), len(payload)) + payload
-                    )
-                    written += 1
             tmp = self.path.with_name(self.path.name + ".tmp")
             try:
                 with open(tmp, "wb") as handle:
-                    handle.write(b"".join(frames))
+                    handle.write(b"".join(_frame(record) for record in records))
                     handle.flush()
                     os.fsync(handle.fileno())
                 self._fh.close()
@@ -336,7 +313,7 @@ class JobJournal:
                 self._count("service.journal.errors")
                 return 0
             self._count("service.journal.compactions")
-            return written
+            return len(records)
 
     def close(self, compact: bool = True) -> None:
         """Compact (by default) and close the WAL file handle."""

@@ -7,11 +7,15 @@ target's file; a reload replays the moves in stamp order (files without
 ``aliases`` replay ``name`` at ``registered_at``), so the alias map
 survives a restart.  A file that does not parse, is not a JSON object,
 has the wrong ``format``/``version`` or that ``decode`` rejects is
-skipped and counted as ``<prefix>.load_errors``, never trusted.
+skipped and counted as ``<prefix>.load_errors``, never trusted, and
+renamed to ``<name>.rejected`` so the next boot does not read it again.
+A file that names another store's entry that is not loaded
+(:class:`UnknownRefError`) stays in place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -61,6 +65,15 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
         os.fsync(handle.fileno())
     os.replace(tmp, target)
     fsync_dir(target.parent)
+
+
+class UnknownRefError(KeyError):
+    """A name or key that resolves to no entry of a store.
+
+    A file whose ``decode`` raises it refers to another store's entry
+    that is not loaded (a schema's dataset), so it stays in place for a
+    boot that has that entry.
+    """
 
 
 class KeyedStore(Generic[K, V]):
@@ -146,15 +159,6 @@ class KeyedStore(Generic[K, V]):
         self._stamp = max(time.time(), self._stamp + 1e-6)
         return self._stamp
 
-    def sync(self) -> int:
-        """Rewrite every entry's file; returns how many (0 in memory)."""
-        if self.persist_dir is None:
-            return 0
-        with self.lock:
-            for key in self._values:
-                self._persist(key)
-            return len(self._values)
-
     def _path(self, key: K) -> Path:
         """The entry's canonical file: the key, or its hash for tuples."""
         if not isinstance(key, str):
@@ -200,8 +204,12 @@ class KeyedStore(Generic[K, V]):
                 if aliases is None:
                     aliases = {payload["name"]: order} if payload.get("name") else {}
                 entry_moves = [(float(t), str(name), key) for name, t in aliases.items()]
-            except Exception:  # noqa: BLE001 — skip and count, never fatal
+            except Exception as exc:  # noqa: BLE001 — skip and count, never fatal
                 self._count(f"{self._prefix}.load_errors")
+                if not isinstance(exc, UnknownRefError):
+                    # Out of the ``*.json`` glob, bytes kept: read once.
+                    with contextlib.suppress(OSError):
+                        path.replace(path.with_name(path.name + ".rejected"))
                 continue
             loaded.append((order, key, value))
             moves.extend(entry_moves)

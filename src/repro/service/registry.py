@@ -24,11 +24,11 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from ..relational.null import is_null
 from ..relational.relation import Relation
-from .keyed import KeyedStore, NamedView, _noop_count
+from .keyed import KeyedStore, NamedView, UnknownRefError, _noop_count
 from .store import ResultStore
 
 
-class UnknownDatasetError(KeyError):
+class UnknownDatasetError(UnknownRefError):
     """Raised when a fingerprint or name resolves to no dataset."""
 
     def __init__(self, ref: str):

@@ -112,6 +112,12 @@ class Job:
         self.resumed = False
         self.done = threading.Event()
 
+    def finish(self, status: str) -> None:
+        """Enter the terminal ``status`` now and wake every waiter."""
+        self.status = status
+        self.finished_at = time.time()
+        self.done.set()
+
     def status_payload(self, include_result: bool = True) -> Dict[str, object]:
         """JSON-friendly job status for the HTTP layer."""
         payload: Dict[str, object] = {
@@ -268,9 +274,7 @@ class JobScheduler:
         with self._cond:
             job = self.get(job_id)
             if job.status == QUEUED:
-                job.status = CANCELLED
-                job.finished_at = time.time()
-                job.done.set()
+                job.finish(CANCELLED)
                 self._count("service.jobs.cancelled")
             elif job.status == RUNNING:
                 job.cancel_requested = True
@@ -281,16 +285,6 @@ class JobScheduler:
             elif status == RUNNING:
                 self._journal.record_cancel(job_id)
         return status
-
-    def queue_depth(self) -> int:
-        """Number of jobs waiting to run."""
-        with self._cond:
-            return sum(1 for _, _, job in self._heap if job.status == QUEUED)
-
-    def running(self) -> int:
-        """Number of jobs currently executing."""
-        with self._cond:
-            return self._running
 
     def counters(self) -> Dict[str, int]:
         """Queue/worker occupancy as a JSON-friendly dict."""
@@ -362,9 +356,7 @@ class JobScheduler:
             self._stopping = True
             for _, _, job in self._heap:
                 if job.status == QUEUED:
-                    job.status = CANCELLED
-                    job.finished_at = time.time()
-                    job.done.set()
+                    job.finish(CANCELLED)
                     cancelled.append(job.job_id)
             self._heap.clear()
             self._cond.notify_all()
@@ -428,16 +420,16 @@ class JobScheduler:
     def recover(
         self,
         dataset_ok: Callable[[str], bool],
-        result_for: Optional[Callable[[Job], Optional[DiscoveryResult]]] = None,
+        answer: Optional[Callable[[Job], None]] = None,
     ) -> Dict[str, int]:
         """Rebuild the job table from the attached journal's replay.
 
         Jobs finish in one of four ways (counted in the returned dict):
 
         * ``completed`` — the journal recorded a terminal status; the
-          Job is recreated terminal, and for ``done`` jobs the cover is
-          re-attached from the result store via ``result_for``, so the
-          client's poll loop lands on the same answer it would have.
+          Job is recreated terminal, and each ``done`` job is handed to
+          ``answer``, which rebuilds its answer from the stored cover,
+          so the client's poll loop lands on the answer it would have.
         * ``requeued`` — submitted but never started (or started
           without a checkpoint): queued again from scratch.
         * ``resumed`` — started with a checkpoint on record: queued
@@ -481,29 +473,22 @@ class JobScheduler:
             job.submitted_at = entry.submitted_at or job.submitted_at
             if entry.terminal is not None:
                 # Journal says it finished: recreate the terminal state
-                # (re-attaching the stored cover for ``done`` jobs).
+                # (and the answer of a ``done`` job).
                 job.status = entry.terminal
                 job.finished_at = job.submitted_at
-                if entry.terminal == DONE and result_for is not None and config is not None:
-                    result = result_for(job)
-                    if result is not None:
-                        job.result = result
-                        job.cached = True
+                if entry.terminal == DONE and answer is not None and config is not None:
+                    answer(job)
                 job.done.set()
                 counts["completed"] += 1
             elif config is None or not dataset_ok(entry.dataset):
-                job.status = LOST
-                job.finished_at = time.time()
-                job.done.set()
+                job.finish(LOST)
                 counts["lost"] += 1
                 self._count("service.jobs.lost")
                 self._journal.record_finish(entry.job_id, LOST)
             elif entry.cancel_requested:
                 # Cancellation was requested before the crash; honour
                 # it instead of resurrecting the run.
-                job.status = CANCELLED
-                job.finished_at = time.time()
-                job.done.set()
+                job.finish(CANCELLED)
                 counts["completed"] += 1
                 self._journal.record_finish(entry.job_id, CANCELLED)
             else:

@@ -23,11 +23,11 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..multitable.schema import SchemaGraph
-from .keyed import KeyedStore, NamedView, _noop_count
+from .keyed import KeyedStore, NamedView, UnknownRefError, _noop_count
 from .registry import DatasetRegistry
 
 
-class UnknownSchemaError(KeyError):
+class UnknownSchemaError(UnknownRefError):
     """Raised when a schema name or fingerprint resolves to nothing."""
 
     def __init__(self, ref: str):

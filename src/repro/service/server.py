@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .app import FDService
-from .config import ConfigError
 from .registry import UnknownDatasetError
 from .scheduler import SchedulerDraining, UnknownJobError
 from .schemas import UnknownSchemaError
@@ -118,9 +117,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _dispatch(self, handler, *args) -> None:
         try:
             handler(*args)
-        except BadRequest as exc:
-            self._send_json({"error": str(exc)}, status=400)
-        except (ConfigError, ValueError) as exc:
+        except ValueError as exc:  # BadRequest, ConfigError, MultitableError
             self._send_json({"error": str(exc)}, status=400)
         except SchedulerDraining as exc:
             self._send_json({"error": str(exc)}, status=503, retry_after=2)
@@ -227,25 +224,28 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         entry = self.server.service.append_rows(ref, rows)
         self._send_json(entry.describe())
 
-    @staticmethod
-    def _apply_top_k(
-        config: Dict[str, object], query: Optional[Dict[str, List[str]]]
+    def _submit_and_respond(
+        self,
+        target: str,
+        kind: str,
+        body: Dict[str, object],
+        config: Dict[str, object],
+        query: Optional[Dict[str, List[str]]],
     ) -> None:
-        """Fold ``?top_k=`` into the config, overriding any body value.
+        """Queue the job; block for the status when ``wait`` was asked.
 
-        The query param is the outermost request, so it wins.
+        A body-level ``algorithm`` fills a config without one, and the
+        ``?top_k=`` query param, the outermost request, overrides any
+        body value.
         """
+        if "algorithm" in body:
+            config.setdefault("algorithm", body["algorithm"])
         if query and "top_k" in query:
             raw = query["top_k"][-1]
             try:
                 config["top_k"] = int(raw)
             except ValueError:
                 raise BadRequest(f"top_k must be an integer, got {raw!r}") from None
-
-    def _submit_and_respond(
-        self, target: str, kind: str, config: Dict[str, object], body: Dict[str, object]
-    ) -> None:
-        """Queue the job; block for the status when ``wait`` was asked."""
         job = self.server.service.submit(
             target,
             kind,
@@ -271,11 +271,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         dataset = body.get("dataset")
         if not dataset:
             raise BadRequest("job submission needs a 'dataset' reference")
-        config = body.get("config") or {}
-        if "algorithm" in body:
-            config.setdefault("algorithm", body["algorithm"])
-        self._apply_top_k(config, query)
-        self._submit_and_respond(dataset, kind, config, body)
+        self._submit_and_respond(dataset, kind, body, body.get("config") or {}, query)
 
     def _get_schemas(self) -> None:
         self._send_json({"schemas": self.server.service.schemas.list()})
@@ -313,14 +309,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if not schema:
             raise BadRequest("multitable discovery needs a 'schema' reference")
         config = body.get("config") or {}
-        if "algorithm" in body:
-            config.setdefault("algorithm", body["algorithm"])
         if "path" in body:
             config["join_path"] = body["path"]
         if "on_dangling" in body:
             config["on_dangling"] = body["on_dangling"]
-        self._apply_top_k(config, query)
-        self._submit_and_respond(str(schema), "multitable", config, body)
+        self._submit_and_respond(str(schema), "multitable", body, config, query)
 
     def _post_cancel(self, job_id: str) -> None:
         status = self.server.service.scheduler.cancel(job_id)

@@ -147,17 +147,6 @@ class ResultStore:
             migrated += 1
         return migrated
 
-    def sync(self) -> int:
-        """Re-mirror every entry to ``persist_dir`` (drain/shutdown hook).
-
-        Entries are already persisted on :meth:`put`; this is the
-        belt-and-braces pass the graceful-drain path runs so a server
-        restart is guaranteed to reload the full cache even if an
-        earlier mirror write raced a crash.  Returns the number of
-        entries written (0 for in-memory stores).
-        """
-        return self._entries.sync()
-
     def counters(self) -> Dict[str, int]:
         """Hit/miss/put accounting as a JSON-friendly dict."""
         with self._entries.lock:

@@ -29,6 +29,7 @@ from repro.service.keyed import atomic_write_text
 from repro.service.scheduler import DONE, LOST, QUEUED
 
 from .conftest import make_random_relation
+from .test_multitable import STAR_PATH, register_star
 
 
 @pytest.fixture(autouse=True)
@@ -107,8 +108,9 @@ class TestJobJournal:
         assert one.terminal == "done"
         two = reborn.jobs["job-2"]
         assert two.kind == "rank" and not two.started and two.terminal is None
-        assert reborn.find_by_key("k1") is one
-        assert reborn.find_by_key("nope") is None
+        by_key = {job.idempotency_key: job for job in reborn.jobs.values()}
+        assert by_key["k1"] is one
+        assert "nope" not in by_key
         reborn.close(compact=False)
 
     def test_torn_tail_is_truncated(self, tmp_path):
@@ -179,6 +181,50 @@ class TestJobJournal:
         assert one.started and one.idempotency_key == "k"
         assert reborn.jobs["job-2"].terminal == "done"
         reborn.close(compact=False)
+
+    def test_compacted_wal_bytes(self, tmp_path):
+        # The compacted WAL is one CRC frame per record, each a sorted,
+        # compact JSON document, in job order: submit, start, cancel
+        # (unfinished jobs only), then finish or the latest checkpoint.
+        path = self.wal(tmp_path)
+        journal = JobJournal(path)
+        journal.record_submit(
+            "job-1", "fp-a", "rank", {"top_k": 3}, priority=2,
+            idempotency_key="k", submitted_at=1.5,
+        )
+        journal.record_start("job-1")
+        journal.record_checkpoint("job-1", {"validation_level": 1})
+        journal.record_finish("job-1", "done")
+        journal.record_submit("job-2", "fp-b", "discover", {}, submitted_at=2.0)
+        journal.record_start("job-2")
+        journal.record_checkpoint("job-2", {"validation_level": 1})
+        journal.record_checkpoint("job-2", {"validation_level": 2})
+        journal.record_cancel("job-2")
+        journal.record_submit("job-3", "fp-b", "multitable", {}, submitted_at=3.0)
+        journal.close(compact=True)
+
+        def submit(job_id, dataset, kind, config, priority, key, ts):
+            return {
+                "type": "submit", "job_id": job_id, "dataset": dataset,
+                "kind": kind, "config": config, "priority": priority,
+                "key": key, "ts": ts,
+            }
+
+        records = [
+            submit("job-1", "fp-a", "rank", {"top_k": 3}, 2, "k", 1.5),
+            {"type": "start", "job_id": "job-1"},
+            {"type": "finish", "job_id": "job-1", "status": "done"},
+            submit("job-2", "fp-b", "discover", {}, 0, None, 2.0),
+            {"type": "start", "job_id": "job-2"},
+            {"type": "cancel", "job_id": "job-2"},
+            {"type": "checkpoint", "job_id": "job-2", "state": {"validation_level": 2}},
+            submit("job-3", "fp-b", "multitable", {}, 0, None, 3.0),
+        ]
+        expected = b""
+        for record in records:
+            payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
+            expected += struct.pack("<II", zlib.crc32(payload), len(payload)) + payload
+        assert path.read_bytes() == expected
 
     def test_torn_write_fault_breaks_journal_not_replay(self, tmp_path):
         path = self.wal(tmp_path)
@@ -266,18 +312,26 @@ class TestSchedulerRecover:
         scheduler.shutdown()
         journal.close(compact=False)
 
-    def test_recover_reattaches_stored_result(self, tmp_path):
+    def test_recover_hands_done_jobs_to_answer(self, tmp_path):
         journal = self.make_journal(tmp_path)
         journal.record_submit("job-1", "fp", "discover", {})
         journal.record_start("job-1")
         journal.record_finish("job-1", "done")
-        sentinel = object()
+        journal.record_submit("job-2", "fp", "rank", {})
+        journal.record_start("job-2")
+        journal.record_finish("job-2", "failed")
+        journal.record_submit("job-3", "fp", "rank", {})
+        answered = []
+
+        def answer(job):
+            # The hook sees the rebuilt job before any poller can.
+            assert job.status == DONE and job.recovered and not job.done.is_set()
+            answered.append(job.job_id)
+
         scheduler = JobScheduler(lambda job: None, max_workers=1, journal=journal)
-        scheduler.recover(
-            dataset_ok=lambda fp: True, result_for=lambda job: sentinel
-        )
-        job = scheduler.get("job-1")
-        assert job.result is sentinel and job.cached and job.recovered
+        scheduler.recover(dataset_ok=lambda fp: True, answer=answer)
+        # Only the done job is answered; failed and requeued ones are not.
+        assert answered == ["job-1"]
         scheduler.shutdown()
         journal.close(compact=False)
 
@@ -513,6 +567,46 @@ class TestServiceDurability:
             job = service.scheduler.get("job-3")
             assert job.status == DONE and job.cached
             assert job.result.top_k == 3 and job.result.fds == expected
+
+    @pytest.mark.parametrize(
+        "kind,config",
+        [
+            ("rank", {}),
+            ("rank", {"top_k": 3}),
+            ("discover", {"top_k": 3}),
+            ("multitable", {"join_path": list(STAR_PATH), "on_dangling": "pad"}),
+        ],
+        ids=["rank", "rank-top-k", "discover-top-k", "multitable"],
+    )
+    def test_recovered_done_job_keeps_its_answer(self, tmp_path, kind, config):
+        # A job finished before a crash answers the same after recovery:
+        # its result, ranking and multitable block are rebuilt from the
+        # stored cover by the path a live job takes.
+        dirs = {"store_dir": tmp_path / "store", "dataset_dir": tmp_path / "datasets"}
+        service = FDService(max_workers=1, **dirs)
+        if kind == "multitable":
+            target = register_star(service).fingerprint
+        else:
+            target = service.register_relation(make_random_relation(27)).fingerprint
+        job = service.scheduler.wait(
+            service.submit(target, kind, config).job_id, timeout=60.0
+        )
+        assert job.status == DONE
+        before = job.status_payload()
+        assert kind == "discover" or before["ranking"]
+        # Crash: the workers stop and the WAL is left uncompacted.
+        service.scheduler.shutdown()
+        service.journal.close(compact=False)
+
+        with FDService(max_workers=1, recover=True, **dirs) as reborn:
+            assert reborn.recovery["completed"] == 1
+            after = reborn.scheduler.get(job.job_id).status_payload()
+        ignored = {"submitted_at", "started_at", "finished_at", "cached", "recovered", "trace"}
+
+        def answer(payload):
+            return {key: value for key, value in payload.items() if key not in ignored}
+
+        assert answer(after) == answer(before)
 
     def test_http_idempotency_key_dedups(self, tmp_path):
         service = FDService(store_dir=tmp_path)

@@ -227,14 +227,26 @@ def test_malformed_file_skipped_and_counted(tmp_path, directory, shape):
         assert svc.discover(entry.fingerprint, config={"jobs": 1}).status == "done"
         before = snapshot(svc, names=["ta"], schema_names=["s"])
     junk = tmp_path / directory / "junk.json"
-    junk.write_text(json.dumps(MALFORMED[directory][shape]), encoding="utf-8")
+    text = json.dumps(MALFORMED[directory][shape])
+    junk.write_text(text, encoding="utf-8")
+    # A schema naming a dataset that is not loaded stays in place: the
+    # dataset may be there on a later boot.  Every other bad file is
+    # renamed out of the ``*.json`` glob, bytes kept, and read once.
+    stays = shape == "unknown-dataset"
 
-    with FDService(max_workers=1, **dirs(tmp_path)) as reborn:
-        counters = reborn.metrics_payload()["counters"]
-        assert counters[COUNTER[directory]] == 1
-        assert snapshot(reborn, names=["ta"], schema_names=["s"]) == before
-        assert len(reborn.store) == 1
-        assert reborn.store.get(entry.fingerprint, JobConfig.from_dict({"jobs": 1}))
+    for boot_errors in (1, 1 if stays else 0):
+        with FDService(max_workers=1, **dirs(tmp_path)) as reborn:
+            counters = reborn.metrics_payload()["counters"]
+            assert counters.get(COUNTER[directory], 0) == boot_errors
+            assert snapshot(reborn, names=["ta"], schema_names=["s"]) == before
+            assert len(reborn.store) == 1
+            assert reborn.store.get(entry.fingerprint, JobConfig.from_dict({"jobs": 1}))
+        assert junk.exists() == stays
+        rejected = junk.with_name("junk.json.rejected")
+        if stays:
+            assert not rejected.exists()
+        else:
+            assert rejected.read_text(encoding="utf-8") == text
 
 
 # ----------------------------------------------------------------------
@@ -364,6 +376,17 @@ def test_v1_top_k_entry_skipped_and_counted(tmp_path):
             {"lhs": ["id"], "rhs": ["grp"]}
         ]
         assert svc.metrics_payload()["counters"].get("service.discovery.runs", 0) == 0
+
+    # The skipped entry was set aside as ``.rejected``: the next boot
+    # neither reads nor counts it, and the v1 files still load.
+    rejected = tmp_path / "store/fedcba9876543210fedcba9876543210.json.rejected"
+    assert rejected.read_text(encoding="utf-8") == V1_TOP_K_ENTRY
+    with FDService(max_workers=1, **dirs(tmp_path)) as reborn:
+        counters = reborn.metrics_payload()["counters"]
+        assert counters.get("service.store.load_errors", 0) == 0
+        assert counters["service.store.loaded"] == 1
+        assert counters["service.registry.loaded"] == 2
+        assert counters["service.schemas.loaded"] == 1
 
 
 def test_boot_leaves_one_file_per_entry(tmp_path):
